@@ -22,6 +22,7 @@ regression oracle for the rest of the package.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -353,13 +354,6 @@ def instantiate(
 # closed moment formulas
 
 
-def _factorial(n: int):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def _chu_vandermonde(N: Fraction, A: Fraction, B: Fraction, n: int):
     N = int(N)
     if n > N:
@@ -432,7 +426,7 @@ def _eval_form(form: dict, values: dict, n: int):
             pref = pref * pochhammer(ai, N)
         for bj in b_list:
             pref = exact_div(pref, pochhammer(bj + 1, N))
-        pref = exact_div(pref, _factorial(N - n))
+        pref = exact_div(pref, math.factorial(N - n))
         sign = (-1) ** (1 + len(a_list) + len(b_list))
         series = HyperSeries(
             tuple([Fraction(n - N), Fraction(1)] + [-N - bj for bj in b_list]),

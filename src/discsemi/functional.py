@@ -20,11 +20,14 @@ direct degree formula as a cross-check.
 Moments are taken against the falling-factorial basis
 ``phi_n(x) = x (x-1) ... (x-n+1)`` (shifted by ``m`` for symmetric
 windows), where they reduce to single hypergeometric values.  The Stieltjes
-transform ``S(t) = L[1/(t-x)]`` is evaluated by direct summation.
+transform ``S(t) = L[1/(t-x)]`` of a finite weight is one more such value,
+summed exactly by the finite-sum kernel of :mod:`discsemi.hyper`; that of
+an infinite weight is summed numerically.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -33,6 +36,7 @@ import mpmath as mp
 
 from .combin import falling_factorial, pochhammer_multi
 from .errors import (
+    ConstraintViolated,
     DegreeMismatch,
     DivergentSeries,
     InputError,
@@ -186,6 +190,16 @@ class FunctionalSpec:
         object.__setattr__(self, "masses", tuple(masses))
         if scalar_is_zero(self.z):
             raise InputError("the argument z must be nonzero")
+        if self.support.kind == "symmetrized_shift":
+            # the Pearson pair only describes the window when the weight
+            # itself stops there: eta(2m) = z * prod(2m + a_i) = 0
+            two_m = 2 * self.support.m
+            if not any(scalar_is_zero(ai + two_m) for ai in self.a):
+                raise ConstraintViolated(
+                    f"a symmetric window {{-m..m}} with m = {self.support.m} "
+                    f"needs a numerator parameter equal to -2m = {-two_m}, "
+                    f"so that the weight vanishes beyond the window (eta(2m) = 0)"
+                )
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -345,10 +359,7 @@ def _rho_hat(spec: FunctionalSpec, u: int) -> Scalar:
     num = pochhammer_multi(spec.a, u)
     den = pochhammer_multi(tuple(bj + 1 for bj in spec.b), u)
     value = spec.scale * num * spec.z**u
-    fact = 1
-    for i in range(2, u + 1):
-        fact *= i
-    return exact_div(value, den * fact)
+    return exact_div(value, den * math.factorial(u))
 
 
 def weight_at(spec: FunctionalSpec, x) -> Scalar:
@@ -525,9 +536,10 @@ def stieltjes_eval(spec: FunctionalSpec, t: Scalar, tol: Scalar = DEFAULT_TOL) -
     """Pointwise value of S(t) = L[1/(t - x)].
 
     Finite (truncated, symmetric-window, or self-terminating) weights sum
-    exactly on rational inputs; infinite weights sum numerically with the
-    two-consecutive-small-terms stopping rule.  Point masses add
-    ``M / (t - omega)``.
+    exactly on rational inputs, as one terminating hypergeometric sum
+    through ``1/(c - u) = (1/c) (-c)_u / (1-c)_u`` with ``c = t + shift``;
+    infinite weights sum numerically with the two-consecutive-small-terms
+    stopping rule.  Point masses add ``M / (t - omega)``.
     """
     _validate_weight(spec)
     shift = spec.basis_shift
@@ -535,33 +547,23 @@ def stieltjes_eval(spec: FunctionalSpec, t: Scalar, tol: Scalar = DEFAULT_TOL) -
     for mass in spec.merged_masses():
         if scalar_is_zero(t - mass.omega):
             raise PoleAtSupportPoint(f"t = {t} is a mass point of the functional")
-    skip_u: Optional[int] = None
-    if is_integer(t):
-        u = int(t) + shift
-        if u >= 0 and (upper is None or u <= upper):
-            if scalar_is_zero(_rho_hat(spec, u)):
-                skip_u = u
-            else:
-                raise PoleAtSupportPoint(f"t = {t} is a support point of the weight")
     total: Scalar = 0
     for mass in spec.merged_masses():
         total = total + exact_div(mass.M, t - mass.omega)
     if scalar_is_zero(spec.scale):
         return total
+    # with a nonzero scale the weight is nonzero at every support index
+    if is_integer(t):
+        u = int(t) + shift
+        if u >= 0 and (upper is None or u <= upper):
+            raise PoleAtSupportPoint(f"t = {t} is a support point of the weight")
     if upper is not None:
-        w: Scalar = spec.scale
-        z = spec.z
-        for u in range(upper + 1):
-            if u != skip_u:
-                total = total + exact_div(w, t - (u - shift))
-            num = 1
-            for ai in spec.a:
-                num = num * (ai + u)
-            den = u + 1
-            for bj in spec.b:
-                den = den * (bj + 1 + u)
-            w = exact_div(w * num * z, den)
-        return total
+        # support indices raised above, so c != u for every summed u, c != 0
+        c = t + shift
+        series = HyperSeries(
+            spec.a + (-c,), tuple(bj + 1 for bj in spec.b) + (1 - c,), spec.z
+        )
+        return total + exact_div(spec.scale * eval_hyper_finite_sum(series, upper), c)
     # infinite weight: numeric summation
     t_f = to_mpf(t)
     w_f = to_mpf(spec.scale)

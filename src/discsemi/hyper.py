@@ -17,6 +17,12 @@ four regimes:
   ``-1 < gamma <= 0``, divergent otherwise).
 * ``Divergent`` -- ``p > q+1`` without termination.
 
+Finite sums on exact rational data go through one kernel,
+:func:`eval_hyper_finite_sum`, which sums by binary splitting: the term
+ratio is cleared into integer linear factors, products over halves of the
+index range are combined as integers, and the result is reduced to a
+``Fraction`` once at the end instead of after every term.
+
 Nonterminating sums run at the current mpmath working precision and stop
 when two consecutive terms fall below ``tol`` times the partial sum, which
 protects against accidental zero terms in alternating series.
@@ -119,33 +125,83 @@ def _check_poles(b: Sequence, last_index: int) -> None:
             )
 
 
-def eval_hyper_finite_sum(h: HyperSeries, K: int) -> Scalar:
-    """Exact partial sum of the series through the term of index K.
+#: Terms multiplied out directly at each leaf of the binary splitting.
+_LEAF_TERMS = 16
 
-    Runs in exact rational arithmetic when all inputs are exact.  If a
-    numerator parameter terminates the series before K, the remaining terms
-    are zero and summation stops early; a zero denominator factor reached
-    with a nonzero numerator raises PoleInDenominator.
+
+def _split_sum(a: Sequence, b: Sequence, z, K: int) -> Fraction:
+    """Exact ``sum_{k=0}^{K} prod_{j<k} p(j)/q(j)`` by binary splitting.
+
+    Clearing the denominators of ``a``, ``b`` and ``z`` turns the term ratio
+    ``z prod(a_i + j) / ((j+1) prod(b_i + j))`` into integer polynomials
+    ``p(j)/q(j)`` that are products of linear factors ``n + d j``.  Over an
+    index range [lo, hi) the integers P = prod p, Q = prod q and T, with
+    ``T/Q = sum_{lo<=k<hi} prod_{lo<=j<=k} p(j)/q(j)``, combine as
+    ``(P1 P2, Q1 Q2, T1 Q2 + P1 T2)``; the only reduction is the final
+    ``Fraction(Q + T, Q)``.  The caller guarantees q(j) != 0 for j < K.
+    """
+    z_num, z_den = z.as_integer_ratio()
+    p_lin = [x.as_integer_ratio() for x in a]
+    q_lin = [(1, 1)] + [x.as_integer_ratio() for x in b]
+    p_const, q_const = z_num, z_den
+    for _, d in q_lin:
+        p_const *= d
+    for _, d in p_lin:
+        q_const *= d
+
+    def pqt(lo: int, hi: int) -> tuple[int, int, int]:
+        if hi - lo <= _LEAF_TERMS:
+            P, Q, T = 1, 1, 0
+            for j in range(lo, hi):
+                pj, qj = p_const, q_const
+                for n, d in p_lin:
+                    pj *= n + d * j
+                for n, d in q_lin:
+                    qj *= n + d * j
+                P *= pj
+                Q *= qj
+                T = T * qj + P
+            return P, Q, T
+        mid = (lo + hi) // 2
+        P1, Q1, T1 = pqt(lo, mid)
+        P2, Q2, T2 = pqt(mid, hi)
+        return P1 * P2, Q1 * Q2, T1 * Q2 + P1 * T2
+
+    _, Q, T = pqt(0, K)
+    return Fraction(Q + T, Q)
+
+
+def eval_hyper_finite_sum(h: HyperSeries, K: int) -> Scalar:
+    """Partial sum of the series through the term of index K.
+
+    If a numerator parameter terminates the series before K, the remaining
+    terms are zero and summation stops there; a zero denominator factor
+    reached before that point raises PoleInDenominator.  All-exact inputs
+    are summed exactly by binary splitting (rational in, ``Fraction`` out);
+    otherwise the terms are accumulated one by one in mpf arithmetic.
     """
     if K < 0:
         raise ValueError("partial-sum length must be nonnegative")
-    one = Fraction(1) if is_exact(h.z) and all(map(is_exact, h.a + h.b)) else mp.mpf(1)
+    stop = termination_degree(h.a)
+    stop = K if stop is None else min(K, stop)
+    pole = termination_degree(h.b)
+    if pole is not None and pole < stop:
+        raise PoleInDenominator(
+            f"denominator factor vanishes at term {pole + 1} "
+            f"while the numerator is still nonzero"
+        )
+    if is_exact(h.z) and all(map(is_exact, h.a + h.b)):
+        return _split_sum(h.a, h.b, h.z, stop)
+    one = mp.mpf(1)
     term = one
     total = one
-    for k in range(K):
+    for k in range(stop):
         num = one
         for ai in h.a:
             num = num * (ai + k)
-        if num == 0:
-            break
         den = one * (k + 1)
         for bj in h.b:
             den = den * (bj + k)
-        if den == 0:
-            raise PoleInDenominator(
-                f"denominator factor vanishes at term {k + 1} "
-                f"while the numerator is still nonzero"
-            )
         term = term * num * h.z / den
         total = total + term
     return total

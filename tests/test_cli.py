@@ -158,6 +158,14 @@ def test_transform_geronimus_on_support_is_input_error(monkeypatch, capsys):
     assert "support lattice" in payload["error"]["message"]
 
 
+def test_raw_window_not_ending_at_2m_is_rejected(monkeypatch, capsys):
+    spec = dict(GEN_MEIXNER, support={"kind": "symmetrized_shift", "m": 3})
+    code, payload = run_json(["verify", "--input", "-"],
+                             spec, monkeypatch, capsys)
+    assert code == 2
+    assert payload["error"]["type"] == "ConstraintViolated"
+
+
 def test_transform_requires_both_keys(monkeypatch, capsys):
     code, payload = run_json(["transform", "--input", "-"],
                              {"spec": CHARLIER}, monkeypatch, capsys)

@@ -3,6 +3,7 @@ class computation, moments, and Stieltjes evaluation."""
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,6 +11,7 @@ import pytest
 
 from discsemi.combin import falling_factorial, stirling_convert
 from discsemi.errors import (
+    ConstraintViolated,
     DegreeMismatch,
     InputError,
     OutOfSupport,
@@ -448,3 +450,70 @@ def test_stieltjes_exact_sum_with_masses():
     expected = sum(weight_at(spec, x) / (t - x) for x in range(3))
     expected += Fraction(2) / (t - Fraction(-3, 2))
     assert stieltjes_eval(spec, t) == expected
+
+
+def test_stieltjes_finite_matches_direct_sum():
+    # truncated weight with a mass, and a symmetric window: the exact value
+    # is the plain sum over the support, at off-lattice points, below the
+    # support and beyond it
+    truncated = FunctionalSpec(
+        a=[Fraction(1, 3)],
+        b=[Fraction(1, 2)],
+        z=Fraction(-2, 5),
+        scale=Fraction(3, 7),
+        support=Support.truncated(9),
+        masses=[Mass(Fraction(-5, 2), Fraction(2, 3))],
+    )
+    window = FunctionalSpec(
+        a=[Fraction(-6), Fraction(1, 4)], b=[Fraction(2, 3)], z=-1,
+        support=Support.symmetrized_shift(3),
+    )
+    cases = [
+        (truncated, range(10), [Fraction(7, 2), Fraction(-1, 3), -4, 10, 23]),
+        (window, range(-3, 4), [Fraction(1, 2), -4, 4, Fraction(-31, 3)]),
+    ]
+    for spec, support, ts in cases:
+        for t in ts:
+            expected = sum(weight_at(spec, x) / (t - x) for x in support)
+            for mass in spec.masses:
+                expected += mass.M / (t - mass.omega)
+            got = stieltjes_eval(spec, t)
+            assert got == expected, (spec, t)
+            assert isinstance(got, Fraction)
+
+
+def test_stieltjes_zero_scale_support_point_is_not_a_pole():
+    spec = FunctionalSpec(
+        a=[], b=[], z=Fraction(1, 2), scale=0, support=Support.truncated(4),
+        masses=[Mass(Fraction(-1, 2), 1)],
+    )
+    assert stieltjes_eval(spec, 2) == Fraction(2, 5)
+
+
+def test_raw_window_must_end_at_2m():
+    # without a numerator parameter -2m the weight does not vanish beyond
+    # the window and the Pearson pair cannot describe it
+    with pytest.raises(ConstraintViolated, match="-2m = -6"):
+        FunctionalSpec(
+            a=[Fraction(1, 3)], b=[Fraction(1, 2)], z=Fraction(1, 2),
+            support=Support.symmetrized_shift(3),
+        )
+    with pytest.raises(ConstraintViolated):
+        FunctionalSpec.from_json(
+            {"a": ["1/3"], "b": ["1/2"], "z": "1/2",
+             "support": {"kind": "symmetrized_shift", "m": 3}}
+        )
+    # a weight terminating inside the window is rejected too
+    with pytest.raises(ConstraintViolated):
+        FunctionalSpec(a=[-2], b=[], z=-1, support=Support.symmetrized_shift(2))
+
+
+def test_exact_truncated_moment_at_large_n_is_fast():
+    spec = FunctionalSpec(
+        a=[Fraction(1, 3)], b=[Fraction(1, 2)], z=Fraction(1, 2),
+        support=Support.truncated(8000),
+    )
+    start = time.perf_counter()
+    nu0 = moments(spec, 0)[0]
+    assert time.perf_counter() - start < 10
+    assert isinstance(nu0, Fraction) and nu0 > 1

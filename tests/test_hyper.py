@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from discsemi.combin import pochhammer
 from discsemi.errors import DivergentSeries, PoleInDenominator
@@ -207,3 +208,89 @@ def test_reversed_requires_valid_range():
         weight_partial_sum_reversed([], [], Fraction(1), 0)
     with pytest.raises(ValueError):
         weight_partial_sum_reversed([], [], 0, 3)
+
+
+# ---------------------------------------------------------------------------
+# the exact finite-sum kernel against a term-by-term reference
+
+
+def reference_finite_sum(a, b, z, K):
+    """Term-by-term Fraction loop: the definition the kernel must match."""
+    term = total = Fraction(1)
+    for k in range(K):
+        num = Fraction(1)
+        for ai in a:
+            num *= ai + k
+        if num == 0:
+            break
+        den = Fraction(k + 1)
+        for bj in b:
+            den *= bj + k
+        if den == 0:
+            raise PoleInDenominator(
+                f"denominator factor vanishes at term {k + 1} "
+                f"while the numerator is still nonzero"
+            )
+        term = term * num * z / den
+        total += term
+    return total
+
+
+def outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except PoleInDenominator as exc:
+        return ("pole", str(exc))
+
+
+# nonpositive integers are drawn often, so that numerators terminate and
+# denominators hit poles inside the summed range
+params = st.one_of(
+    st.integers(min_value=-12, max_value=3).map(Fraction),
+    st.fractions(min_value=-8, max_value=8, max_denominator=9),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(params, max_size=3),
+    st.lists(params, max_size=3),
+    st.fractions(min_value=-5, max_value=5, max_denominator=11),
+    st.integers(min_value=0, max_value=60),
+)
+def test_finite_sum_matches_reference(a, b, z, K):
+    got = outcome(eval_hyper_finite_sum, HyperSeries(a, b, z), K)
+    want = outcome(reference_finite_sum, a, b, z, K)
+    assert got == want
+    if got[0] == "value":
+        assert isinstance(got[1], Fraction)
+
+
+def test_finite_sum_termination_and_pole_order():
+    # termination at term 3 comes before the pole at term 5
+    h = HyperSeries([Fraction(-2)], [Fraction(-4)], Fraction(3, 2))
+    assert eval_hyper_finite_sum(h, 40) == reference_finite_sum(h.a, h.b, h.z, 40)
+    # the pole at term 3 comes first: same index as the term-by-term loop
+    h = HyperSeries([-6, Fraction(1, 3)], [Fraction(-2)], Fraction(-1, 2))
+    with pytest.raises(PoleInDenominator, match="at term 3 "):
+        eval_hyper_finite_sum(h, 10)
+    # a pole beyond the summed range is never reached
+    assert eval_hyper_finite_sum(h, 2) == reference_finite_sum(h.a, h.b, h.z, 2)
+
+
+def test_finite_sum_numeric_inputs():
+    a, b, z = [Fraction(1, 3), Fraction(-7)], [Fraction(1, 2)], Fraction(-2, 5)
+    exact = eval_hyper_finite_sum(HyperSeries(a, b, z), 30)
+    with mp.workdps(40):
+        z_f = mp.mpf(z.numerator) / z.denominator
+        numeric = eval_hyper_finite_sum(HyperSeries(a, b, z_f), 30)
+        assert isinstance(numeric, mp.mpf)
+        want = mp.mpf(exact.numerator) / exact.denominator
+        assert abs(numeric - want) < mp.mpf("1e-35") * abs(want)
+    with pytest.raises(PoleInDenominator, match="at term 3 "):
+        eval_hyper_finite_sum(HyperSeries([1], [-2], mp.mpf(1)), 5)
+
+
+def test_reversed_matches_direct_large_n():
+    a, b, z = [Fraction(1, 3)], [Fraction(1, 2)], Fraction(2, 5)
+    assert weight_partial_sum(a, b, z, 500) == weight_partial_sum_reversed(a, b, z, 500)
