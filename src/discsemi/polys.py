@@ -249,108 +249,6 @@ def poly_from_root_offsets(offsets: Iterable, leading=1) -> Poly:
     return result
 
 
-class BiPoly:
-    """Polynomial in an outer variable ``t`` with :class:`Poly`-in-``x``
-    coefficients, i.e. an element of (coeffs[x])[t].
-
-    The one nontrivial operation is exact synthetic division by ``t - x``,
-    which succeeds (zero remainder) exactly when substituting ``t := x``
-    annihilates the bipolynomial.  That is how difference quotients like
-    ``(p(t) - p(x)) / (t - x)`` are computed as explicit coefficient rows.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Sequence[Poly] = ()):
-        rows = [r if isinstance(r, Poly) else Poly((r,)) for r in rows]
-        while rows and rows[-1].is_zero():
-            rows.pop()
-        self.rows = tuple(rows)
-
-    @classmethod
-    def from_outer(cls, p: Poly) -> "BiPoly":
-        """Lift a polynomial in ``t`` (constant in ``x``)."""
-        return cls([Poly((c,)) for c in p.coeffs])
-
-    @classmethod
-    def from_inner(cls, p: Poly) -> "BiPoly":
-        """Lift a polynomial in ``x`` (constant in ``t``)."""
-        return cls([p])
-
-    @property
-    def degree(self) -> int:
-        return len(self.rows) - 1
-
-    def coeff(self, j: int) -> Poly:
-        if 0 <= j < len(self.rows):
-            return self.rows[j]
-        return Poly()
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        n = max(len(self.rows), len(other.rows))
-        return BiPoly([self.coeff(j) + other.coeff(j) for j in range(n)])
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        n = max(len(self.rows), len(other.rows))
-        return BiPoly([self.coeff(j) - other.coeff(j) for j in range(n)])
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly([-r for r in self.rows])
-
-    def is_zero(self) -> bool:
-        return not self.rows
-
-    def __eq__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def evaluate(self, t_value, x_value):
-        """Evaluate at concrete (t, x)."""
-        result = 0
-        for row in reversed(self.rows):
-            result = result * t_value + row(x_value)
-        return result
-
-    def mul_outer(self, p: Poly) -> "BiPoly":
-        """Multiply by a polynomial in ``t``."""
-        if self.is_zero() or p.is_zero():
-            return BiPoly()
-        out = [Poly() for _ in range(len(self.rows) + p.degree)]
-        for j, row in enumerate(self.rows):
-            for i, c in enumerate(p.coeffs):
-                out[i + j] = out[i + j] + row * c
-        return BiPoly(out)
-
-    def mul_inner(self, p: Poly) -> "BiPoly":
-        """Multiply by a polynomial in ``x``."""
-        return BiPoly([row * p for row in self.rows])
-
-    def divide_t_minus_x(self) -> tuple["BiPoly", Poly]:
-        """Exact synthetic division by ``t - x``.
-
-        Returns ``(quotient, remainder)`` with
-        ``self == (t - x) * quotient + remainder`` and the remainder a
-        polynomial in ``x`` alone.  The division is exact (zero remainder)
-        iff substituting ``t := x`` yields the zero polynomial.
-        """
-        x = Poly.x()
-        quotient: list[Poly] = [Poly()] * max(len(self.rows) - 1, 0)
-        carry = Poly()
-        for j in range(len(self.rows) - 1, 0, -1):
-            carry = self.coeff(j) + x * carry
-            quotient[j - 1] = carry
-        remainder = self.coeff(0) + x * carry if self.rows else Poly()
-        return BiPoly(quotient), remainder
-
-    def __repr__(self):
-        body = ", ".join(f"t^{j}: {row.to_str('x')}" for j, row in enumerate(self.rows))
-        return f"BiPoly({body or '0'})"
-
-
 def falling_coeffs(p: Poly) -> list:
     """Coefficients of ``p`` in the falling-factorial basis.
 
@@ -377,13 +275,8 @@ def difference_quotient_rows(p: Poly) -> list[Poly]:
 
         (p(t) - p(x)) / (t - x)  ==  sum_j t^j * D_j(x),
 
-    computed by exact synthetic division.  The zero and constant polynomials
-    give an empty list.
+    where ``D_j(x) = sum_{i>j} c_i x^(i-j-1)`` for ``p = sum_i c_i x^i``,
+    i.e. row j holds the coefficients ``c_{j+1} .. c_deg``.  The zero and
+    constant polynomials give an empty list.
     """
-    rows = [Poly((c,)) for c in p.coeffs]
-    if rows:
-        rows[0] = rows[0] - p
-    quotient, remainder = BiPoly(rows).divide_t_minus_x()
-    if not remainder.is_zero():
-        raise ArithmeticError("difference quotient division left a remainder")
-    return [quotient.coeff(j) for j in range(max(p.degree, 0))]
+    return [Poly(p.coeffs[j + 1 :]) for j in range(max(p.degree, 0))]

@@ -20,7 +20,6 @@ from discsemi.combin import (
 from discsemi.errors import InputError
 from discsemi.params import ParamPoly, parse_param_expr
 from discsemi.polys import (
-    BiPoly,
     Poly,
     difference_quotient_rows,
     poly_from_root_offsets,
@@ -274,24 +273,6 @@ def test_poly_deflate_exact_and_failing():
     assert Poly.zero().deflate(5).is_zero()
 
 
-def test_bipoly_divide_t_minus_x():
-    # (t^2 + 3t - x) / (t - x): quotient t + (x + 3), remainder x^2 + 2x
-    b = BiPoly([Poly([0, -1]), Poly([3]), Poly([1])])
-    quo, rem = b.divide_t_minus_x()
-    assert quo.coeff(0) == Poly([3, 1])
-    assert quo.coeff(1) == Poly([1])
-    assert rem == Poly([0, 2, 1])
-    # reconstruct: (t - x) * quo + rem == b
-    tx = BiPoly([Poly([0, -1]), Poly([1])])
-    rebuilt = BiPoly(
-        [
-            sum((tx.coeff(i) * quo.coeff(j - i) for i in range(j + 1)), Poly())
-            for j in range(4)
-        ]
-    ) + BiPoly([rem])
-    assert rebuilt == b
-
-
 def test_difference_quotient_rows_match_power_slices():
     # For p(t) = sum c_i t^i the quotient rows are D_j(x) = sum_{i>j} c_i x^(i-j-1)
     p = Poly([Fraction(2), Fraction(-1, 3), 0, Fraction(5), Fraction(1, 2)])
@@ -311,12 +292,3 @@ def test_difference_quotient_rows_match_power_slices():
     assert difference_quotient_rows(Poly.zero()) == []
 
 
-def test_bipoly_evaluate_and_products():
-    b = BiPoly.from_outer(Poly([1, 2, 1])).mul_inner(Poly([0, 1])) - BiPoly.from_inner(
-        Poly([0, 0, 3])
-    )
-    # b(t, x) = (1 + 2t + t^2) * x - 3x^2
-    for t0, x0 in [(2, 3), (Fraction(1, 2), Fraction(-1, 3))]:
-        assert b.evaluate(t0, x0) == (1 + 2 * t0 + t0 * t0) * x0 - 3 * x0 * x0
-    c = b.mul_outer(Poly([-1, 1]))  # multiply by (t - 1)
-    assert c.evaluate(4, 5) == 3 * b.evaluate(4, 5)

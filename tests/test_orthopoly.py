@@ -5,8 +5,10 @@ degenerate-table behavior."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+from discsemi.combin import falling_factorial, stirling_convert
 from discsemi.errors import InputError, MissingParameter, SingularHankel
 from discsemi.functional import FunctionalSpec, Mass, MomentTable, moments
 from discsemi.orthopoly import (
@@ -66,6 +68,22 @@ def test_negative_binomial_weight_closed_form():
         expected_beta = [n * (n + a - 1) * z / (1 - z) ** 2 for n in range(6)]
         assert max_err(zip(rec.alpha, expected_alpha)) < 1e-24
         assert max_err(zip(rec.beta[1:], expected_beta[1:])) < 1e-24
+
+
+def test_indefinite_poisson_type_weights_without_pivoting():
+    # z < 0 makes the weight z^x / x! alternate in sign: the functional is
+    # quasi-definite (beta_n = n z != 0) but not positive, so the numeric
+    # Hankel pass meets signed pivots without row exchanges.
+    with mp.workdps(50):
+        for z in (Fraction(-1, 2), Fraction(-3, 2)):
+            spec = FunctionalSpec(a=(), b=(), z=z)
+            nu = moments(spec, 12)
+            rec = recurrence_from_moments(nu, 6)
+            alt = chebyshev_from_moments(nu, 6)
+            assert max_err(zip(rec.alpha + rec.beta, alt.alpha + alt.beta)) < 1e-30
+            assert max_err((rec.alpha[n], n + z) for n in range(6)) < 1e-30
+            assert max_err((rec.beta[n], n * z) for n in range(1, 6)) < 1e-30
+            assert orthogonality_check(spec, rec, 6)["pass"]
 
 
 def test_binomial_weight_exact_closed_form():
@@ -281,3 +299,117 @@ def test_mass_only_spec_recurrence():
     with pytest.raises(SingularHankel) as info:
         recurrence_from_moments(nu, 2)
     assert info.value.index == 2
+
+
+# -- one Bareiss pass against per-level determinants ---------------------------
+
+
+def _determinant_oracle(matrix: list) -> Fraction:
+    """Exact Gaussian elimination with a search for a nonzero pivot."""
+    n = len(matrix)
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        head = rows[col][col]
+        det *= head
+        for r in range(col + 1, n):
+            factor = rows[r][col] / head
+            if factor:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return det
+
+
+def _hankel_oracle(m: list, k: int, shifted: bool = False) -> Fraction:
+    """det of the k x k matrix (m_{i+j}); ``shifted`` advances the last
+    column by one (m_{i+k} instead of m_{i+k-1})."""
+    last = k if shifted else k - 1
+    return _determinant_oracle(
+        [[m[i + j] for j in range(k - 1)] + [m[i + last]] for i in range(k)]
+    )
+
+
+def _recurrence_oracle(nu: MomentTable, K: int):
+    """The recurrence from separately computed leading and shifted minors,
+    or the index of the first vanishing leading minor H_{n+1}."""
+    m = stirling_convert(nu)
+    H = [_hankel_oracle(m, k) for k in range(K + 2)]
+    for n in range(K + 1):
+        if H[n + 1] == 0:
+            return n
+    t = [Fraction(0)] + [_hankel_oracle(m, k, shifted=True) for k in range(1, K + 1)]
+    alpha = tuple(t[n + 1] / H[n + 1] - t[n] / H[n] for n in range(K))
+    beta = tuple(
+        m[0] if n == 0 else H[n + 1] * H[n - 1] / (H[n] * H[n]) for n in range(K)
+    )
+    return Recurrence(alpha, beta)
+
+
+_positive = st.fractions(min_value=Fraction(1, 12), max_value=5, max_denominator=12)
+_signed = st.builds(lambda sign, w: sign * w, st.sampled_from((-1, 1)), _positive)
+_off_lattice = st.builds(
+    lambda k, j: k + Fraction(j, 4),
+    st.integers(min_value=-3, max_value=9),
+    st.integers(min_value=1, max_value=3),
+)
+
+
+@st.composite
+def discrete_measures(draw):
+    """(points, weights, basis_shift, positive): lattice points {0..N-1}
+    with optional masses at off-lattice rationals, 1 to 8 points in all.
+    Signed measures may have their total mass cancelled to zero."""
+    n_lattice = draw(st.integers(min_value=0, max_value=8))
+    masses = draw(
+        st.lists(
+            _off_lattice,
+            min_size=1 if n_lattice == 0 else 0,
+            max_size=min(3, 8 - n_lattice),
+            unique=True,
+        )
+    )
+    points = [Fraction(x) for x in range(n_lattice)] + masses
+    positive = draw(st.booleans())
+    weights = draw(
+        st.lists(
+            _positive if positive else _signed,
+            min_size=len(points),
+            max_size=len(points),
+        )
+    )
+    if not positive and len(points) > 1 and sum(weights[:-1]) and draw(st.booleans()):
+        weights[-1] = -sum(weights[:-1])
+    return points, weights, draw(st.integers(min_value=0, max_value=2)), positive
+
+
+@settings(max_examples=200, deadline=None)
+@given(discrete_measures(), st.integers(min_value=0, max_value=6))
+def test_bareiss_pass_matches_per_level_determinants(measure, K):
+    points, weights, shift, positive = measure
+    nu = MomentTable(
+        [
+            sum(w * falling_factorial(x + shift, n) for x, w in zip(points, weights))
+            for n in range(2 * K + 1)
+        ],
+        shift,
+    )
+    expected = _recurrence_oracle(nu, K)
+    if isinstance(expected, Recurrence):
+        rec = recurrence_from_moments(nu, K)
+        assert rec == expected
+        assert all(isinstance(c, (int, Fraction)) for c in rec.alpha + rec.beta)
+        assert K < len(points)
+        return
+    with pytest.raises(SingularHankel) as info:
+        recurrence_from_moments(nu, K)
+    assert info.value.index == expected
+    assert expected <= len(points)
+    if positive:
+        # s distinct points carry a positive definite functional exactly
+        # through degree s - 1: the first vanishing minor is H_{s+1}.
+        assert expected == len(points)
