@@ -20,9 +20,9 @@ direct degree formula as a cross-check.
 Moments are taken against the falling-factorial basis
 ``phi_n(x) = x (x-1) ... (x-n+1)`` (shifted by ``m`` for symmetric
 windows), where they reduce to single hypergeometric values.  The Stieltjes
-transform ``S(t) = L[1/(t-x)]`` of a finite weight is one more such value,
-summed exactly by the finite-sum kernel of :mod:`discsemi.hyper`; that of
-an infinite weight is summed numerically.
+transform ``S(t) = L[1/(t-x)]`` is one more such value: the finite-sum
+kernel of :mod:`discsemi.hyper` sums it exactly for a finite weight, and
+its fixed-point kernel sums it numerically for an infinite one.
 """
 
 from __future__ import annotations
@@ -32,13 +32,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import mpmath as mp
-
 from .combin import falling_factorial, pochhammer_multi
 from .errors import (
     ConstraintViolated,
     DegreeMismatch,
-    DivergentSeries,
     InputError,
     OutOfSupport,
     PoleAtSupportPoint,
@@ -46,7 +43,6 @@ from .errors import (
     TruncationAtEtaRoot,
 )
 from .hyper import (
-    MAX_TERMS,
     HyperSeries,
     eval_hyper,
     eval_hyper_finite_sum,
@@ -62,7 +58,6 @@ from .scalars import (
     parse_rational,
     scalar_is_zero,
     scalar_to_json,
-    to_mpf,
 )
 
 SUPPORT_KINDS = ("infinite", "truncated", "symmetrized_shift")
@@ -535,11 +530,12 @@ def functional_of_poly(table: MomentTable, p: Poly):
 def stieltjes_eval(spec: FunctionalSpec, t: Scalar, tol: Scalar = DEFAULT_TOL) -> Scalar:
     """Pointwise value of S(t) = L[1/(t - x)].
 
-    Finite (truncated, symmetric-window, or self-terminating) weights sum
-    exactly on rational inputs, as one terminating hypergeometric sum
-    through ``1/(c - u) = (1/c) (-c)_u / (1-c)_u`` with ``c = t + shift``;
-    infinite weights sum numerically with the two-consecutive-small-terms
-    stopping rule.  Point masses add ``M / (t - omega)``.
+    The weight's part is one hypergeometric value, through
+    ``1/(c - u) = (1/c) (-c)_u / (1-c)_u`` with ``c = t + shift``: a finite
+    (truncated, symmetric-window, or self-terminating) weight sums it with
+    :func:`eval_hyper_finite_sum`, exactly on rational inputs; an infinite
+    weight with :func:`eval_hyper`, under its convergence policy and to
+    ``tol``.  Point masses add ``M / (t - omega)``.
     """
     _validate_weight(spec)
     shift = spec.basis_shift
@@ -557,36 +553,13 @@ def stieltjes_eval(spec: FunctionalSpec, t: Scalar, tol: Scalar = DEFAULT_TOL) -
         u = int(t) + shift
         if u >= 0 and (upper is None or u <= upper):
             raise PoleAtSupportPoint(f"t = {t} is a support point of the weight")
-    if upper is not None:
-        # support indices raised above, so c != u for every summed u, c != 0
-        c = t + shift
-        series = HyperSeries(
-            spec.a + (-c,), tuple(bj + 1 for bj in spec.b) + (1 - c,), spec.z
-        )
-        return total + exact_div(spec.scale * eval_hyper_finite_sum(series, upper), c)
-    # infinite weight: numeric summation
-    t_f = to_mpf(t)
-    w_f = to_mpf(spec.scale)
-    z_f = to_mpf(spec.z)
-    total = to_mpf(total)
-    tol_f = to_mpf(tol)
-    small_streak = 0
-    for u in range(MAX_TERMS):
-        term = w_f / (t_f - u)
-        total = total + term
-        num = mp.mpf(1)
-        for ai in spec.a:
-            num = num * (to_mpf(ai) + u)
-        den = mp.mpf(u + 1)
-        for bj in spec.b:
-            den = den * (to_mpf(bj) + 1 + u)
-        w_f = w_f * num * z_f / den
-        if abs(term) <= tol_f * (1 + abs(total)):
-            small_streak += 1
-            if small_streak >= 2:
-                return total
-        else:
-            small_streak = 0
-    raise DivergentSeries(
-        f"Stieltjes sum did not meet tolerance within {MAX_TERMS} terms"
+    # support indices raised above, so c != u for every summed u, c != 0
+    c = t + shift
+    series = HyperSeries(
+        spec.a + (-c,), tuple(bj + 1 for bj in spec.b) + (1 - c,), spec.z
     )
+    if upper is None:
+        body = eval_hyper(series, tol)
+    else:
+        body = eval_hyper_finite_sum(series, upper)
+    return total + exact_div(spec.scale * body, c)

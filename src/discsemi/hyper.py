@@ -17,15 +17,22 @@ four regimes:
   ``-1 < gamma <= 0``, divergent otherwise).
 * ``Divergent`` -- ``p > q+1`` without termination.
 
-Finite sums on exact rational data go through one kernel,
-:func:`eval_hyper_finite_sum`, which sums by binary splitting: the term
-ratio is cleared into integer linear factors, products over halves of the
-index range are combined as integers, and the result is reduced to a
-``Fraction`` once at the end instead of after every term.
+Finite sums go through one kernel, :func:`eval_hyper_finite_sum`, which
+sums by binary splitting: the term ratio is cleared into integer linear
+factors, products over halves of the index range are combined as integers,
+and the result is reduced to a ``Fraction`` once at the end instead of
+after every term.  An ``mpf`` input enters as the dyadic rational it
+stores, and the exact sum is rounded to ``mpf`` once.
 
-Nonterminating sums run at the current mpmath working precision and stop
-when two consecutive terms fall below ``tol`` times the partial sum, which
-protects against accidental zero terms in alternating series.
+Nonterminating sums go through one fixed-point kernel, :func:`_sum_numeric`,
+on the same integer factors of the term ratio: the term and the running sum
+are Python integers scaled by ``2^wp``, with ``wp`` the working precision
+(or ``log2(1/tol)``, if larger) plus guard bits, and one ``mpf`` is made at
+the end.  Summation stops when two consecutive terms fall below ``tol``
+times ``1 + |sum|``, which protects against accidental zero terms in
+alternating series.  When the largest term shows that rounding could have
+cancelled more than the tolerance allows, the sum is redone once with the
+lost bits added (as ``mpmath``'s ``hypsum`` does).
 """
 
 from __future__ import annotations
@@ -128,26 +135,48 @@ def _check_poles(b: Sequence, last_index: int) -> None:
 #: Terms multiplied out directly at each leaf of the binary splitting.
 _LEAF_TERMS = 16
 
+#: Bits the fixed-point kernel carries beyond its target precision.
+_GUARD_BITS = 24
 
-def _split_sum(a: Sequence, b: Sequence, z, K: int) -> Fraction:
-    """Exact ``sum_{k=0}^{K} prod_{j<k} p(j)/q(j)`` by binary splitting.
 
-    Clearing the denominators of ``a``, ``b`` and ``z`` turns the term ratio
-    ``z prod(a_i + j) / ((j+1) prod(b_i + j))`` into integer polynomials
-    ``p(j)/q(j)`` that are products of linear factors ``n + d j``.  Over an
-    index range [lo, hi) the integers P = prod p, Q = prod q and T, with
-    ``T/Q = sum_{lo<=k<hi} prod_{lo<=j<=k} p(j)/q(j)``, combine as
-    ``(P1 P2, Q1 Q2, T1 Q2 + P1 T2)``; the only reduction is the final
-    ``Fraction(Q + T, Q)``.  The caller guarantees q(j) != 0 for j < K.
+def _ratio(x) -> tuple[int, int]:
+    """``x`` as an integer ratio; an mpf is the dyadic rational it stores."""
+    if isinstance(x, mp.mpf):
+        man, exp = x.man_exp
+        man = -man if x < 0 else man
+        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    return x.as_integer_ratio()
+
+
+def _linear_factors(a: Sequence, b: Sequence, z):
+    """The term ratio ``z prod(a_i + j) / ((j+1) prod(b_i + j))`` as ``p(j)/q(j)``.
+
+    Clearing the denominators of ``a``, ``b`` and ``z`` gives integer
+    polynomials ``p(j) = p_const prod(n + d j)`` over the pairs ``(n, d)`` of
+    ``p_lin``, and ``q(j)`` likewise over ``q_lin``; every ``d`` is positive.
     """
-    z_num, z_den = z.as_integer_ratio()
-    p_lin = [x.as_integer_ratio() for x in a]
-    q_lin = [(1, 1)] + [x.as_integer_ratio() for x in b]
+    z_num, z_den = _ratio(z)
+    p_lin = [_ratio(x) for x in a]
+    q_lin = [(1, 1)] + [_ratio(x) for x in b]
     p_const, q_const = z_num, z_den
     for _, d in q_lin:
         p_const *= d
     for _, d in p_lin:
         q_const *= d
+    return p_const, p_lin, q_const, q_lin
+
+
+def _split_sum(a: Sequence, b: Sequence, z, K: int) -> Fraction:
+    """Exact ``sum_{k=0}^{K} prod_{j<k} p(j)/q(j)`` by binary splitting.
+
+    With the term ratio cleared into integer factors ``p(j)/q(j)`` (see
+    :func:`_linear_factors`), the integers P = prod p, Q = prod q and T over
+    an index range [lo, hi), with
+    ``T/Q = sum_{lo<=k<hi} prod_{lo<=j<=k} p(j)/q(j)``, combine as
+    ``(P1 P2, Q1 Q2, T1 Q2 + P1 T2)``; the only reduction is the final
+    ``Fraction(Q + T, Q)``.  The caller guarantees q(j) != 0 for j < K.
+    """
+    p_const, p_lin, q_const, q_lin = _linear_factors(a, b, z)
 
     def pqt(lo: int, hi: int) -> tuple[int, int, int]:
         if hi - lo <= _LEAF_TERMS:
@@ -176,9 +205,9 @@ def eval_hyper_finite_sum(h: HyperSeries, K: int) -> Scalar:
 
     If a numerator parameter terminates the series before K, the remaining
     terms are zero and summation stops there; a zero denominator factor
-    reached before that point raises PoleInDenominator.  All-exact inputs
-    are summed exactly by binary splitting (rational in, ``Fraction`` out);
-    otherwise the terms are accumulated one by one in mpf arithmetic.
+    reached before that point raises PoleInDenominator.  The sum is exact,
+    by binary splitting: rational in, ``Fraction`` out; with an mpf input,
+    the exact sum over the dyadic rationals it stores, rounded to mpf.
     """
     if K < 0:
         raise ValueError("partial-sum length must be nonnegative")
@@ -190,21 +219,10 @@ def eval_hyper_finite_sum(h: HyperSeries, K: int) -> Scalar:
             f"denominator factor vanishes at term {pole + 1} "
             f"while the numerator is still nonzero"
         )
+    total = _split_sum(h.a, h.b, h.z, stop)
     if is_exact(h.z) and all(map(is_exact, h.a + h.b)):
-        return _split_sum(h.a, h.b, h.z, stop)
-    one = mp.mpf(1)
-    term = one
-    total = one
-    for k in range(stop):
-        num = one
-        for ai in h.a:
-            num = num * (ai + k)
-        den = one * (k + 1)
-        for bj in h.b:
-            den = den * (bj + k)
-        term = term * num * h.z / den
-        total = total + term
-    return total
+        return total
+    return to_mpf(total)
 
 
 def eval_hyper(
@@ -216,8 +234,9 @@ def eval_hyper(
 
     Terminating series are summed exactly (rational in, rational out).
     Entire series and unit-disk series inside the admissible region are
-    summed numerically at the current mpmath precision until two
-    consecutive terms drop below ``tol`` times the running sum.
+    summed by the fixed-point kernel :func:`_sum_numeric` until two
+    consecutive terms drop below ``tol`` times ``1 + |sum|``; the result is
+    an mpf at the current precision.
     """
     cls = classify_convergence(h)
     if cls.tag == "Terminating":
@@ -254,31 +273,53 @@ def eval_hyper(
 
 
 def _sum_numeric(h: HyperSeries, tol: Scalar, max_terms: int) -> mp.mpf:
-    z = to_mpf(h.z)
-    term = mp.mpf(1)
-    total = mp.mpf(1)
-    tol = to_mpf(tol)
-    small_streak = 0
-    for k in range(max_terms):
-        num = mp.mpf(1)
-        for ai in h.a:
-            num = num * (to_mpf(ai) + k)
-        if num == 0:
-            return total
-        den = mp.mpf(k + 1)
-        for bj in h.b:
-            den = den * (to_mpf(bj) + k)
-        term = term * num * z / den
-        total = total + term
-        if abs(term) <= tol * (1 + abs(total)):
-            small_streak += 1
-            if small_streak >= 2:
-                return total
+    """Nonterminating sum on one fixed-point integer.
+
+    The term and the running sum are integers scaled by ``2^wp``; each step
+    is ``term = term * p(k) // q(k)`` rounded toward zero, so a term that has
+    vanished stays 0.  Each step rounds by at most one unit of ``2^-wp``,
+    which every later term carries; over n terms whose largest has size M
+    that is taken as ``n^2 (M + 1)`` units.  If that estimate exceeds
+    ``tol (1 + |sum|)``, the sum is redone once with ``wp`` raised by the
+    bits it lacks.
+    """
+    p_const, p_lin, q_const, q_lin = _linear_factors(h.a, h.b, h.z)
+    tol_num, tol_den = _ratio(tol)
+    tol_bits = tol_den.bit_length() - abs(tol_num).bit_length() + 1
+    wp = max(mp.mp.prec, tol_bits) + _GUARD_BITS
+    for retried in (False, True):
+        one = 1 << wp
+        term = total = big = one
+        streak = 0
+        for k in range(max_terms):
+            pk, qk = p_const, q_const
+            for n, d in p_lin:
+                pk *= n + d * k
+            for n, d in q_lin:
+                qk *= n + d * k
+            if qk < 0:
+                pk, qk = -pk, -qk
+            term *= pk
+            term = term // qk if term >= 0 else -(-term // qk)
+            total += term
+            size = abs(term)
+            if size > big:
+                big = size
+            if size * tol_den <= tol_num * (one + abs(total)):
+                streak += 1
+                if streak == 2:
+                    break
+            else:
+                streak = 0
         else:
-            small_streak = 0
-    raise DivergentSeries(
-        f"series did not meet tolerance within {max_terms} terms"
-    )
+            raise DivergentSeries(
+                f"series did not meet tolerance within {max_terms} terms"
+            )
+        error = (k + 1) ** 2 * ((big >> wp) + 1) * tol_den
+        allowed = tol_num * (one + abs(total))
+        if error <= allowed or retried:
+            return mp.ldexp(total, -wp)
+        wp += error.bit_length() - allowed.bit_length() + _GUARD_BITS
 
 
 def weight_partial_sum(a: Sequence, b: Sequence, z: Scalar, K: int) -> Scalar:

@@ -182,46 +182,6 @@ class ParamPoly:
             return Fraction(0)
         return total
 
-    def as_poly_in(self, name: str) -> list["ParamPoly"]:
-        """Coefficient list (low to high) of ``self`` viewed in one symbol.
-
-        The returned list entries are ParamPoly in the remaining symbols.
-        An empty list represents the zero polynomial.
-        """
-        rows: dict[int, dict[Mono, Fraction]] = {}
-        for mono, coeff in self._terms.items():
-            power = 0
-            rest = []
-            for n, e in mono:
-                if n == name:
-                    power = e
-                else:
-                    rest.append((n, e))
-            rows.setdefault(power, {})[tuple(rest)] = coeff
-        if not rows:
-            return []
-        out = []
-        for p in range(max(rows) + 1):
-            out.append(ParamPoly(rows.get(p, {})))
-        return out
-
-    def split_linear(self, names: set[str]) -> dict[str, "ParamPoly"]:
-        """Split a polynomial that is homogeneous linear in ``names``.
-
-        Every monomial must contain exactly one of ``names`` with exponent 1;
-        the result maps each such name to its cofactor polynomial.
-        """
-        parts: dict[str, dict[Mono, Fraction]] = {}
-        for mono, coeff in self._terms.items():
-            hits = [(n, e) for n, e in mono if n in names]
-            if len(hits) != 1 or hits[0][1] != 1:
-                raise ValueError(
-                    f"monomial {mono} is not linear in {sorted(names)}"
-                )
-            rest = tuple((n, e) for n, e in mono if n not in names)
-            parts.setdefault(hits[0][0], {})[rest] = coeff
-        return {n: ParamPoly(d) for n, d in parts.items()}
-
     # -- rendering -----------------------------------------------------------
 
     def __str__(self):

@@ -152,28 +152,6 @@ def test_parampoly_subs():
     assert abs(numeric - mp.mpf("6.5")) == 0
 
 
-def test_parampoly_as_poly_in():
-    t, a = ParamPoly.var("t"), ParamPoly.var("a")
-    p = (t - a) * (t + 1) + 5
-    rows = p.as_poly_in("t")
-    assert len(rows) == 3
-    assert rows[2] == 1
-    assert rows[1] == 1 - a
-    assert rows[0] == 5 - a
-
-
-def test_parampoly_split_linear():
-    t, n0, n1 = ParamPoly.var("t"), ParamPoly.var("nu0"), ParamPoly.var("nu1")
-    p = (t + 2) * n0 - 3 * n1
-    parts = p.split_linear({"nu0", "nu1"})
-    assert parts["nu0"] == t + 2
-    assert parts["nu1"] == ParamPoly.const(-3)
-    with pytest.raises(ValueError):
-        (n0 * n1).split_linear({"nu0", "nu1"})
-    with pytest.raises(ValueError):
-        (t + n0).split_linear({"nu0"})
-
-
 def test_parse_param_expr():
     p = parse_param_expr("(a+b)^2 - a**2 - 2*a*b - b^2")
     assert p.is_zero()

@@ -8,11 +8,14 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import discsemi.hyper
 from discsemi.combin import falling_factorial, stirling_convert
 from discsemi.errors import (
     ConstraintViolated,
     DegreeMismatch,
+    DivergentSeries,
     InputError,
     OutOfSupport,
     PoleAtSupportPoint,
@@ -32,6 +35,7 @@ from discsemi.functional import (
     weight_at,
 )
 from discsemi.polys import Poly
+from discsemi.scalars import exact_div, to_mpf
 
 
 def charlier(z=Fraction(1, 2)) -> FunctionalSpec:
@@ -517,3 +521,109 @@ def test_exact_truncated_moment_at_large_n_is_fast():
     nu0 = moments(spec, 0)[0]
     assert time.perf_counter() - start < 10
     assert isinstance(nu0, Fraction) and nu0 > 1
+
+
+# ---------------------------------------------------------------------------
+# numeric sums: cancellation and the infinite-weight Stieltjes route
+
+
+@pytest.mark.parametrize("z, dps", [(-80, 15), (-80, 50), (-50, 50)])
+def test_moments_survive_cancellation(z, dps):
+    # the terms of e^z peak near |z|^|z| / |z|! while the sum is e^z: at
+    # fixed precision the partial sums cancel to garbage
+    spec = FunctionalSpec.from_json({"a": [], "b": [], "z": str(z)})
+    tol = Fraction(1, 10**30)
+    with mp.workdps(dps):
+        nu0 = moments(spec, 0, tol)[0]
+    with mp.workdps(120):
+        want = mp.exp(z)
+        assert abs(nu0 - want) <= to_mpf(tol) * (1 + want)
+
+
+def stieltjes_loop(spec, t, tol):
+    """S(t) of an infinite weight, term by term in mpf: the loop the kernel
+    replaced, kept as the oracle."""
+    total = 0
+    for mass in spec.merged_masses():
+        total = total + exact_div(mass.M, t - mass.omega)
+    t_f, w_f, z_f = to_mpf(t), to_mpf(spec.scale), to_mpf(spec.z)
+    total, tol_f = to_mpf(total), to_mpf(tol)
+    small_streak = 0
+    for u in range(10**6):
+        term = w_f / (t_f - u)
+        total = total + term
+        num = mp.mpf(1)
+        for ai in spec.a:
+            num = num * (to_mpf(ai) + u)
+        den = mp.mpf(u + 1)
+        for bj in spec.b:
+            den = den * (to_mpf(bj) + 1 + u)
+        w_f = w_f * num * z_f / den
+        if abs(term) <= tol_f * (1 + abs(total)):
+            small_streak += 1
+            if small_streak >= 2:
+                return total
+        else:
+            small_streak = 0
+    raise AssertionError("oracle did not converge")
+
+
+def small_rationals(lo, hi):
+    return st.fractions(min_value=lo, max_value=hi, max_denominator=9)
+
+
+@st.composite
+def infinite_weights(draw):
+    # b + 1 > 0 and |z| <= 1/4 on the unit disk, as in the kernel's own
+    # property test; a avoids nonpositive integers (a finite weight)
+    q = draw(st.integers(min_value=0, max_value=2))
+    p = draw(st.integers(min_value=0, max_value=q + 1))
+    a = draw(st.lists(
+        small_rationals(-6, 6).filter(lambda x: not (x.denominator == 1 and x <= 0)),
+        min_size=p, max_size=p,
+    ))
+    b = draw(st.lists(small_rationals(Fraction(-8, 9), 6), min_size=q, max_size=q))
+    bound = Fraction(1, 4) if p == q + 1 else 10
+    z = draw(st.fractions(min_value=-bound, max_value=bound, max_denominator=20)
+             .filter(lambda x: x != 0))
+    scale = draw(small_rationals(-20, 20).filter(lambda x: x != 0))
+    # off the lattice anywhere, or a negative integer (below the support)
+    t = draw(st.one_of(
+        small_rationals(-20, 30).filter(lambda x: x.denominator != 1),
+        st.integers(min_value=-20, max_value=-1).map(Fraction),
+    ))
+    masses = draw(st.lists(
+        st.builds(Mass, small_rationals(-5, 5).filter(lambda x: x != t),
+                  small_rationals(-3, 3)),
+        max_size=2,
+    ))
+    return FunctionalSpec(a, b, z, scale=scale, masses=masses), t
+
+
+@settings(max_examples=150, deadline=None)
+@given(infinite_weights())
+def test_stieltjes_infinite_matches_per_term_loop(case):
+    spec, t = case
+    tol = Fraction(1, 10**30)
+    with mp.workdps(50):
+        got = stieltjes_eval(spec, t, tol)
+        assert isinstance(got, mp.mpf)
+    with mp.workdps(80):
+        want = stieltjes_loop(spec, t, tol / 10**15)
+        assert abs(got - want) <= to_mpf(tol) * (1 + abs(want))
+
+
+def test_stieltjes_divergent_weight_raises_at_once(monkeypatch):
+    def no_summation(*args):
+        raise AssertionError("a divergent series reached the summation kernel")
+
+    monkeypatch.setattr(discsemi.hyper, "_sum_numeric", no_summation)
+    divergent = [
+        FunctionalSpec(a=[Fraction(1, 2), Fraction(1, 3)], b=[], z=Fraction(1, 2)),
+        FunctionalSpec(a=[Fraction(1, 2)], b=[], z=2),
+        # on |z| = 1 the balance of the Stieltjes series is -3/2
+        FunctionalSpec(a=[Fraction(5, 2)], b=[], z=-1),
+    ]
+    for spec in divergent:
+        with pytest.raises(DivergentSeries):
+            stieltjes_eval(spec, Fraction(7, 2))

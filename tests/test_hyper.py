@@ -8,6 +8,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import discsemi.hyper
 from discsemi.combin import pochhammer
 from discsemi.errors import DivergentSeries, PoleInDenominator
 from discsemi.hyper import (
@@ -19,6 +20,7 @@ from discsemi.hyper import (
     weight_partial_sum,
     weight_partial_sum_reversed,
 )
+from discsemi.scalars import to_mpf
 
 
 # ---------------------------------------------------------------------------
@@ -294,3 +296,69 @@ def test_finite_sum_numeric_inputs():
 def test_reversed_matches_direct_large_n():
     a, b, z = [Fraction(1, 3)], [Fraction(1, 2)], Fraction(2, 5)
     assert weight_partial_sum(a, b, z, 500) == weight_partial_sum_reversed(a, b, z, 500)
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point kernel against mpmath.hyper
+
+
+def rationals(lo, hi):
+    return st.fractions(min_value=lo, max_value=hi, max_denominator=9)
+
+
+# Numerator parameters avoid nonpositive integers (those terminate and are
+# summed exactly).  Denominator parameters stay positive, and unit-disk
+# arguments stay within 1/4: there the terms decrease once they are below
+# the tolerance, so two small terms in a row leave a tail under it.
+# (A negative b lets the terms dip below tol and grow again near k = -b,
+# and |z| near 1 leaves a tail of about term / (1 - |z|); the stopping rule
+# is not a tail bound in either case.)
+upper_params = rationals(-8, 8).filter(
+    lambda x: not (x.denominator == 1 and x <= 0)
+)
+lower_params = rationals(Fraction(1, 9), 8)
+
+
+@st.composite
+def numeric_series(draw):
+    q = draw(st.integers(min_value=0, max_value=3))
+    p = draw(st.integers(min_value=0, max_value=q + 1))
+    a = draw(st.lists(upper_params, min_size=p, max_size=p))
+    b = draw(st.lists(lower_params, min_size=q, max_size=q))
+    if p == q + 1:
+        z = draw(st.fractions(
+            min_value=Fraction(-1, 4), max_value=Fraction(1, 4), max_denominator=100
+        ))
+    else:
+        z = draw(st.fractions(min_value=-30, max_value=30, max_denominator=10))
+    # the tolerance lies above the rounding of the returned mpf
+    digits = draw(st.integers(min_value=8, max_value=50))
+    dps = draw(st.integers(min_value=digits + 3, max_value=digits + 20))
+    return HyperSeries(a, b, z), Fraction(1, 10**digits), dps
+
+
+@settings(max_examples=200, deadline=None)
+@given(numeric_series())
+def test_numeric_sum_matches_mpmath(case):
+    h, tol, dps = case
+    with mp.workdps(dps):
+        got = eval_hyper(h, tol)
+        assert isinstance(got, mp.mpf)
+    with mp.workdps(120):
+        want = mp.hyper(
+            [to_mpf(x) for x in h.a], [to_mpf(x) for x in h.b], to_mpf(h.z)
+        )
+        assert abs(got - want) <= to_mpf(tol) * (1 + abs(want))
+
+
+@pytest.mark.parametrize("x", [-10, -80])
+def test_resum_recovers_what_the_first_pass_lost(monkeypatch, x):
+    # With no guard bits the first pass of e^x runs at log2(1/tol) bits and
+    # its rounding alone exceeds tol; the largest term (about e^|x|) must
+    # send the sum to a second pass at a raised precision.
+    monkeypatch.setattr(discsemi.hyper, "_GUARD_BITS", 0)
+    tol = Fraction(1, 10**30)
+    with mp.workdps(15):
+        got = eval_hyper(HyperSeries([], [], x), tol)
+    with mp.workdps(120):
+        assert abs(got - mp.exp(x)) <= to_mpf(tol) * (1 + mp.exp(x))
