@@ -58,6 +58,7 @@ from .scalars import (
     parse_rational,
     scalar_is_zero,
     scalar_to_json,
+    to_mpf,
 )
 
 SUPPORT_KINDS = ("infinite", "truncated", "symmetrized_shift")
@@ -468,10 +469,14 @@ def moments(spec: FunctionalSpec, K: int, tol: Scalar = DEFAULT_TOL) -> MomentTa
     ``scale * z^n * (a)_n / (b+1)_n`` times a hypergeometric sum with all
     parameters raised by n; point masses add ``M * phi_n(omega + shift)``.
     Exact rational inputs give exact values whenever every sum is finite.
+    A nonterminating sum is taken to ``tol / max(1, |prefactor|)``, so that
+    each moment meets ``tol (1 + |nu_n|)``.
     """
     if K < 0:
         raise InputError("moment count K must be nonnegative")
     _validate_weight(spec)
+    if not all(map(is_exact, (spec.z, spec.scale, *spec.a, *spec.b))):
+        tol = to_mpf(tol)  # the prefactor is an mpf, which a Fraction cannot divide
     shift = spec.basis_shift
     upper = spec.weight_upper_bound()
     b1 = tuple(bj + 1 for bj in spec.b)
@@ -494,7 +499,7 @@ def moments(spec: FunctionalSpec, K: int, tol: Scalar = DEFAULT_TOL) -> MomentTa
                 if upper is not None:
                     body = eval_hyper_finite_sum(series, upper - n)
                 else:
-                    body = eval_hyper(series, tol)
+                    body = eval_hyper(series, tol / max(1, abs(pref)))
                 series_part = pref * body
         mass_part: Scalar = 0
         for mass in spec.merged_masses():

@@ -278,19 +278,27 @@ def _sum_numeric(h: HyperSeries, tol: Scalar, max_terms: int) -> mp.mpf:
     The term and the running sum are integers scaled by ``2^wp``; each step
     is ``term = term * p(k) // q(k)`` rounded toward zero, so a term that has
     vanished stays 0.  Each step rounds by at most one unit of ``2^-wp``,
-    which every later term carries; over n terms whose largest has size M
-    that is taken as ``n^2 (M + 1)`` units.  If that estimate exceeds
+    which every later term carries, scaled by the growth of the terms since
+    that step: at most M for a step whose term was at least 1, and at most
+    ``2^(r+1)`` for one below 1, where r is the largest number of bits a
+    term has grown over a smaller earlier one.  Over n terms that is taken
+    as ``n^2 max(M + 1, 2^(r+1))`` units.  If that estimate exceeds
     ``tol (1 + |sum|)``, the sum is redone once with ``wp`` raised by the
     bits it lacks.
+
+    Summation stops at two consecutive terms below ``tol (1 + |sum|)``, but
+    not before every factor ``b_j + k`` of q is positive: below a negative
+    ``-b_j`` the terms can dip under the tolerance and grow again.
     """
     p_const, p_lin, q_const, q_lin = _linear_factors(h.a, h.b, h.z)
+    start = max([0] + [-n // d + 1 for n, d in q_lin if n < 0])
     tol_num, tol_den = _ratio(tol)
     tol_bits = tol_den.bit_length() - abs(tol_num).bit_length() + 1
     wp = max(mp.mp.prec, tol_bits) + _GUARD_BITS
     for retried in (False, True):
         one = 1 << wp
-        term = total = big = one
-        streak = 0
+        term = total = big = low = one
+        streak = rise = 0
         for k in range(max_terms):
             pk, qk = p_const, q_const
             for n, d in p_lin:
@@ -305,7 +313,11 @@ def _sum_numeric(h: HyperSeries, tol: Scalar, max_terms: int) -> mp.mpf:
             size = abs(term)
             if size > big:
                 big = size
-            if size * tol_den <= tol_num * (one + abs(total)):
+            if size < low:
+                low = size
+            elif low < one:
+                rise = max(rise, size.bit_length() - low.bit_length())
+            if k >= start and size * tol_den <= tol_num * (one + abs(total)):
                 streak += 1
                 if streak == 2:
                     break
@@ -315,7 +327,7 @@ def _sum_numeric(h: HyperSeries, tol: Scalar, max_terms: int) -> mp.mpf:
             raise DivergentSeries(
                 f"series did not meet tolerance within {max_terms} terms"
             )
-        error = (k + 1) ** 2 * ((big >> wp) + 1) * tol_den
+        error = (k + 1) ** 2 * max((big >> wp) + 1, 2 << rise) * tol_den
         allowed = tol_num * (one + abs(total))
         if error <= allowed or retried:
             return mp.ldexp(total, -wp)

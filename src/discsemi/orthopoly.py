@@ -15,14 +15,23 @@ from a :class:`~discsemi.functional.MomentTable`:
   directly on the falling-factorial moments (the falling factorials are
   themselves a monic family with recurrence coefficients â_l = l - shift,
   b̂_l = 0, which is what makes the moment table usable as modified
-  moments without conversion).
+  moments without conversion), in a fraction-free form whose entries are
+  the mixed moments scaled by the Hankel minors.
 
 The two are cross-asserted in the test-suite; orthogonality against the
-originating functional is the final oracle.
+originating functional (:func:`orthogonality_check`, the Gram matrix of
+``p_0..p_K`` through the falling basis) is the final oracle.  They stay
+independent: only the Hankel route converts the table to power moments,
+and the Gram check converts polynomials, not moments, to the falling
+basis, so a fault in one conversion shows as a disagreement.  All three
+run on ints when the table is exact (scaled once by the lcm of its
+denominators, with exact division inside the loop) and on ``mpf``
+otherwise.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -30,18 +39,11 @@ from fractions import Fraction
 
 from .combin import stirling_convert
 from .errors import InputError, MissingParameter, SingularHankel
-from .functional import (
-    FunctionalSpec,
-    MomentTable,
-    functional_of_poly,
-    moments,
-)
-from .polys import Poly
+from .functional import FunctionalSpec, MomentTable, moments
+from .polys import Poly, falling_coeffs
 from .scalars import (
     DEFAULT_TOL,
     Scalar,
-    exact_div,
-    exact_sub,
     is_exact,
     scalar_is_zero,
     scalar_to_json,
@@ -109,6 +111,13 @@ def _check_cap(K: int):
         raise InputError(f"the recurrence length K is capped at {MAX_K}")
 
 
+def _clear_denominators(values) -> tuple[int, list[int]]:
+    """The lcm ``D`` of the denominators of exact ``values``, and the
+    integers ``D * v``."""
+    D = math.lcm(*(v.denominator for v in values))
+    return D, [v.numerator * (D // v.denominator) for v in values]
+
+
 def _hankel_minors(m: list, K: int, divide) -> tuple[list, list]:
     """Leading minors ``H_0..H_{K+1}`` and shifted minors ``t_0..t_K`` of
     the Hankel matrix ``(m_{i+j})_{i,j<=K}``, from one Bareiss elimination.
@@ -161,8 +170,7 @@ def recurrence_from_moments(nu: MomentTable, K: int) -> Recurrence:
     _check_length(nu, 2 * K + 1, K)
     m = stirling_convert(nu)[: 2 * K + 1]
     if all(is_exact(v) for v in m):
-        scale = math.lcm(*(v.denominator for v in m))
-        entries = [v.numerator * (scale // v.denominator) for v in m]
+        _, entries = _clear_denominators(m)
         divide, ratio = operator.floordiv, Fraction
     else:
         entries = [to_mpf(v) for v in m]
@@ -184,45 +192,58 @@ def chebyshev_from_moments(nu: MomentTable, K: int) -> Recurrence:
 
     The falling-factorial family phi_l (recentred by the table's basis
     shift) serves as the reference system, so the table's entries are the
-    modified moments as-is.
+    modified moments as-is.  The loop runs fraction-free on
+    ``T_k(l) = H_k L[p_k phi_l]``, with ``H_k`` the k x k Hankel minor:
+    ``T_0(l) = nu_l``, ``T_k(k) = H_{k+1}``, and
+
+        T_{k+1}(l) = [H_k H_{k+1} (T_k(l+1) - (k-l) T_k(l))
+                      - H_k T_k(k+1) T_k(l)
+                      + H_{k+1} (T_{k-1}(k) T_k(l) - H_{k+1} T_{k-1}(l))] / H_k^2,
+
+    where the division is exact.  Then
+    ``alpha_k = k - shift + (T_k(k+1) H_k - T_{k-1}(k) H_{k+1}) / (H_{k+1} H_k)``
+    and ``beta_k = H_{k+1} H_{k-1} / H_k^2``; ``beta_0`` is ``nu_0``.  An
+    exact table is scaled by the lcm ``D`` of its denominators and run on
+    ints (``T_k`` picks up ``D^{k+1}``, which the quotients cancel); any
+    other table runs the same loop on ``mpf``.  Raises ``SingularHankel(k)``
+    at the first ``k < K`` with ``H_{k+1} = 0``.
     """
     _check_cap(K)
     if K == 0:
         _check_length(nu, 1, K)
         return Recurrence((), ())
     _check_length(nu, 2 * K, K)
-    shift = nu.basis_shift
-
-    def ahat(l: int):
-        return l - shift
-
-    if scalar_is_zero(nu.values[0]):
+    values = nu.values[: 2 * K]
+    if all(is_exact(v) for v in values):
+        _, curr = _clear_denominators(values)
+        divide, ratio = operator.floordiv, Fraction
+    else:
+        curr = [to_mpf(v) for v in values]
+        divide = ratio = operator.truediv
+    if curr[0] == 0:
         raise SingularHankel(0)
-    alpha = [ahat(0) + exact_div(nu.values[1], nu.values[0])]
-    beta = [nu.values[0]]
-    sigma_prev: dict[int, Scalar] = {}
-    sigma_curr = {l: nu.values[l] for l in range(2 * K)}
-    for k in range(1, K):
-        sigma_next: dict[int, Scalar] = {}
-        for l in range(k, 2 * K - k):
-            val = exact_sub(
-                sigma_curr[l + 1],
-                (exact_sub(alpha[k - 1], ahat(l))) * sigma_curr[l],
+    shift = nu.basis_shift
+    prev = [0] * (2 * K)  # T_{-1} = 0
+    H = [1, curr[0]]
+    alpha, beta = [], [nu.values[0]]
+    for k in range(K):
+        h0, h1, right, above = H[k], H[k + 1], curr[k + 1], prev[k]
+        alpha.append(k - shift + ratio(right * h0 - above * h1, h1 * h0))
+        if k:
+            beta.append(ratio(h1 * H[k - 1], h0 * h0))
+        if k == K - 1:
+            break
+        square, lead, mix, back = h0 * h0, h0 * h1, h1 * above - h0 * right, h1 * h1
+        nxt = [0] * (2 * K)
+        for l in range(k + 1, 2 * K - k - 1):
+            t = curr[l]
+            nxt[l] = divide(
+                lead * (curr[l + 1] + (l - k) * t) + mix * t - back * prev[l], square
             )
-            if k >= 2:
-                val = exact_sub(val, beta[k - 1] * sigma_prev[l])
-            sigma_next[l] = val
-        if scalar_is_zero(sigma_next[k]):
-            raise SingularHankel(k)
-        alpha.append(
-            ahat(k)
-            + exact_sub(
-                exact_div(sigma_next[k + 1], sigma_next[k]),
-                exact_div(sigma_curr[k], sigma_curr[k - 1]),
-            )
-        )
-        beta.append(exact_div(sigma_next[k], sigma_curr[k - 1]))
-        sigma_prev, sigma_curr = sigma_curr, sigma_next
+        if nxt[k + 1] == 0:
+            raise SingularHankel(k + 1)
+        H.append(nxt[k + 1])
+        prev, curr = curr, nxt
     return Recurrence(tuple(alpha), tuple(beta))
 
 
@@ -231,6 +252,14 @@ def orthogonality_check(
 ) -> dict:
     """Gram matrix L[p_i p_j] for i, j <= K against the spec's functional.
 
+    Each product ``p_i p_j`` is expanded in the table's falling basis
+    (:func:`~discsemi.polys.falling_coeffs`) and dotted with the moments.
+    When the table and the recurrence are exact, the table is scaled by the
+    lcm ``D`` of its denominators and each ``p_i`` by the lcm ``d_i`` of its
+    own, so the expansion runs on ints and each entry is one division by
+    ``D d_i d_j``; an entry is an ``int`` exactly when every coefficient and
+    moment it uses is one.  Otherwise the same loop runs on ``mpf`` moments.
+
     PASS iff every off-diagonal entry is at most tol times the largest
     diagonal entry (exactly zero when the arithmetic is exact) and no
     diagonal entry vanishes.  The matrix is symmetric, so only the entries
@@ -238,13 +267,40 @@ def orthogonality_check(
     """
     polys = rec.polynomials(K)
     table = moments(spec, 2 * K, tol)
-    diagonal = [functional_of_poly(table, p * p) for p in polys]
+    values = table.values
+    exact = all(map(is_exact, values)) and all(
+        is_exact(c) for p in polys for c in p.coeffs
+    )
+    if exact:
+        # entry (i, j) uses the coefficients of p_i, p_j and nu_0..nu_{i+j}
+        fractional = [any(isinstance(c, Fraction) for c in p.coeffs) for p in polys]
+        prefix = list(itertools.accumulate(
+            (isinstance(v, Fraction) for v in values), operator.or_
+        ))
+        D, m = _clear_denominators(values)
+        scaled = [_clear_denominators(p.coeffs) for p in polys]
+        dens = [den for den, _ in scaled]
+        polys = [Poly(coeffs) for _, coeffs in scaled]
+    else:
+        m = [to_mpf(v) for v in values]
+    if table.basis_shift:
+        polys = [p.shift(-table.basis_shift) for p in polys]
+
+    def entry(i: int, j: int):
+        coeffs = falling_coeffs(polys[i] * polys[j])
+        total = sum(c * m[n] for n, c in enumerate(coeffs))
+        if not exact:
+            return total
+        if fractional[i] or fractional[j] or prefix[i + j]:
+            return Fraction(total, D * dens[i] * dens[j])
+        return total // (D * dens[i] * dens[j])
+
+    diagonal = [entry(i, i) for i in range(K + 1)]
     scale = max(abs(to_mpf(d)) for d in diagonal)
     max_off = 0
     for i in range(K + 1):
         for j in range(i + 1, K + 1):
-            entry = functional_of_poly(table, polys[i] * polys[j])
-            max_off = max(max_off, abs(to_mpf(entry)))
+            max_off = max(max_off, abs(to_mpf(entry(i, j))))
     ok = (
         all(not scalar_is_zero(d) for d in diagonal)
         and max_off <= to_mpf(tol) * scale

@@ -1,0 +1,44 @@
+"""Byte-for-byte CLI output on exact specifications.
+
+``tests/data/cli_golden/<spec>.json`` holds four exact specifications
+(truncated, symmetric window, terminating with a point mass, truncated with
+a scale and a point mass); ``<spec>.<command>.out`` is the standard output
+of ``python -m discsemi <args> --input <spec>.json`` for the arguments in
+``COMMANDS``.  Exact inputs must give exactly these bytes, so any change to
+an exact kernel that alters a value, its type or its rendering shows here.
+To re-record a file after an intended output change, run that command and
+redirect its output into the file.
+"""
+
+from pathlib import Path
+
+import pytest
+from mpmath import mp
+
+from discsemi.cli import main
+
+DATA = Path(__file__).parent / "data" / "cli_golden"
+SPECS = ("truncated", "window", "terminating-mass", "truncated-scale-mass")
+COMMANDS = {
+    "classify": ["classify"],
+    "moments": ["moments"],
+    "stieltjes-xi": ["stieltjes-xi"],
+    "verify": ["verify"],
+    "recurrence": ["recurrence", "--method", "both", "-n", "4"],
+}
+
+
+@pytest.fixture(autouse=True)
+def _restore_precision():
+    saved = mp.dps
+    yield
+    mp.dps = saved
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("spec", SPECS)
+def test_cli_output_matches_golden_file(spec, command, capsys):
+    code = main(COMMANDS[command] + ["--input", str(DATA / f"{spec}.json")])
+    assert code == 0
+    want = (DATA / f"{spec}.{command}.out").read_text()
+    assert capsys.readouterr().out == want

@@ -540,6 +540,21 @@ def test_moments_survive_cancellation(z, dps):
         assert abs(nu0 - want) <= to_mpf(tol) * (1 + want)
 
 
+@pytest.mark.parametrize("z", [Fraction(-80), mp.mpf(-80)])
+def test_each_moment_meets_tol_despite_its_prefactor(z):
+    # nu_n = z^n e^z is the prefactor z^n times the sum e^z, so the sum must
+    # be taken to tol / |z|^n for nu_n to meet tol (1 + |nu_n|); an mpf z
+    # makes the prefactor an mpf as well
+    spec = FunctionalSpec(a=(), b=(), z=z)
+    tol = Fraction(1, 10**30)
+    with mp.workdps(50):
+        table = moments(spec, 3, tol)
+    with mp.workdps(120):
+        for n in range(4):
+            want = mp.mpf(-80) ** n * mp.exp(-80)
+            assert abs(table[n] - want) <= to_mpf(tol) * (1 + abs(want))
+
+
 def stieltjes_loop(spec, t, tol):
     """S(t) of an infinite weight, term by term in mpf: the loop the kernel
     replaced, kept as the oracle."""

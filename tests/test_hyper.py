@@ -307,16 +307,17 @@ def rationals(lo, hi):
 
 
 # Numerator parameters avoid nonpositive integers (those terminate and are
-# summed exactly).  Denominator parameters stay positive, and unit-disk
-# arguments stay within 1/4: there the terms decrease once they are below
-# the tolerance, so two small terms in a row leave a tail under it.
-# (A negative b lets the terms dip below tol and grow again near k = -b,
-# and |z| near 1 leaves a tail of about term / (1 - |z|); the stopping rule
-# is not a tail bound in either case.)
+# summed exactly), and denominator parameters avoid them too (poles).  A
+# negative non-integer b lets the terms dip below tol and grow again near
+# k = -b, which the stopping rule waits out.  Unit-disk arguments stay
+# within 1/4: there the terms decrease once they are past every -b and
+# below the tolerance, so two small terms in a row leave a tail under it.
+# (|z| near 1 leaves a tail of about term / (1 - |z|); the stopping rule is
+# not a tail bound there.)
 upper_params = rationals(-8, 8).filter(
     lambda x: not (x.denominator == 1 and x <= 0)
 )
-lower_params = rationals(Fraction(1, 9), 8)
+lower_params = upper_params
 
 
 @st.composite
@@ -348,6 +349,28 @@ def test_numeric_sum_matches_mpmath(case):
         want = mp.hyper(
             [to_mpf(x) for x in h.a], [to_mpf(x) for x in h.b], to_mpf(h.z)
         )
+        assert abs(got - want) <= to_mpf(tol) * (1 + abs(want))
+
+
+@pytest.mark.parametrize("dps", [15, 50])
+def test_terms_that_dip_below_tol_before_a_negative_b(dps):
+    # The terms fall to about 2e-14 around k = 5 and grow again past the
+    # -b_j, to a sum of 745: two small terms in the dip must not stop the
+    # sum, and the dip costs about 16 digits, which at dps 15 only the
+    # resum restores.
+    h = HyperSeries(
+        [Fraction(-9, 5), Fraction(16, 3), Fraction(-1, 3), Fraction(-1, 2)],
+        [Fraction(-29, 4), Fraction(-23, 3), Fraction(-53, 3)],
+        Fraction(11, 50),
+    )
+    tol = Fraction(1, 10**12)
+    with mp.workdps(dps):
+        got = eval_hyper(h, tol)
+    with mp.workdps(120):
+        want = mp.hyper(
+            [to_mpf(x) for x in h.a], [to_mpf(x) for x in h.b], to_mpf(h.z)
+        )
+        assert abs(want - mp.mpf("745.566")) < 1e-3
         assert abs(got - want) <= to_mpf(tol) * (1 + abs(want))
 
 

@@ -10,7 +10,14 @@ from mpmath import mp
 
 from discsemi.combin import falling_factorial, stirling_convert
 from discsemi.errors import InputError, MissingParameter, SingularHankel
-from discsemi.functional import FunctionalSpec, Mass, MomentTable, moments
+from discsemi.functional import (
+    FunctionalSpec,
+    Mass,
+    MomentTable,
+    Support,
+    functional_of_poly,
+    moments,
+)
 from discsemi.orthopoly import (
     MAX_K,
     Recurrence,
@@ -18,7 +25,7 @@ from discsemi.orthopoly import (
     orthogonality_check,
     recurrence_from_moments,
 )
-from discsemi.scalars import to_mpf
+from discsemi.scalars import DEFAULT_TOL, exact_div, exact_sub, scalar_is_zero, to_mpf
 from discsemi.transforms import (
     apply_christoffel,
     apply_geronimus,
@@ -413,3 +420,186 @@ def test_bareiss_pass_matches_per_level_determinants(measure, K):
         # s distinct points carry a positive definite functional exactly
         # through degree s - 1: the first vanishing minor is H_{s+1}.
         assert expected == len(points)
+
+
+# -- the integer passes against the Fraction loops they replace ----------------
+
+
+def _chebyshev_fraction_loop(nu: MomentTable, K: int) -> Recurrence:
+    """The modified Chebyshev algorithm on sigma_k(l) = L[p_k phi_l], one
+    Fraction (or mpf) operation at a time."""
+    if K == 0:
+        return Recurrence((), ())
+    shift = nu.basis_shift
+
+    def ahat(l):
+        return l - shift
+
+    if scalar_is_zero(nu.values[0]):
+        raise SingularHankel(0)
+    alpha = [ahat(0) + exact_div(nu.values[1], nu.values[0])]
+    beta = [nu.values[0]]
+    sigma_prev = {}
+    sigma_curr = {l: nu.values[l] for l in range(2 * K)}
+    for k in range(1, K):
+        sigma_next = {}
+        for l in range(k, 2 * K - k):
+            val = exact_sub(
+                sigma_curr[l + 1],
+                (exact_sub(alpha[k - 1], ahat(l))) * sigma_curr[l],
+            )
+            if k >= 2:
+                val = exact_sub(val, beta[k - 1] * sigma_prev[l])
+            sigma_next[l] = val
+        if scalar_is_zero(sigma_next[k]):
+            raise SingularHankel(k)
+        alpha.append(
+            ahat(k)
+            + exact_sub(
+                exact_div(sigma_next[k + 1], sigma_next[k]),
+                exact_div(sigma_curr[k], sigma_curr[k - 1]),
+            )
+        )
+        beta.append(exact_div(sigma_next[k], sigma_curr[k - 1]))
+        sigma_prev, sigma_curr = sigma_curr, sigma_next
+    return Recurrence(tuple(alpha), tuple(beta))
+
+
+def _gram_per_product(spec, rec, K, tol=DEFAULT_TOL) -> dict:
+    """The Gram check applying functional_of_poly to each product."""
+    polys = rec.polynomials(K)
+    table = moments(spec, 2 * K, tol)
+    diagonal = [functional_of_poly(table, p * p) for p in polys]
+    scale = max(abs(to_mpf(d)) for d in diagonal)
+    max_off = 0
+    for i in range(K + 1):
+        for j in range(i + 1, K + 1):
+            entry = functional_of_poly(table, polys[i] * polys[j])
+            max_off = max(max_off, abs(to_mpf(entry)))
+    ok = (
+        all(not scalar_is_zero(d) for d in diagonal)
+        and max_off <= to_mpf(tol) * scale
+    )
+    return {"pass": bool(ok), "K": K, "max_offdiagonal": max_off, "diagonal": diagonal}
+
+
+def _typed(values) -> list:
+    """Values with their types: the benchmark digest and the CLI render an
+    int and an equal Fraction differently."""
+    return [(type(v), v) for v in values]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SingularHankel as exc:
+        return ("singular", exc.index)
+
+
+def _exact_table(measure, K):
+    points, weights, shift, _ = measure
+    return MomentTable(
+        [
+            sum(w * falling_factorial(x + shift, n) for x, w in zip(points, weights))
+            for n in range(max(2 * K, 1))
+        ],
+        shift,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(discrete_measures(), st.integers(min_value=0, max_value=7))
+def test_integer_chebyshev_matches_fraction_loop(measure, K):
+    nu = _exact_table(measure, K)
+    got = _outcome(chebyshev_from_moments, nu, K)
+    want = _outcome(_chebyshev_fraction_loop, nu, K)
+    if isinstance(want, tuple):
+        assert got == want  # the same SingularHankel index
+        return
+    assert _typed(got.alpha) == _typed(want.alpha)
+    assert _typed(got.beta) == _typed(want.beta)
+
+
+_ints_or_fractions = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@st.composite
+def exact_specs(draw):
+    """A small exact functional: point masses alone, a symmetric window
+    (basis shift 1 or 2) or a truncated weight, each with optional masses
+    of int or Fraction size at lattice or off-lattice points."""
+    kind = draw(st.sampled_from(("masses", "window", "truncated")))
+    masses = draw(st.lists(
+        st.builds(
+            Mass,
+            st.one_of(st.integers(min_value=-3, max_value=6), _off_lattice),
+            _ints_or_fractions.map(lambda x: x or 1),
+        ),
+        min_size=1 if kind == "masses" else 0,
+        max_size=3,
+    ))
+    if kind == "masses":
+        return FunctionalSpec(a=(), b=(), z=1, scale=0, masses=masses)
+    z = draw(_signed)
+    scale = draw(_ints_or_fractions)
+    if kind == "window":
+        m = draw(st.integers(min_value=1, max_value=2))
+        a = (-2 * m,) + tuple(draw(st.lists(_positive, max_size=1)))
+        return FunctionalSpec(a=a, b=(), z=z, scale=scale,
+                              support=Support.symmetrized_shift(m), masses=masses)
+    a = draw(st.lists(_positive, max_size=2))
+    b = draw(st.lists(_positive, max_size=1))
+    N = draw(st.integers(min_value=0, max_value=6))
+    return FunctionalSpec(a=a, b=b, z=z, scale=scale,
+                          support=Support.truncated(N), masses=masses)
+
+
+@st.composite
+def exact_recurrences(draw, K):
+    """Arbitrary exact coefficients, int or Fraction, so that off-diagonal
+    entries are nonzero and int-only polynomials occur."""
+    coeffs = st.lists(_ints_or_fractions, min_size=K, max_size=K)
+    return Recurrence(tuple(draw(coeffs)), tuple(draw(coeffs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_specs(), st.integers(min_value=0, max_value=4), st.data())
+def test_integer_gram_matches_per_product_check(spec, K, data):
+    rec = _outcome(chebyshev_from_moments, moments(spec, max(2 * K, 1)), K)
+    if isinstance(rec, tuple) or data.draw(st.booleans()):
+        rec = data.draw(exact_recurrences(K))
+    got = orthogonality_check(spec, rec, K)
+    want = _gram_per_product(spec, rec, K)
+    assert got["pass"] is want["pass"] and got["K"] == K
+    assert _typed([got["max_offdiagonal"]]) == _typed([want["max_offdiagonal"]])
+    assert _typed(got["diagonal"]) == _typed(want["diagonal"])
+
+
+@st.composite
+def numeric_weights(draw):
+    """Infinite weights (numeric moments): positive parameters, z > 0, and
+    |z| <= 1/2 on the unit disk, optionally with a point mass."""
+    q = draw(st.integers(min_value=0, max_value=2))
+    p = draw(st.integers(min_value=0, max_value=q + 1))
+    a = draw(st.lists(_positive, min_size=p, max_size=p))
+    b = draw(st.lists(_positive, min_size=q, max_size=q))
+    bound = Fraction(1, 2) if p == q + 1 else 4
+    z = draw(st.fractions(min_value=Fraction(1, 20), max_value=bound, max_denominator=20))
+    masses = draw(st.lists(st.builds(Mass, _off_lattice, _positive), max_size=1))
+    return FunctionalSpec(a, b, z, masses=masses)
+
+
+@settings(max_examples=60, deadline=None)
+@given(numeric_weights(), st.integers(min_value=1, max_value=8))
+def test_numeric_chebyshev_matches_fraction_loop(spec, K):
+    tol = DEFAULT_TOL
+    with mp.workdps(60):
+        nu = moments(spec, 2 * K, tol)
+        got = chebyshev_from_moments(nu, K)
+        want = _chebyshev_fraction_loop(nu, K)
+        for x, y in zip(got.alpha + got.beta, want.alpha + want.beta):
+            assert isinstance(x, mp.mpf)
+            assert abs(x - y) <= to_mpf(tol) * (1 + abs(y))
