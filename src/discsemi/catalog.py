@@ -9,14 +9,17 @@ entry carries default parameter values, documented validity constraints,
 the right-hand side of its Stieltjes difference equation stored as linear
 forms in the moments, and -- where an algebraically independent one exists
 -- a closed moment formula.  The expressions are stored as strings over the
-entry's parameter names and parsed with :func:`~discsemi.params.parse_param_expr`.
+entry's parameter names and parsed with :func:`~discsemi.params.parse_param_expr`,
+once per process and text, on first use; loading the catalog parses nothing.
 
 :func:`instantiate` resolves an entry plus user assignments into a concrete
 :class:`~discsemi.functional.FunctionalSpec`, enforcing the recorded
 constraints.  :func:`regression_suite` re-derives each entry's Pearson
 pair, class, moments, and difference equation from first principles and
 compares them with the recorded data, so the whole catalog doubles as a
-regression oracle for the rest of the package.
+regression oracle for the rest of the package.  Each instance derives one
+Pearson pair and one moment table, which serves the equation, the recorded
+rows and the closed moment formula alike.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .functional import (
     weight_at,
 )
 from .hyper import HyperSeries, eval_hyper_finite_sum
-from .params import parse_param_expr
+from .params import _tokenize, parse_param_expr
 from .polys import Poly, poly_from_root_offsets
 from .scalars import (
     DEFAULT_TOL,
@@ -59,7 +62,7 @@ from .scalars import (
     scalar_is_zero,
     to_mpf,
 )
-from .stieltjeseq import derive_equation, verify_equation
+from .stieltjeseq import derive_xi, verify_equation
 from .transforms import (
     apply_christoffel,
     apply_geronimus,
@@ -229,8 +232,23 @@ def list_entries(role: Optional[str] = None, parent: Optional[str] = None) -> li
 _GREEK_KEYS = {"ω": "omega", "Ω": "Omega", "ν": "nu"}
 
 
+@lru_cache(maxsize=None)
+def _parse_once(text: str) -> tuple:
+    """``text`` parsed without a symbol table, and every symbol it names."""
+    names = frozenset(v for kind, v in _tokenize(text) if kind == "name")
+    return parse_param_expr(text), names
+
+
 def _eval_expr(text: str, values: dict) -> Fraction:
-    poly = parse_param_expr(str(text), allowed=set(values))
+    text = str(text)
+    try:
+        poly, names = _parse_once(text)
+        known = names <= values.keys()
+    except InputError:
+        known = False
+    if not known:
+        # raises the error a parse against this symbol table gives
+        poly = parse_param_expr(text, allowed=set(values))
     out = poly.subs(values)
     return Fraction(out) if not isinstance(out, Fraction) else out
 
@@ -479,10 +497,9 @@ def _pearson_residual(spec: FunctionalSpec, pair: PearsonPair, points: int = 6):
     lo = -shift
     count = points if upper is None else min(points, upper)
     worst: Scalar = 0
-    for x in range(lo, lo + count):
-        lhs = pair.sigma(x + 1) * weight_at(spec, x + 1)
-        rhs = pair.eta(x) * weight_at(spec, x)
-        diff = lhs - rhs
+    rho = [weight_at(spec, x) for x in range(lo, lo + count + 1)]
+    for i, x in enumerate(range(lo, lo + count)):
+        diff = pair.sigma(x + 1) * rho[i + 1] - pair.eta(x) * rho[i]
         if not scalar_is_zero(diff):
             worst = max(to_mpf(worst), abs(to_mpf(diff)))
     return worst
@@ -527,14 +544,17 @@ def _check_instance(
         "pass": pair.class_s == entry.class_s,
     }
 
-    eq = derive_equation(spec, inner)
+    # one table serves xi, the recorded rows and the moment formula: each
+    # nu_n is summed on its own, so a longer table agrees on its head
+    K = pair.class_s if entry.moments_form is None else max(pair.class_s, max_moment)
+    table = moments(spec, K, inner)
+    eq = derive_xi(pair, table)
     assembled = Poly()
-    table = moments(spec, max(pair.class_s, 0), inner)
     if entry.xi.get("rows_self"):
         assembled = assembled + _assemble_rows(entry.xi["rows_self"], values, table)
     if entry.xi.get("rows_base"):
         base_spec = _spec_from_lists(entry.build["base"], values)
-        base_table = moments(base_spec, max(pair.class_s, 0), inner)
+        base_table = moments(base_spec, pair.class_s, inner)
         assembled = assembled + _assemble_rows(
             entry.xi["rows_base"], values, base_table
         )
@@ -548,19 +568,18 @@ def _check_instance(
     }
 
     if entry.moments_form is not None:
-        table_m = moments(spec, max_moment, inner)
         worst: Scalar = 0
         ok_all = True
         for n in range(max_moment + 1):
             want = moment_formula(entry, values, n)
-            diff = exact_sub(want, table_m[n])
+            diff = exact_sub(want, table[n])
             if is_exact(diff):
                 ok = scalar_is_zero(diff)
                 if not ok:
                     worst = max(to_mpf(worst), abs(to_mpf(diff)))
             else:
                 err = abs(to_mpf(diff))
-                ok = err <= to_mpf(tol) * (1 + abs(to_mpf(table_m[n])))
+                ok = err <= to_mpf(tol) * (1 + abs(to_mpf(table[n])))
                 worst = max(to_mpf(worst), err)
             ok_all = ok_all and ok
         checks["moment_formula"] = {"max_error": worst, "pass": ok_all}

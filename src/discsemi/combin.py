@@ -1,5 +1,4 @@
-"""Combinatorial primitives: shifted factorials, Stirling numbers, and
-elementary symmetric polynomials.
+"""Combinatorial primitives: shifted factorials and Stirling numbers.
 
 The rising factorial (Pochhammer symbol) and the falling factorial are
 implemented generically: the base may be an int, Fraction, mpf, or any
@@ -65,20 +64,6 @@ def pochhammer_multi(params: Sequence, n: int):
     return result
 
 
-def elementary_symmetric_all(values: Sequence) -> list:
-    """All elementary symmetric polynomials ``e_0 .. e_len`` of ``values``.
-
-    They appear as the coefficients of ``prod_i (x + v_i)``:
-    ``prod_i (x + v_i) = sum_k e_k(v) * x**(len-k)``.
-    """
-    e = [1]
-    for v in values:
-        e.append(0)
-        for k in range(len(e) - 1, 0, -1):
-            e[k] = e[k] + v * e[k - 1]
-    return e
-
-
 def stirling_convert(nu) -> list:
     """Power moments from falling-factorial moments.
 
@@ -106,13 +91,3 @@ def stirling_convert(nu) -> list:
         for k in range(K + 1)
     ]
 
-
-def elementary_symmetric(values: Sequence, k: int):
-    """The ``k``-th elementary symmetric polynomial of ``values``.
-
-    ``e_0 = 1``; the result is 0 when ``k`` is negative or exceeds the
-    number of values.
-    """
-    if k < 0 or k > len(values):
-        return 0
-    return elementary_symmetric_all(values)[k]

@@ -32,21 +32,25 @@ the end.  Summation stops when two consecutive terms fall below ``tol``
 times ``1 + |sum|``, which protects against accidental zero terms in
 alternating series.  When the largest term shows that rounding could have
 cancelled more than the tolerance allows, the sum is redone once with the
-lost bits added (as ``mpmath``'s ``hypsum`` does).
+lost bits added (as ``mpmath``'s ``hypsum`` does), and a term that rounded
+to zero in a dip before a negative denominator parameter sends the sum to
+a pass whose precision covers the dip.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
 
-from .errors import DivergentSeries, PoleInDenominator
+from .errors import ComputationError, DivergentSeries, PoleInDenominator
 from .scalars import (
     DEFAULT_TOL,
     Scalar,
+    integer_ratio,
     is_exact,
     is_nonpos_integer,
     to_mpf,
@@ -139,15 +143,6 @@ _LEAF_TERMS = 16
 _GUARD_BITS = 24
 
 
-def _ratio(x) -> tuple[int, int]:
-    """``x`` as an integer ratio; an mpf is the dyadic rational it stores."""
-    if isinstance(x, mp.mpf):
-        man, exp = x.man_exp
-        man = -man if x < 0 else man
-        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
-    return x.as_integer_ratio()
-
-
 def _linear_factors(a: Sequence, b: Sequence, z):
     """The term ratio ``z prod(a_i + j) / ((j+1) prod(b_i + j))`` as ``p(j)/q(j)``.
 
@@ -155,9 +150,9 @@ def _linear_factors(a: Sequence, b: Sequence, z):
     polynomials ``p(j) = p_const prod(n + d j)`` over the pairs ``(n, d)`` of
     ``p_lin``, and ``q(j)`` likewise over ``q_lin``; every ``d`` is positive.
     """
-    z_num, z_den = _ratio(z)
-    p_lin = [_ratio(x) for x in a]
-    q_lin = [(1, 1)] + [_ratio(x) for x in b]
+    z_num, z_den = integer_ratio(z)
+    p_lin = [integer_ratio(x) for x in a]
+    q_lin = [(1, 1)] + [integer_ratio(x) for x in b]
     p_const, q_const = z_num, z_den
     for _, d in q_lin:
         p_const *= d
@@ -288,17 +283,25 @@ def _sum_numeric(h: HyperSeries, tol: Scalar, max_terms: int) -> mp.mpf:
 
     Summation stops at two consecutive terms below ``tol (1 + |sum|)``, but
     not before every factor ``b_j + k`` of q is positive: below a negative
-    ``-b_j`` the terms can dip under the tolerance and grow again.
+    ``-b_j`` the terms can dip under the tolerance and grow again.  A dip
+    deeper than ``wp`` rounds the term to 0, and the terms after it would
+    be lost; so a zero term when k reaches that point restarts the sum once
+    with ``wp`` raised by the depth of the dip, taken from the exact
+    products of p and q.  Only ``z = 0`` makes a term of a nonterminating
+    series exactly 0, so otherwise a term still 0 after that raises
+    ComputationError.
     """
     p_const, p_lin, q_const, q_lin = _linear_factors(h.a, h.b, h.z)
     start = max([0] + [-n // d + 1 for n, d in q_lin if n < 0])
-    tol_num, tol_den = _ratio(tol)
+    tol_num, tol_den = integer_ratio(tol)
     tol_bits = tol_den.bit_length() - abs(tol_num).bit_length() + 1
     wp = max(mp.mp.prec, tol_bits) + _GUARD_BITS
-    for retried in (False, True):
+    retried = dipped = False
+    while True:
         one = 1 << wp
         term = total = big = low = one
         streak = rise = 0
+        lost = False
         for k in range(max_terms):
             pk, qk = p_const, q_const
             for n, d in p_lin:
@@ -318,6 +321,9 @@ def _sum_numeric(h: HyperSeries, tol: Scalar, max_terms: int) -> mp.mpf:
             elif low < one:
                 rise = max(rise, size.bit_length() - low.bit_length())
             if k >= start and size * tol_den <= tol_num * (one + abs(total)):
+                if not size and k == start and p_const:
+                    lost = True  # the term underflowed in the dip
+                    break
                 streak += 1
                 if streak == 2:
                     break
@@ -327,57 +333,32 @@ def _sum_numeric(h: HyperSeries, tol: Scalar, max_terms: int) -> mp.mpf:
             raise DivergentSeries(
                 f"series did not meet tolerance within {max_terms} terms"
             )
+        if lost:
+            if dipped:
+                raise ComputationError(
+                    f"a term of the series underflowed at {wp} working bits"
+                )
+            dipped = True
+            wp += _dip_depth(p_const, p_lin, q_const, q_lin, start) + _GUARD_BITS
+            continue
         error = (k + 1) ** 2 * max((big >> wp) + 1, 2 << rise) * tol_den
         allowed = tol_num * (one + abs(total))
         if error <= allowed or retried:
             return mp.ldexp(total, -wp)
+        retried = True
         wp += error.bit_length() - allowed.bit_length() + _GUARD_BITS
 
 
-def weight_partial_sum(a: Sequence, b: Sequence, z: Scalar, K: int) -> Scalar:
-    """Exact sum  sum_{x=0}^{K} (a)_x / (b+1)_x * z^x / x!  .
+def _dip_depth(p_const, p_lin, q_const, q_lin, last: int) -> int:
+    """Bits by which the smallest of the terms 1..last+1 falls below 1.
 
-    This is the building block for truncated-support moments: the
-    denominator parameters enter shifted by one, matching the weight
-    convention.
+    The terms are the exact products ``prod_{j<k} p(j)/q(j)``.
     """
-    return eval_hyper_finite_sum(
-        HyperSeries(tuple(a), tuple(bj + 1 for bj in b), z), K
-    )
+    P = Q = 1
+    depth = 0
+    for j in range(last + 1):
+        P *= p_const * math.prod(n + d * j for n, d in p_lin)
+        Q *= q_const * math.prod(n + d * j for n, d in q_lin)
+        depth = max(depth, abs(Q).bit_length() - abs(P).bit_length())
+    return depth
 
-
-def weight_partial_sum_reversed(a: Sequence, b: Sequence, z: Scalar, K: int) -> Scalar:
-    """The same partial sum computed from its reversal identity.
-
-    Reversing the order of summation turns the partial sum into a single
-    terminating series of argument (-1)^{p+q+1} / z:
-
-        sum_{x=0}^{K} (a)_x/(b+1)_x z^x/x!
-          = (a)_K/(b+1)_K z^K/K! * F(-K, 1, -K-b; 1-K-a; (-1)^{p+q+1}/z)
-
-    with q+2 upper and p lower parameters.  Used as a cross-check for the
-    direct sum; requires z != 0 and K >= 1.
-    """
-    if K < 1:
-        raise ValueError("the reversal identity needs K >= 1")
-    if z == 0:
-        raise ValueError("the reversal identity needs z != 0")
-    from .combin import pochhammer
-
-    p, q = len(a), len(b)
-    prefactor = Fraction(1) if is_exact(z) else mp.mpf(1)
-    for ai in a:
-        prefactor = prefactor * pochhammer(ai, K)
-    for bj in b:
-        prefactor = prefactor / pochhammer(bj + 1, K)
-    zK = z**K if is_exact(z) else to_mpf(z) ** K
-    import math
-
-    prefactor = prefactor * zK / math.factorial(K)
-    upper = [Fraction(-K), Fraction(1)] + [-K - bj for bj in b]
-    lower = [1 - K - ai for ai in a]
-    argument = Fraction((-1) ** (p + q + 1)) / z if is_exact(z) else (
-        (-1) ** (p + q + 1) / to_mpf(z)
-    )
-    inner = eval_hyper_finite_sum(HyperSeries(upper, lower, argument), K)
-    return prefactor * inner

@@ -46,14 +46,6 @@ class Poly:
     def x(cls) -> "Poly":
         return cls((0, 1))
 
-    @classmethod
-    def from_roots(cls, roots: Iterable, leading=1) -> "Poly":
-        """The polynomial ``leading * prod_r (x - r)``."""
-        result = cls((leading,))
-        for r in roots:
-            result = result * cls((-r, 1))
-        return result
-
     # -- basic views ----------------------------------------------------------
 
     @property
@@ -180,9 +172,6 @@ class Poly:
         if not scalar_is_zero(remainder):
             raise ArithmeticError("deflation remainder is nonzero")
         return Poly(quotient)
-
-    def map_coeffs(self, fn) -> "Poly":
-        return Poly([fn(c) for c in self.coeffs])
 
     # -- rendering --------------------------------------------------------------
 

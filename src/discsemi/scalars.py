@@ -91,20 +91,29 @@ def is_exact(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
-def is_integer(x: Scalar) -> bool:
-    """True when ``x`` is an exact integer value."""
-    if isinstance(x, int) and not isinstance(x, bool):
-        return True
-    return isinstance(x, Fraction) and x.denominator == 1
+def integer_ratio(x: Scalar) -> tuple[int, int]:
+    """``x`` as an integer ratio; an mpf is the dyadic rational it stores."""
+    if isinstance(x, mp.mpf):
+        man, exp = x.man_exp
+        man = -man if x < 0 else man
+        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    return x.as_integer_ratio()
+
+
+def is_integer(x: object) -> bool:
+    """True when ``x`` is a scalar (int, Fraction or mpf) of integer value."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction, mp.mpf)):
+        return False
+    return integer_ratio(x)[1] == 1
 
 
 def is_nonneg_integer(x: Scalar) -> bool:
-    """True when ``x`` is an exact integer >= 0."""
+    """True when ``x`` is a scalar of integer value >= 0."""
     return is_integer(x) and x >= 0
 
 
 def is_nonpos_integer(x: Scalar) -> bool:
-    """True when ``x`` is an exact integer <= 0."""
+    """True when ``x`` is a scalar of integer value <= 0."""
     return is_integer(x) and x <= 0
 
 

@@ -1,14 +1,19 @@
 """Tests for the bundled family catalog and its regression suite."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
+import discsemi.catalog
 from discsemi.catalog import (
     CATALOG_FORMAT_VERSION,
     SECTION_CLASS,
+    _build_spec,
     _check_instance,
+    _eval_expr,
+    _parse_once,
     catalog_entries,
     get_entry,
     instantiate,
@@ -23,6 +28,8 @@ from discsemi.errors import (
     InputError,
 )
 from discsemi.functional import FunctionalSpec, moments, pearson_pair
+from discsemi.params import parse_param_expr
+from discsemi.stieltjeseq import derive_equation, derive_xi
 
 mp.dps = 60
 
@@ -262,3 +269,78 @@ def test_regression_suite_subset_and_bad_id():
 
 def test_catalog_format_version():
     assert CATALOG_FORMAT_VERSION == 1
+
+
+# ------------------------------------------------ one table, one parse per text
+
+
+def _instances():
+    """(entry, values) for every instance the suite checks."""
+    for entry in catalog_entries().values():
+        if entry.role == "degenerate":
+            continue
+        for idx in range(len(entry.variants or (None,))):
+            yield entry, resolve_params(
+                entry, {"variant": idx} if entry.variants else None
+            )
+
+
+def _typed(values) -> list:
+    return [(type(v), v) for v in values]
+
+
+def _instance_tables(max_moment=8):
+    """Spec, pair and the suite's one moment table, at the suite's settings."""
+    inner = TOL / 10**8
+    for entry, values in _instances():
+        spec = _build_spec(entry, values, inner)
+        pair = pearson_pair(spec)
+        yield spec, pair, moments(spec, max(pair.class_s, max_moment), inner)
+
+
+def test_longer_moment_table_keeps_its_head():
+    # each nu_n is summed on its own, so the suite's one table agrees with
+    # the shorter tables it replaces, value and type
+    inner = TOL / 10**8
+    with mp.workdps(60):
+        for spec, pair, table in _instance_tables():
+            for k in (0, pair.class_s):
+                short = moments(spec, k, inner)
+                assert _typed(table.values[: k + 1]) == _typed(short.values)
+
+
+def test_derive_xi_on_longer_table_matches_derive_equation():
+    inner = TOL / 10**8
+    with mp.workdps(60):
+        for spec, pair, table in _instance_tables():
+            got = derive_xi(pair, table)
+            want = derive_equation(spec, inner)
+            assert _typed(got.xi.coeffs) == _typed(want.xi.coeffs)
+            assert got.xi_symbolic == want.xi_symbolic
+            assert got.eta == want.eta and got.sigma_shift == want.sigma_shift
+
+
+@pytest.mark.parametrize("text", ["a1*z + b1", "b1 - b1 + z"])
+def test_cached_parse_raises_like_an_uncached_one(text):
+    full = {"a1": F(1, 3), "b1": F(2), "z": F(1, 2)}
+    assert _eval_expr(text, full) == parse_param_expr(text).subs(full)
+    lacking = {"a1": F(1, 3), "z": F(1, 2)}
+    with pytest.raises(InputError) as uncached:
+        parse_param_expr(text, allowed=set(lacking))
+    with pytest.raises(InputError) as cached:
+        _eval_expr(text, lacking)
+    assert str(cached.value) == str(uncached.value)
+
+
+def test_regression_suite_parses_each_text_once(monkeypatch):
+    parsed = Counter()
+
+    def counting(text, allowed=None):
+        parsed[text] += 1
+        return parse_param_expr(text, allowed)
+
+    monkeypatch.setattr(discsemi.catalog, "parse_param_expr", counting)
+    _parse_once.cache_clear()
+    regression_suite()
+    regression_suite()
+    assert parsed and set(parsed.values()) == {1}

@@ -10,8 +10,6 @@ from hypothesis import given, strategies as st
 
 from discsemi.combin import (
     binomial,
-    elementary_symmetric,
-    elementary_symmetric_all,
     pochhammer_multi,
     falling_factorial,
     pochhammer,
@@ -101,18 +99,6 @@ def test_stirling2_changes_basis(x, k):
     )
 
 
-def test_elementary_symmetric_matches_product_expansion():
-    values = [Fraction(1, 3), Fraction(-2), Fraction(5, 7)]
-    e = elementary_symmetric_all(values)
-    product = poly_from_root_offsets(values)
-    for k in range(len(values) + 1):
-        assert product.coeff(len(values) - k) == e[k]
-        assert elementary_symmetric(values, k) == e[k]
-    assert elementary_symmetric_all([]) == [1]
-    assert elementary_symmetric(values, 4) == 0
-    assert elementary_symmetric(values, -1) == 0
-
-
 def test_pochhammer_multi_is_product_of_pochhammers():
     params = [Fraction(1, 2), Fraction(-3), 2]
     assert pochhammer_multi(params, 3) == (
@@ -197,7 +183,7 @@ def test_poly_arithmetic():
 
 
 def test_poly_from_roots_and_offsets():
-    p = Poly.from_roots([1, Fraction(1, 2)], leading=2)
+    p = poly_from_root_offsets([-1, Fraction(-1, 2)], leading=2)
     assert p == Poly([1, -3, 2])
     q = poly_from_root_offsets([Fraction(1, 3), 2], leading=3)
     assert q == 3 * (Poly.x() + Fraction(1, 3)) * (Poly.x() + 2)

@@ -642,3 +642,17 @@ def test_stieltjes_divergent_weight_raises_at_once(monkeypatch):
     for spec in divergent:
         with pytest.raises(DivergentSeries):
             stieltjes_eval(spec, Fraction(7, 2))
+
+
+def test_mpf_integer_stieltjes_point_is_a_support_point():
+    spec = FunctionalSpec(a=[], b=[], z=Fraction(1, 2))
+    for t in (Fraction(3), mp.mpf(3)):
+        with pytest.raises(PoleAtSupportPoint):
+            stieltjes_eval(spec, t)
+
+
+def test_mpf_integer_denominator_pole_is_typed():
+    for b in (Fraction(-3), mp.mpf(-3)):
+        spec = FunctionalSpec(a=[Fraction(1, 3)], b=[b], z=Fraction(1, 2))
+        with pytest.raises(PoleInDenominator, match="singular at x = 3"):
+            moments(spec, 3)

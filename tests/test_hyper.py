@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,15 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 import discsemi.hyper
 from discsemi.combin import pochhammer
-from discsemi.errors import DivergentSeries, PoleInDenominator
+from discsemi.errors import ComputationError, DivergentSeries, PoleInDenominator
 from discsemi.hyper import (
     HyperSeries,
     classify_convergence,
     eval_hyper,
     eval_hyper_finite_sum,
     termination_degree,
-    weight_partial_sum,
-    weight_partial_sum_reversed,
 )
 from discsemi.scalars import to_mpf
 
@@ -184,6 +183,29 @@ def test_finite_sum_rejects_negative_length():
 # weight partial sums and the reversal identity
 
 
+def weight_partial_sum(a, b, z, K):
+    """sum_{x=0}^{K} (a)_x / (b+1)_x * z^x / x!, the truncated-moment shape."""
+    return eval_hyper_finite_sum(HyperSeries(a, [bj + 1 for bj in b], z), K)
+
+
+def weight_partial_sum_reversed(a, b, z, K):
+    """The same partial sum from its reversal identity (an independent oracle).
+
+    Summing backwards from x = K gives one terminating series in 1/z:
+
+        (a)_K/(b+1)_K z^K/K! * F(-K, 1, -K-b; 1-K-a; (-1)^{p+q+1}/z).
+    """
+    prefactor = Fraction(z) ** K / math.factorial(K)
+    for ai in a:
+        prefactor *= pochhammer(ai, K)
+    for bj in b:
+        prefactor /= pochhammer(bj + 1, K)
+    upper = [Fraction(-K), Fraction(1)] + [-K - bj for bj in b]
+    lower = [1 - K - ai for ai in a]
+    argument = Fraction((-1) ** (len(a) + len(b) + 1)) / z
+    return prefactor * eval_hyper_finite_sum(HyperSeries(upper, lower, argument), K)
+
+
 def test_weight_partial_sum_examples():
     assert weight_partial_sum([], [], 1, 3) == Fraction(8, 3)
     assert weight_partial_sum([-2], [], Fraction(1, 2), 2) == Fraction(1, 4)
@@ -203,13 +225,6 @@ def test_reversed_matches_direct():
         reversed_ = weight_partial_sum_reversed(a, b, z, K)
         assert direct == reversed_, (a, b, z, K)
         assert isinstance(reversed_, Fraction)
-
-
-def test_reversed_requires_valid_range():
-    with pytest.raises(ValueError):
-        weight_partial_sum_reversed([], [], Fraction(1), 0)
-    with pytest.raises(ValueError):
-        weight_partial_sum_reversed([], [], 0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -385,3 +400,36 @@ def test_resum_recovers_what_the_first_pass_lost(monkeypatch, x):
         got = eval_hyper(HyperSeries([], [], x), tol)
     with mp.workdps(120):
         assert abs(got - mp.exp(x)) <= to_mpf(tol) * (1 + mp.exp(x))
+
+
+UNDERFLOW_DIP = HyperSeries(
+    [-5 + Fraction(1, 10**40)], [-10 + Fraction(1, 10**40)], 1
+)
+
+
+@pytest.mark.parametrize("dps", [15, 50])
+def test_term_that_underflows_in_a_dip(dps):
+    # (a)_k carries the factor a + 5 = 1e-40 from k = 6 on, and (b)_k
+    # divides it out again at k = 11: at dps 15 the terms in between round
+    # to 0, and the sum must be redone at a precision that keeps them.
+    tol = Fraction(1, 10**12)
+    with mp.workdps(dps):
+        got = eval_hyper(UNDERFLOW_DIP, tol)
+    with mp.workdps(150):
+        a, b = (to_mpf(x) for x in UNDERFLOW_DIP.a + UNDERFLOW_DIP.b)
+        want = mp.hyp1f1(a, b, 1)
+        assert abs(got - want) <= to_mpf(tol) * abs(want)
+
+
+def test_term_still_lost_after_the_dip_retry_raises(monkeypatch):
+    monkeypatch.setattr(discsemi.hyper, "_dip_depth", lambda *args: 0)
+    with mp.workdps(15), pytest.raises(ComputationError, match="underflowed"):
+        eval_hyper(UNDERFLOW_DIP, Fraction(1, 10**12))
+
+
+def test_mpf_integer_parameters_terminate_like_exact_ones():
+    # an mpf numerator parameter -5 ends the sum before the pole of -10
+    got = eval_hyper(HyperSeries([mp.mpf(-5)], [mp.mpf(-10)], 1))
+    assert isinstance(got, mp.mpf)
+    assert got == to_mpf(Fraction(49171, 30240))
+    assert eval_hyper(HyperSeries([-5], [-10], 1)) == Fraction(49171, 30240)

@@ -22,7 +22,6 @@ from discsemi.functional import (
     pearson_pair,
     stieltjes_eval,
 )
-from discsemi.combin import elementary_symmetric
 from discsemi.params import ParamPoly
 from discsemi.polys import Poly
 from discsemi.scalars import to_mpf
@@ -112,7 +111,11 @@ def test_symbolic_elementary_symmetric_xi():
     assert pair.class_s == 2
 
     def e(vals, k):
-        return elementary_symmetric(vals, k)
+        # elementary symmetric polynomial: coefficient of x^(len-k) in prod (x+v)
+        coeffs = [1]
+        for v in vals:
+            coeffs = [a + v * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        return coeffs[k]
 
     eq = derive_xi(pair, MomentTable(tuple(nu)))
     expected = Poly(
