@@ -55,21 +55,15 @@ from .polys import Poly, poly_from_root_offsets
 from .scalars import (
     DEFAULT_TOL,
     Scalar,
+    agree,
     exact_div,
-    exact_sub,
     is_exact,
     parse_rational,
     scalar_is_zero,
     to_mpf,
 )
 from .stieltjeseq import derive_xi, verify_equation
-from .transforms import (
-    apply_christoffel,
-    apply_geronimus,
-    apply_symmetrization,
-    apply_truncation,
-    apply_uvarov,
-)
+from .transforms import apply_transform
 
 ROLES = ("canonical", "subcase", "special", "degenerate")
 EXCLUSION_KINDS = ("ne", "not_nonneg_int", "lt_one")
@@ -333,24 +327,12 @@ def _build_spec(entry: CatalogEntry, values: dict, tol: Scalar) -> FunctionalSpe
     if entry.template is not None:
         return _spec_from_lists(entry.template, values)
     base = _spec_from_lists(entry.build["base"], values)
-    tr = entry.build["transform"]
-    kind = tr["kind"]
-    if kind == "uvarov":
-        return apply_uvarov(
-            base, _eval_expr(tr["omega"], values), _eval_expr(tr["M"], values), tol
-        )
-    if kind == "christoffel":
-        return apply_christoffel(base, _eval_expr(tr["omega"], values), tol)
-    if kind == "geronimus":
-        spec, _table = apply_geronimus(
-            base, _eval_expr(tr["omega"], values), _eval_expr(tr["M"], values), tol
-        )
-        return spec
-    if kind == "truncate":
-        return apply_truncation(base, int(_eval_expr(tr["N"], values)))
-    if kind == "symmetrize":
-        return apply_symmetrization(base, int(_eval_expr(tr["m"], values)))
-    raise InputError(f"catalog entry {entry.id!r} has unknown transform {kind!r}")
+    data = {}
+    for key, text in entry.build["transform"].items():
+        value = text if key == "kind" else _eval_expr(text, values)
+        data[key] = int(value) if key in ("N", "m") else value
+    spec, _table = apply_transform(base, data, tol)
+    return spec
 
 
 def instantiate(
@@ -468,26 +450,18 @@ def _assemble_rows(rows: Sequence[Sequence[str]], values: dict, nu) -> Poly:
     return total
 
 
-def _poly_close(got: Poly, want: Poly, tol: Scalar) -> tuple:
-    """(max |difference|, within tolerance?) over aligned coefficients."""
-    width = max(len(got.coeffs), len(want.coeffs))
+def _max_error(pairs, tol: Scalar) -> tuple:
+    """(max error, all within tolerance?) over ``(got, want)`` pairs; an
+    equal exact pair leaves the maximum alone, so all-exact agreement
+    reports the int 0."""
     worst: Scalar = 0
-    ok = True
-    for j in range(width):
-        g = got.coeff(j)
-        w = want.coeff(j)
-        diff = exact_sub(g, w)
-        if is_exact(diff):
-            if not scalar_is_zero(diff):
-                ok = False
-                worst = max(to_mpf(worst), abs(to_mpf(diff)))
-        else:
-            err = abs(to_mpf(diff))
-            bound = to_mpf(tol) * (1 + abs(to_mpf(w)))
-            if err > bound:
-                ok = False
+    ok_all = True
+    for got, want in pairs:
+        err, ok = agree(got, want, tol)
+        if not is_exact(err):
             worst = max(to_mpf(worst), err)
-    return worst, ok
+        ok_all = ok_all and ok
+    return worst, ok_all
 
 
 def _pearson_residual(spec: FunctionalSpec, pair: PearsonPair, points: int = 6):
@@ -558,7 +532,10 @@ def _check_instance(
         assembled = assembled + _assemble_rows(
             entry.xi["rows_base"], values, base_table
         )
-    xi_err, xi_ok = _poly_close(assembled, eq.xi, tol)
+    width = max(len(assembled.coeffs), len(eq.xi.coeffs))
+    xi_err, xi_ok = _max_error(
+        ((assembled.coeff(j), eq.xi.coeff(j)) for j in range(width)), tol
+    )
     checks["xi_identity"] = {"max_error": xi_err, "pass": xi_ok}
 
     verdict = verify_equation(spec, eq, tol=tol)
@@ -568,21 +545,12 @@ def _check_instance(
     }
 
     if entry.moments_form is not None:
-        worst: Scalar = 0
-        ok_all = True
-        for n in range(max_moment + 1):
-            want = moment_formula(entry, values, n)
-            diff = exact_sub(want, table[n])
-            if is_exact(diff):
-                ok = scalar_is_zero(diff)
-                if not ok:
-                    worst = max(to_mpf(worst), abs(to_mpf(diff)))
-            else:
-                err = abs(to_mpf(diff))
-                ok = err <= to_mpf(tol) * (1 + abs(to_mpf(table[n])))
-                worst = max(to_mpf(worst), err)
-            ok_all = ok_all and ok
-        checks["moment_formula"] = {"max_error": worst, "pass": ok_all}
+        worst, ok = _max_error(
+            ((moment_formula(entry, values, n), table[n])
+             for n in range(max_moment + 1)),
+            tol,
+        )
+        checks["moment_formula"] = {"max_error": worst, "pass": ok}
 
     if entry.special_values is not None:
         parent = get_entry(entry.parent)

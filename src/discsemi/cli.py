@@ -26,9 +26,9 @@ from .errors import DiscsemiError, InputError
 from .functional import FunctionalSpec, moments, pearson_pair
 from .hyper import ConvergenceClass, HyperSeries, classify_convergence
 from .orthopoly import chebyshev_from_moments, recurrence_from_moments
-from .scalars import is_exact, parse_rational, scalar_to_json, to_mpf
+from .scalars import agree, parse_rational, scalar_to_json
 from .stieltjeseq import StieltjesEquation, derive_equation, verify_equation
-from .transforms import apply_transform, transform_from_json
+from .transforms import apply_transform
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +195,7 @@ def _cmd_transform(args, tol) -> tuple:
             "transform input must be an object with 'spec' and 'transform'"
         )
     spec = _spec_from(data["spec"])
-    kind = transform_from_json(data["transform"])
-    out_spec, table = apply_transform(spec, kind, tol)
+    out_spec, table = apply_transform(spec, data["transform"], tol)
     if table is None or len(table) <= args.count:
         table = moments(out_spec, args.count, tol)
     eq = derive_equation(out_spec, tol)
@@ -210,15 +209,9 @@ def _cmd_transform(args, tol) -> tuple:
 
 
 def _coeffs_agree(left, right, tol) -> bool:
-    if len(left) != len(right):
-        return False
-    for x, y in zip(left, right):
-        if is_exact(x) and is_exact(y):
-            if x != y:
-                return False
-        elif abs(to_mpf(x) - to_mpf(y)) > to_mpf(tol) * (1 + abs(to_mpf(y))):
-            return False
-    return True
+    return len(left) == len(right) and all(
+        agree(x, y, tol)[1] for x, y in zip(left, right)
+    )
 
 
 def _cmd_recurrence(args, tol) -> tuple:

@@ -252,21 +252,24 @@ def orthogonality_check(
 ) -> dict:
     """Gram matrix L[p_i p_j] for i, j <= K against the spec's functional.
 
-    Each product ``p_i p_j`` is expanded in the table's falling basis
+    Each ``p_i`` is shifted to the table's basis, and each product
+    ``p_i p_j`` is expanded in its falling basis
     (:func:`~discsemi.polys.falling_coeffs`) and dotted with the moments.
     When the table and the recurrence are exact, the table is scaled by the
-    lcm ``D`` of its denominators and each ``p_i`` by the lcm ``d_i`` of its
-    own, so the expansion runs on ints and each entry is one division by
-    ``D d_i d_j``; an entry is an ``int`` exactly when every coefficient and
-    moment it uses is one.  Otherwise the same loop runs on ``mpf`` moments.
+    lcm ``D`` of its denominators and each shifted ``p_i`` by the lcm ``d_i``
+    of its own, so the expansion runs on ints and each entry is one division
+    by ``D d_i d_j``; an entry is an ``int`` exactly when every shifted
+    coefficient and moment it uses is one.  Otherwise the same loop runs on ``mpf`` moments.
 
     PASS iff every off-diagonal entry is at most tol times the largest
     diagonal entry (exactly zero when the arithmetic is exact) and no
     diagonal entry vanishes.  The matrix is symmetric, so only the entries
     with j > i are computed off the diagonal.
     """
-    polys = rec.polynomials(K)
     table = moments(spec, 2 * K, tol)
+    polys = rec.polynomials(K)
+    if table.basis_shift:
+        polys = [p.shift(-table.basis_shift) for p in polys]
     values = table.values
     exact = all(map(is_exact, values)) and all(
         is_exact(c) for p in polys for c in p.coeffs
@@ -283,8 +286,6 @@ def orthogonality_check(
         polys = [Poly(coeffs) for _, coeffs in scaled]
     else:
         m = [to_mpf(v) for v in values]
-    if table.basis_shift:
-        polys = [p.shift(-table.basis_shift) for p in polys]
 
     def entry(i: int, j: int):
         coeffs = falling_coeffs(polys[i] * polys[j])

@@ -134,18 +134,19 @@ def exact_div(x, y):
         return to_mpf(x) / y
 
 
-def exact_sub(x, y):
-    """Subtraction tolerant of a Fraction left operand and an mpf right one.
+def agree(got: Scalar, want: Scalar, tol: Scalar) -> tuple:
+    """``(error, ok)``: exact values agree when equal, others when
+    ``|got - want| <= tol (1 + |want|)``.
 
-    mpf defines reflected addition and multiplication for Fraction but not
-    reflected subtraction, so ``Fraction - mpf`` raises; rewriting as an
-    addition of the negation sidesteps that without losing exactness when
-    both sides are exact.
+    An equal exact pair gives the int 0, an unequal one ``|got - want|`` as
+    an mpf.  ``Fraction - mpf`` raises (mpf has no reflected subtraction),
+    so an exact ``got`` against an mpf takes ``|want - got|``, which rounds
+    to the same value.
     """
-    try:
-        return x - y
-    except TypeError:
-        return x + (-y)
+    if is_exact(got) and is_exact(want):
+        return (0, True) if got == want else (abs(to_mpf(got - want)), False)
+    error = abs(to_mpf(want - got if is_exact(got) else got - want))
+    return error, error <= to_mpf(tol) * (1 + abs(to_mpf(want)))
 
 
 def scalar_is_zero(x: object) -> bool:

@@ -63,8 +63,7 @@ from .scalars import (
     scalar_to_json,
     to_mpf,
 )
-
-TRANSFORM_KINDS = ("uvarov", "christoffel", "geronimus", "truncate", "symmetrize")
+from .transforms import TRANSFORMS
 
 
 @dataclass(frozen=True)
@@ -359,10 +358,10 @@ def transform_equation(
     single-factor forms are used.
     """
     params = dict(params or {})
-    if kind not in TRANSFORM_KINDS:
+    if kind not in TRANSFORMS:
         raise InputError(
             f"unknown transformation {kind!r}; expected one of "
-            f"{', '.join(TRANSFORM_KINDS)}"
+            f"{', '.join(TRANSFORMS)}"
         )
     sig_s, eta, xi = eq.sigma_shift, eq.eta, eq.xi
     if kind == "uvarov":

@@ -20,12 +20,16 @@ composition laws then hold *exactly* at the spec level: a Geronimus step
 followed by a Christoffel step at the same omega returns the original
 spec, and Christoffel followed by Geronimus returns the Uvarov-extended
 spec.
+
+:func:`apply_transform` takes a transformation in its JSON form,
+``{"kind": "geronimus", "omega": "-1/2", "M": 3}``; :data:`TRANSFORMS`
+lists each kind's fields.  The CLI passes its input through unchanged, and
+the catalog passes the evaluated fields of a subcase's build.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import (
     ConstraintViolated,
@@ -49,118 +53,14 @@ from .polys import poly_from_root_offsets
 from .scalars import (
     DEFAULT_TOL,
     Scalar,
+    agree,
     exact_div,
-    exact_sub,
     is_exact,
     is_nonneg_integer,
     parse_rational,
     scalar_is_zero,
-    scalar_to_json,
     to_mpf,
 )
-
-
-# ---------------------------------------------------------------------------
-# transformation descriptors
-
-
-@dataclass(frozen=True)
-class Uvarov:
-    omega: Scalar
-    M: Scalar
-    kind = "uvarov"
-
-    def to_json(self):
-        return {
-            "kind": "uvarov",
-            "omega": scalar_to_json(self.omega),
-            "M": scalar_to_json(self.M),
-        }
-
-
-@dataclass(frozen=True)
-class Christoffel:
-    omega: Scalar
-    kind = "christoffel"
-
-    def to_json(self):
-        return {"kind": "christoffel", "omega": scalar_to_json(self.omega)}
-
-
-@dataclass(frozen=True)
-class Geronimus:
-    omega: Scalar
-    M: Scalar
-    kind = "geronimus"
-
-    def to_json(self):
-        return {
-            "kind": "geronimus",
-            "omega": scalar_to_json(self.omega),
-            "M": scalar_to_json(self.M),
-        }
-
-
-@dataclass(frozen=True)
-class Truncate:
-    N: int
-    kind = "truncate"
-
-    def to_json(self):
-        return {"kind": "truncate", "N": self.N}
-
-
-@dataclass(frozen=True)
-class Symmetrize:
-    m: int
-    kind = "symmetrize"
-
-    def to_json(self):
-        return {"kind": "symmetrize", "m": self.m}
-
-
-TransformKind = Union[Uvarov, Christoffel, Geronimus, Truncate, Symmetrize]
-
-_FIELDS = {
-    "uvarov": ("omega", "M"),
-    "christoffel": ("omega",),
-    "geronimus": ("omega", "M"),
-    "truncate": ("N",),
-    "symmetrize": ("m",),
-}
-
-
-def transform_from_json(data: object) -> TransformKind:
-    if not isinstance(data, dict) or "kind" not in data:
-        raise InputError("a transformation must be an object with a 'kind'")
-    kind = data["kind"]
-    if kind not in _FIELDS:
-        raise InputError(
-            f"unknown transformation kind {kind!r}; expected one of "
-            f"{', '.join(sorted(_FIELDS))}"
-        )
-    fields = _FIELDS[kind]
-    extras = set(data) - {"kind", *fields}
-    if extras:
-        raise InputError(f"unknown fields for {kind}: {sorted(extras)}")
-    missing = [f for f in fields if f not in data]
-    if missing:
-        raise InputError(f"{kind} needs field(s): {', '.join(missing)}")
-    if kind == "uvarov":
-        return Uvarov(parse_rational(data["omega"]), parse_rational(data["M"]))
-    if kind == "christoffel":
-        return Christoffel(parse_rational(data["omega"]))
-    if kind == "geronimus":
-        return Geronimus(parse_rational(data["omega"]), parse_rational(data["M"]))
-    if kind == "truncate":
-        N = data["N"]
-        if not isinstance(N, int) or isinstance(N, bool) or N < 0:
-            raise InputError("truncate needs a nonnegative integer N")
-        return Truncate(N)
-    m = data["m"]
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise InputError("symmetrize needs a positive integer m")
-    return Symmetrize(m)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +219,8 @@ def apply_geronimus(
             f"the division point must lie off the support lattice "
             f"(omega = {omega} is a support point)"
         ) from None
-    nu0_g = exact_sub(M, S_omega)
+    # Fraction - mpf raises; the negated difference rounds the same
+    nu0_g = -(S_omega - M) if is_exact(M) else M - S_omega
     if _is_zero_tol(nu0_g, S_omega, tol):
         raise RegularityViolation(
             "M - S(omega) = 0: the divided functional is not regular"
@@ -412,24 +313,68 @@ def apply_symmetrization(spec: FunctionalSpec, m: int) -> FunctionalSpec:
     return out
 
 
+#: Each transformation kind and its fields, in the order its ``apply_*``
+#: function takes them.  ``N`` and ``m`` are integers, the rest rationals.
+TRANSFORMS = {
+    "uvarov": ("omega", "M"),
+    "christoffel": ("omega",),
+    "geronimus": ("omega", "M"),
+    "truncate": ("N",),
+    "symmetrize": ("m",),
+}
+
+#: The least value of each integer field, and its name in the error.
+_COUNTS = {"N": (0, "nonnegative"), "m": (1, "positive")}
+
+
+def _field(kind: str, name: str, value: object):
+    if name not in _COUNTS:
+        return parse_rational(value)
+    least, word = _COUNTS[name]
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise InputError(f"{kind} needs a {word} integer {name}")
+    return value
+
+
 def apply_transform(
     spec: FunctionalSpec,
-    kind: TransformKind,
+    data: object,
     tol: Scalar = DEFAULT_TOL,
     K: int = 12,
 ) -> tuple[FunctionalSpec, Optional[MomentTable]]:
-    """Dispatch a transformation descriptor; Geronimus also yields moments."""
-    if isinstance(kind, Uvarov):
-        return apply_uvarov(spec, kind.omega, kind.M, tol), None
-    if isinstance(kind, Christoffel):
-        return apply_christoffel(spec, kind.omega, tol), None
-    if isinstance(kind, Geronimus):
-        return apply_geronimus(spec, kind.omega, kind.M, tol, K)
-    if isinstance(kind, Truncate):
-        return apply_truncation(spec, kind.N), None
-    if isinstance(kind, Symmetrize):
-        return apply_symmetrization(spec, kind.m), None
-    raise InputError(f"unknown transformation descriptor: {kind!r}")
+    """Apply the transformation ``{"kind": ..., <fields>}``.
+
+    The kinds and their fields are those of :data:`TRANSFORMS`, as in the
+    CLI's JSON: rationals as numbers or ``"p/q"`` strings, ``N`` and ``m``
+    as JSON integers.  Raises ``InputError`` for an unknown kind, a missing
+    or extra field, or a bad value.  Geronimus also yields the moments
+    nu_0..nu_K of the result; the other kinds yield ``None`` there.
+    """
+    if not isinstance(data, dict) or "kind" not in data:
+        raise InputError("a transformation must be an object with a 'kind'")
+    kind = data["kind"]
+    if kind not in TRANSFORMS:
+        raise InputError(
+            f"unknown transformation kind {kind!r}; expected one of "
+            f"{', '.join(sorted(TRANSFORMS))}"
+        )
+    fields = TRANSFORMS[kind]
+    extras = set(data) - {"kind", *fields}
+    if extras:
+        raise InputError(f"unknown fields for {kind}: {sorted(extras)}")
+    missing = [f for f in fields if f not in data]
+    if missing:
+        raise InputError(f"{kind} needs field(s): {', '.join(missing)}")
+    args = [_field(kind, name, data[name]) for name in fields]
+    if kind == "uvarov":
+        return apply_uvarov(spec, *args, tol), None
+    if kind == "christoffel":
+        return apply_christoffel(spec, *args, tol), None
+    if kind == "geronimus":
+        return apply_geronimus(spec, *args, tol, K)
+    if kind == "truncate":
+        return apply_truncation(spec, *args), None
+    return apply_symmetrization(spec, *args), None
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +403,7 @@ def compose_check(
         worst = 0
         ok_all = True
         for n in range(K + 1):
-            diff = exact_sub(got[n], expected_values[n])
-            if is_exact(diff):
-                ok = scalar_is_zero(diff)
-                err = 0 if ok else abs(to_mpf(diff))
-            else:
-                err = abs(to_mpf(diff))
-                ok = err <= to_mpf(tol) * (1 + abs(to_mpf(expected_values[n])))
+            err, ok = agree(got[n], expected_values[n], tol)
             worst = max(worst, err)
             ok_all = ok_all and ok
         report[label] = {

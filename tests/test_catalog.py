@@ -1,5 +1,6 @@
 """Tests for the bundled family catalog and its regression suite."""
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -145,6 +146,14 @@ def test_variant_index_validation():
         instantiate("0,0", {"variant": 1})
     with pytest.raises(InputError, match="integer index"):
         instantiate("3,2;N,1/reduced-uvarov", {"variant": "0"})
+
+
+def test_unknown_transform_kind_in_build_rejected():
+    entry = get_entry("1,1/christoffel")
+    transform = dict(entry.build["transform"], kind="moebius")
+    bad = dataclasses.replace(entry, build=dict(entry.build, transform=transform))
+    with pytest.raises(InputError, match="unknown transformation kind"):
+        _build_spec(bad, resolve_params(entry), TOL)
 
 
 def test_variants_place_the_recorded_mass_points():

@@ -9,6 +9,11 @@ an exact kernel that alters a value, its type or its rendering shows here.
 To re-record a file after an intended output change, run that command and
 redirect its output into the file.
 
+``transform-<kind>.json`` holds an exact specification and one
+transformation of each kind (Christoffel and Geronimus act on truncated
+specs, since both reject windows); ``transform-<kind>.out`` is the output of
+``python -m discsemi transform -n 3 --input transform-<kind>.json``.
+
 ``catalog-exact.suite.out`` is the output of ``python -m discsemi catalog
 suite --ids ...`` on the 33 catalog entries whose reports hold no floating
 value (the truncated, window and finite-N families and their transforms);
@@ -34,6 +39,7 @@ COMMANDS = {
     "verify": ["verify"],
     "recurrence": ["recurrence", "--method", "both", "-n", "4"],
 }
+TRANSFORMS = ("uvarov", "christoffel", "geronimus", "truncate", "symmetrize")
 
 
 @pytest.fixture(autouse=True)
@@ -50,6 +56,13 @@ def test_cli_output_matches_golden_file(spec, command, capsys):
     assert code == 0
     want = (DATA / f"{spec}.{command}.out").read_text()
     assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("kind", TRANSFORMS)
+def test_transform_output_matches_golden_file(kind, capsys):
+    spec = DATA / f"transform-{kind}.json"
+    assert main(["transform", "-n", "3", "--input", str(spec)]) == 0
+    assert capsys.readouterr().out == spec.with_suffix(".out").read_text()
 
 
 def test_catalog_suite_matches_golden_file(capsys):

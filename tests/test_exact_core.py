@@ -23,6 +23,7 @@ from discsemi.polys import (
     poly_from_root_offsets,
 )
 from discsemi.scalars import (
+    agree,
     format_rational,
     is_nonneg_integer,
     is_nonpos_integer,
@@ -78,6 +79,45 @@ def test_integer_predicates():
 def test_to_mpf_is_correctly_rounded():
     x = to_mpf(Fraction(1, 3))
     assert abs(x - mp.mpf(1) / 3) == 0
+
+
+with mp.workdps(50):
+    _THIRD = mp.mpf(1) / 3
+    _NEAR_1000 = 1000 + mp.mpf(10) ** -27
+
+
+def _old_sub(x, y):
+    """The subtraction the comparisons used before ``agree``: ``x + (-y)``
+    where ``x - y`` raises (a Fraction ``x`` and an mpf ``y``)."""
+    try:
+        return x - y
+    except TypeError:
+        return x + (-y)
+
+
+@pytest.mark.parametrize("got, want, tol, ok", [
+    (Fraction(1, 3), Fraction(2, 6), Fraction(1, 10**30), True),
+    (2, Fraction(4, 2), 0, True),
+    (Fraction(1, 3), Fraction(1, 4), 1, False),
+    (Fraction(1, 3), _THIRD, Fraction(1, 10**40), True),
+    (_THIRD, Fraction(1, 3), Fraction(1, 10**40), True),
+    (Fraction(1, 7), _THIRD, Fraction(1, 10**40), False),
+    (_THIRD, Fraction(1, 7), Fraction(1, 10**40), False),
+    # |got - want| = 1e-27 passes at tol 1e-30 only through the 1 + |want|
+    (_NEAR_1000, 1000, Fraction(1, 10**30), True),
+    (_NEAR_1000 - 1000, 0, Fraction(1, 10**30), False),
+])
+def test_agree(got, want, tol, ok):
+    with mp.workdps(50):
+        error, within = agree(got, want, tol)
+        assert within is ok
+    exact = not isinstance(got, mp.mpf) and not isinstance(want, mp.mpf)
+    if exact and got == want:
+        assert type(error) is int and error == 0
+        return
+    with mp.workdps(50):
+        oracle = abs(to_mpf(_old_sub(got, want)))
+    assert isinstance(error, mp.mpf) and error.man_exp == oracle.man_exp
 
 
 # ---------------------------------------------------------------------------

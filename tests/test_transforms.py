@@ -25,11 +25,6 @@ from discsemi.functional import (
 )
 from discsemi.scalars import to_mpf
 from discsemi.transforms import (
-    Christoffel,
-    Geronimus,
-    Symmetrize,
-    Truncate,
-    Uvarov,
     apply_christoffel,
     apply_geronimus,
     apply_symmetrization,
@@ -38,7 +33,6 @@ from discsemi.transforms import (
     apply_uvarov,
     canonicalize,
     compose_check,
-    transform_from_json,
 )
 
 mp.dps = 50
@@ -69,55 +63,41 @@ def class_of(spec):
 
 
 # ---------------------------------------------------------------------------
-# descriptors and JSON
-
-
-def test_transform_kind_json_round_trip():
-    kinds = [
-        Uvarov(Fraction(-3, 2), 1),
-        Christoffel(Fraction(-3, 2)),
-        Geronimus(Fraction(-1, 2), 3),
-        Truncate(4),
-        Symmetrize(2),
-    ]
-    for kind in kinds:
-        assert transform_from_json(kind.to_json()) == kind
-    assert Geronimus(Fraction(-1, 2), 3).to_json() == {
-        "kind": "geronimus",
-        "omega": "-1/2",
-        "M": 3,
-    }
+# the JSON form of a transformation
 
 
 def test_transform_kind_json_validation():
-    with pytest.raises(InputError):
-        transform_from_json({"kind": "moebius", "omega": "1"})
-    with pytest.raises(InputError):
-        transform_from_json({"omega": "1"})
-    with pytest.raises(InputError):
-        transform_from_json({"kind": "uvarov", "omega": "1"})
-    with pytest.raises(InputError):
-        transform_from_json({"kind": "christoffel", "omega": "1", "M": "1"})
-    with pytest.raises(InputError):
-        transform_from_json({"kind": "truncate", "N": -1})
-    with pytest.raises(InputError):
-        transform_from_json({"kind": "truncate", "N": "4"})
-    with pytest.raises(InputError):
-        transform_from_json({"kind": "symmetrize", "m": 0})
+    for data in (
+        {"kind": "moebius", "omega": "1"},
+        {"omega": "1"},
+        ["uvarov", "1", "1"],
+        {"kind": "uvarov", "omega": "1"},
+        {"kind": "christoffel", "omega": "1", "M": "1"},
+        {"kind": "geronimus", "omega": "one", "M": "1"},
+        {"kind": "truncate", "N": -1},
+        {"kind": "truncate", "N": "4"},
+        {"kind": "truncate", "N": True},
+        {"kind": "symmetrize", "m": 0},
+    ):
+        with pytest.raises(InputError):
+            apply_transform(charlier(), data)
 
 
 def test_apply_transform_dispatch():
     spec = charlier()
-    out, extra = apply_transform(spec, Uvarov(2, 1))
+    out, extra = apply_transform(spec, {"kind": "uvarov", "omega": 2, "M": 1})
     assert out.masses == (Mass(2, 1),)
     assert extra is None
     out, table = apply_transform(
-        spec, transform_from_json({"kind": "geronimus", "omega": "-1/2", "M": "3"})
+        spec, {"kind": "geronimus", "omega": "-1/2", "M": "3"}
     )
+    assert out == apply_geronimus(spec, Fraction(-1, 2), 3)[0]
     assert table is not None and len(table.values) == 13
-    out, _ = apply_transform(krawtchouk(4), Truncate(2))
+    out, _ = apply_transform(spec, {"kind": "christoffel", "omega": "-3/2"})
+    assert out == apply_christoffel(spec, Fraction(-3, 2))
+    out, _ = apply_transform(krawtchouk(4), {"kind": "truncate", "N": 2})
     assert out.support == Support.truncated(2)
-    out, _ = apply_transform(charlier(), Symmetrize(1))
+    out, _ = apply_transform(charlier(), {"kind": "symmetrize", "m": 1})
     assert out.support == Support.symmetrized_shift(1)
 
 
