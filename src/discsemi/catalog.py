@@ -9,8 +9,8 @@ entry carries default parameter values, documented validity constraints,
 the right-hand side of its Stieltjes difference equation stored as linear
 forms in the moments, and -- where an algebraically independent one exists
 -- a closed moment formula.  The expressions are stored as strings over the
-entry's parameter names and parsed with :func:`~discsemi.params.parse_param_expr`,
-once per process and text, on first use; loading the catalog parses nothing.
+entry's parameter names and compiled with :func:`~discsemi.params.compile_expr`,
+once per process and text, on first use; loading the catalog compiles nothing.
 
 :func:`instantiate` resolves an entry plus user assignments into a concrete
 :class:`~discsemi.functional.FunctionalSpec`, enforcing the recorded
@@ -36,7 +36,6 @@ import mpmath as mp
 
 from .combin import falling_factorial, pochhammer
 from .errors import (
-    ComputationError,
     ConstraintViolated,
     DegenerateSymmetrization,
     DiscsemiError,
@@ -50,7 +49,7 @@ from .functional import (
     weight_at,
 )
 from .hyper import HyperSeries, eval_hyper_finite_sum
-from .params import _tokenize, parse_param_expr
+from .params import compile_expr
 from .polys import Poly, poly_from_root_offsets
 from .scalars import (
     DEFAULT_TOL,
@@ -227,24 +226,16 @@ _GREEK_KEYS = {"ω": "omega", "Ω": "Omega", "ν": "nu"}
 
 
 @lru_cache(maxsize=None)
-def _parse_once(text: str) -> tuple:
-    """``text`` parsed without a symbol table, and every symbol it names."""
-    names = frozenset(v for kind, v in _tokenize(text) if kind == "name")
-    return parse_param_expr(text), names
+def _compile_once(text: str) -> tuple:
+    return compile_expr(text)
 
 
 def _eval_expr(text: str, values: dict) -> Fraction:
-    text = str(text)
-    try:
-        poly, names = _parse_once(text)
-        known = names <= values.keys()
-    except InputError:
-        known = False
-    if not known:
-        # raises the error a parse against this symbol table gives
-        poly = parse_param_expr(text, allowed=set(values))
-    out = poly.subs(values)
-    return Fraction(out) if not isinstance(out, Fraction) else out
+    evaluate, names = _compile_once(str(text))
+    for name in names:
+        if name not in values:
+            raise InputError(f"unknown symbol {name!r} in expression")
+    return evaluate(values)
 
 
 def resolve_params(entry: CatalogEntry, assignments: Optional[dict] = None) -> dict:
@@ -489,10 +480,7 @@ def _parent_pair_from_values(
     z_val = _eval_expr(template["z"], sv_values)
     eta = poly_from_root_offsets(a_vals, leading=z_val)
     sigma = poly_from_root_offsets(b_vals) * Poly((0, 1))
-    if shift:
-        eta = eta.shift(shift)
-        sigma = sigma.shift(shift)
-    return eta, sigma
+    return eta.shift(shift), sigma.shift(shift)
 
 
 def _check_instance(

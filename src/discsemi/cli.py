@@ -195,8 +195,8 @@ def _cmd_transform(args, tol) -> tuple:
             "transform input must be an object with 'spec' and 'transform'"
         )
     spec = _spec_from(data["spec"])
-    out_spec, table = apply_transform(spec, data["transform"], tol)
-    if table is None or len(table) <= args.count:
+    out_spec, table = apply_transform(spec, data["transform"], tol, args.count)
+    if table is None:
         table = moments(out_spec, args.count, tol)
     eq = derive_equation(out_spec, tol)
     payload = {

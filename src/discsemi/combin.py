@@ -1,9 +1,8 @@
 """Combinatorial primitives: shifted factorials and Stirling numbers.
 
-The rising factorial (Pochhammer symbol) and the falling factorial are
-implemented generically: the base may be an int, Fraction, mpf, or any
-object supporting addition with small integers and multiplication, which
-lets the same helpers serve exact, floating, and symbolic computations.
+The rising factorial (Pochhammer symbol) and the falling factorial take an
+int, Fraction or mpf base, so the same helpers serve exact and floating
+computations.
 """
 
 from __future__ import annotations
@@ -78,11 +77,8 @@ def stirling_convert(nu) -> list:
     shifted_powers = [
         sum(stirling2(j, n) * values[n] for n in range(j + 1)) for j in range(K + 1)
     ]
-    try:
-        if shift == 0:
-            return shifted_powers
-    except TypeError:
-        pass
+    if shift == 0:
+        return shifted_powers
     return [
         sum(
             binomial(k, j) * (-shift) ** (k - j) * shifted_powers[j]

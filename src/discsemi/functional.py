@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .combin import falling_factorial, pochhammer_multi
@@ -520,8 +519,7 @@ def functional_of_poly(table: MomentTable, p: Poly):
         raise InputError(
             f"need moments up to degree {p.degree}, have {len(table.values) - 1}"
         )
-    shifted = p.shift(-table.basis_shift) if table.basis_shift else p
-    coeffs = falling_coeffs(shifted)
+    coeffs = falling_coeffs(p.shift(-table.basis_shift))
     total = 0
     for n, c in enumerate(coeffs):
         total = total + c * table.values[n]

@@ -125,17 +125,6 @@ def classify_convergence(h: HyperSeries) -> ConvergenceClass:
     return ConvergenceClass("Divergent")
 
 
-def _check_poles(b: Sequence, last_index: int) -> None:
-    """Raise PoleInDenominator if some (b_j)_k vanishes for a k <= last_index
-    that the sum will actually visit with a nonzero term."""
-    for bj in b:
-        if is_nonpos_integer(bj) and -int(bj) < last_index:
-            raise PoleInDenominator(
-                f"denominator parameter {bj} produces a zero factor at "
-                f"term {int(-bj) + 1} before the series terminates"
-            )
-
-
 #: Terms multiplied out directly at each leaf of the binary splitting.
 _LEAF_TERMS = 16
 
@@ -235,7 +224,6 @@ def eval_hyper(
     """
     cls = classify_convergence(h)
     if cls.tag == "Terminating":
-        _check_poles(h.b, cls.degree)
         return eval_hyper_finite_sum(h, cls.degree)
     for bj in h.b:
         if is_nonpos_integer(bj):

@@ -267,9 +267,7 @@ def orthogonality_check(
     with j > i are computed off the diagonal.
     """
     table = moments(spec, 2 * K, tol)
-    polys = rec.polynomials(K)
-    if table.basis_shift:
-        polys = [p.shift(-table.basis_shift) for p in polys]
+    polys = [p.shift(-table.basis_shift) for p in rec.polynomials(K)]
     values = table.values
     exact = all(map(is_exact, values)) and all(
         is_exact(c) for p in polys for c in p.coeffs

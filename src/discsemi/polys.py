@@ -1,12 +1,9 @@
-"""Dense univariate polynomials with generic coefficients.
+"""Dense univariate polynomials with scalar coefficients.
 
 A :class:`Poly` stores coefficients from lowest to highest degree in a
 trimmed tuple, so the zero polynomial is the empty tuple and has degree -1.
-Coefficients may be ints, Fractions, mpmath floats, or
-:class:`~discsemi.params.ParamPoly` symbols -- anything closed under
-addition and multiplication with itself and with small integers.  This lets
-the same polynomial code run exactly on rational data, numerically on
-floats, and symbolically on named parameters.
+Coefficients are ints, Fractions or mpmath floats, so the same polynomial
+code runs exactly on rational data and numerically on floats.
 
 Evaluation uses Horner's scheme and accepts either a scalar or another
 Poly, so composition (in particular the argument shift ``p(x + h)``) needs
@@ -15,7 +12,6 @@ no separate implementation.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .scalars import scalar_is_zero
@@ -152,7 +148,10 @@ class Poly:
         return result
 
     def shift(self, h) -> "Poly":
-        """The polynomial ``p(x + h)``."""
+        """The polynomial ``p(x + h)``; ``p`` itself, coefficients and all,
+        when ``h == 0``."""
+        if h == 0:
+            return self
         return self(Poly((h, 1)))
 
     def deflate(self, root) -> "Poly":
@@ -187,9 +186,9 @@ class Poly:
                 body = f"({c})" if _needs_parens(c) else f"{c}"
             else:
                 xpart = variable if i == 1 else f"{variable}^{i}"
-                if _is_one(c):
+                if c == 1:
                     body = xpart
-                elif _is_minus_one(c):
+                elif c == -1:
                     body = f"-{xpart}"
                 else:
                     cstr = f"({c})" if _needs_parens(c) else f"{c}"
@@ -210,20 +209,6 @@ class Poly:
 def _needs_parens(c) -> bool:
     text = str(c)
     return ("+" in text[1:]) or ("-" in text[1:])
-
-
-def _is_one(c) -> bool:
-    try:
-        return scalar_is_zero(c - 1)
-    except TypeError:
-        return False
-
-
-def _is_minus_one(c) -> bool:
-    try:
-        return scalar_is_zero(c + 1)
-    except TypeError:
-        return False
 
 
 def poly_from_root_offsets(offsets: Iterable, leading=1) -> Poly:

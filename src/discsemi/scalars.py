@@ -121,8 +121,8 @@ def exact_div(x, y):
     """Division that keeps exact operands exact.
 
     Plain ``/`` between two ints produces a float; this routes exact inputs
-    through Fraction arithmetic instead, and leaves other types (mpf,
-    symbolic) to their own division.  A Fraction numerator over an mpf
+    through Fraction arithmetic instead, and leaves mpf operands to mpf
+    division.  A Fraction numerator over an mpf
     denominator needs an explicit promotion (Fraction refuses the mpf and
     mpf has no reflected division for Fraction).
     """
@@ -149,12 +149,6 @@ def agree(got: Scalar, want: Scalar, tol: Scalar) -> tuple:
     return error, error <= to_mpf(tol) * (1 + abs(to_mpf(want)))
 
 
-def scalar_is_zero(x: object) -> bool:
-    """Zero test that also understands symbolic coefficients.
-
-    Works for int/Fraction/mpf and for any object exposing ``is_zero()``.
-    """
-    probe = getattr(x, "is_zero", None)
-    if callable(probe):
-        return bool(probe())
+def scalar_is_zero(x: Scalar) -> bool:
+    """Exact zero test for an int, Fraction or mpf."""
     return x == 0

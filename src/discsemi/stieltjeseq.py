@@ -172,12 +172,9 @@ def derive_xi(pair: PearsonPair, table: MomentTable) -> StieltjesEquation:
     class carried by the pair.
     """
     shift = table.basis_shift
-    sig_s = pair.sigma_shift
-    eta = pair.eta
-    if shift:
-        # recentre to the variable in which the support starts at 0
-        sig_s = sig_s.shift(-shift)
-        eta = eta.shift(-shift)
+    # recentre to the variable in which the support starts at 0
+    sig_s = pair.sigma_shift.shift(-shift)
+    eta = pair.eta.shift(-shift)
     # boundary polynomial rho(0) * sigma(t+1)/(t+1): exact division by (t+1)
     try:
         boundary = sig_s.deflate(-1)

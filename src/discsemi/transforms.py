@@ -45,7 +45,6 @@ from .functional import (
     MomentTable,
     Support,
     moments,
-    pearson_pair,
     stieltjes_eval,
 )
 from .combin import falling_factorial
@@ -250,8 +249,7 @@ def apply_geronimus(
 
 def apply_truncation(spec: FunctionalSpec, N: int) -> FunctionalSpec:
     """Cut the support at N (keep x = 0..N only)."""
-    if not isinstance(N, int) or isinstance(N, bool) or N < 0:
-        raise InputError("truncation needs a nonnegative integer N")
+    support = Support.truncated(N)
     if spec.support.kind != "infinite":
         raise ConstraintViolated(
             "truncation applies to a spec with untruncated support"
@@ -267,7 +265,7 @@ def apply_truncation(spec: FunctionalSpec, N: int) -> FunctionalSpec:
         b=spec.b,
         z=spec.z,
         scale=spec.scale,
-        support=Support.truncated(N),
+        support=support,
         masses=spec.masses,
     )
 
@@ -282,8 +280,7 @@ def apply_symmetrization(spec: FunctionalSpec, m: int) -> FunctionalSpec:
     z0 = (-1)^(p+q+1).  The result is normalized so the weight is 1 at the
     left window endpoint.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise InputError("symmetrization needs a positive integer m")
+    support = Support.symmetrized_shift(m)
     if spec.support.kind != "infinite":
         raise ConstraintViolated(
             "symmetrization applies to a spec with untruncated support"
@@ -304,7 +301,7 @@ def apply_symmetrization(spec: FunctionalSpec, m: int) -> FunctionalSpec:
         a=a2,
         b=spec.b + mirrored_b,
         z=z0,
-        support=Support.symmetrized_shift(m),
+        support=support,
     )
     if moments(out, 0).degenerate:
         raise DegenerateSymmetrization(
@@ -314,7 +311,8 @@ def apply_symmetrization(spec: FunctionalSpec, m: int) -> FunctionalSpec:
 
 
 #: Each transformation kind and its fields, in the order its ``apply_*``
-#: function takes them.  ``N`` and ``m`` are integers, the rest rationals.
+#: function takes them.  ``N`` and ``m`` are integers, which
+#: :class:`~discsemi.functional.Support` checks; the rest are rationals.
 TRANSFORMS = {
     "uvarov": ("omega", "M"),
     "christoffel": ("omega",),
@@ -322,18 +320,6 @@ TRANSFORMS = {
     "truncate": ("N",),
     "symmetrize": ("m",),
 }
-
-#: The least value of each integer field, and its name in the error.
-_COUNTS = {"N": (0, "nonnegative"), "m": (1, "positive")}
-
-
-def _field(kind: str, name: str, value: object):
-    if name not in _COUNTS:
-        return parse_rational(value)
-    least, word = _COUNTS[name]
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        raise InputError(f"{kind} needs a {word} integer {name}")
-    return value
 
 
 def apply_transform(
@@ -365,7 +351,10 @@ def apply_transform(
     missing = [f for f in fields if f not in data]
     if missing:
         raise InputError(f"{kind} needs field(s): {', '.join(missing)}")
-    args = [_field(kind, name, data[name]) for name in fields]
+    args = [
+        data[name] if name in ("N", "m") else parse_rational(data[name])
+        for name in fields
+    ]
     if kind == "uvarov":
         return apply_uvarov(spec, *args, tol), None
     if kind == "christoffel":

@@ -13,8 +13,8 @@ from discsemi.catalog import (
     SECTION_CLASS,
     _build_spec,
     _check_instance,
+    _compile_once,
     _eval_expr,
-    _parse_once,
     catalog_entries,
     get_entry,
     instantiate,
@@ -29,7 +29,7 @@ from discsemi.errors import (
     InputError,
 )
 from discsemi.functional import FunctionalSpec, moments, pearson_pair
-from discsemi.params import parse_param_expr
+from discsemi.params import compile_expr
 from discsemi.stieltjeseq import derive_equation, derive_xi
 
 mp.dps = 60
@@ -332,24 +332,28 @@ def test_derive_xi_on_longer_table_matches_derive_equation():
 @pytest.mark.parametrize("text", ["a1*z + b1", "b1 - b1 + z"])
 def test_cached_parse_raises_like_an_uncached_one(text):
     full = {"a1": F(1, 3), "b1": F(2), "z": F(1, 2)}
-    assert _eval_expr(text, full) == parse_param_expr(text).subs(full)
+    evaluate, _names = compile_expr(text)
+    assert _eval_expr(text, full) == evaluate(full)
     lacking = {"a1": F(1, 3), "z": F(1, 2)}
-    with pytest.raises(InputError) as uncached:
-        parse_param_expr(text, allowed=set(lacking))
-    with pytest.raises(InputError) as cached:
-        _eval_expr(text, lacking)
-    assert str(cached.value) == str(uncached.value)
+    for _ in range(2):  # the second call hits the cache
+        with pytest.raises(InputError, match="^unknown symbol 'b1' in expression$"):
+            _eval_expr(text, lacking)
+
+
+def test_syntax_fault_reported_before_unknown_symbol():
+    with pytest.raises(InputError, match="^unexpected token '\\)' in expression$"):
+        _eval_expr("q + )", {})
 
 
 def test_regression_suite_parses_each_text_once(monkeypatch):
-    parsed = Counter()
+    compiled = Counter()
 
-    def counting(text, allowed=None):
-        parsed[text] += 1
-        return parse_param_expr(text, allowed)
+    def counting(text):
+        compiled[text] += 1
+        return compile_expr(text)
 
-    monkeypatch.setattr(discsemi.catalog, "parse_param_expr", counting)
-    _parse_once.cache_clear()
+    monkeypatch.setattr(discsemi.catalog, "compile_expr", counting)
+    _compile_once.cache_clear()
     regression_suite()
     regression_suite()
-    assert parsed and set(parsed.values()) == {1}
+    assert compiled and set(compiled.values()) == {1}

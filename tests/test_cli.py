@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp
@@ -164,6 +165,21 @@ def test_raw_window_not_ending_at_2m_is_rejected(monkeypatch, capsys):
                              spec, monkeypatch, capsys)
     assert code == 2
     assert payload["error"]["type"] == "ConstraintViolated"
+
+
+@pytest.mark.parametrize(
+    "kind, count",
+    [(kind, 3) for kind in ("uvarov", "christoffel", "geronimus", "truncate",
+                            "symmetrize")]
+    + [("geronimus", 15)],  # past the 12 moments Geronimus gives by default
+)
+def test_transform_prints_count_plus_one_moments(kind, count, capsys):
+    spec = Path(__file__).parent / "data" / "cli_golden" / f"transform-{kind}.json"
+    code, payload = run_json(["transform", "-n", str(count), "--input", str(spec)],
+                             None, None, capsys)
+    assert code == 0
+    assert len(payload["moments"]["values"]) == count + 1
+    assert len(payload["moments"]["exact"]) == count + 1
 
 
 def test_transform_requires_both_keys(monkeypatch, capsys):

@@ -1,4 +1,4 @@
-"""Tests for the exact scalar, combinatorial, symbolic, and polynomial cores."""
+"""Tests for the exact scalar, combinatorial, expression, and polynomial cores."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from discsemi.combin import (
     stirling2,
 )
 from discsemi.errors import InputError
-from discsemi.params import ParamPoly, parse_param_expr
+from discsemi.params import compile_expr
 from discsemi.polys import (
     Poly,
     difference_quotient_rows,
@@ -155,45 +155,42 @@ def test_binomial_edges():
 
 
 # ---------------------------------------------------------------------------
-# ParamPoly
+# expressions
 
 
-def test_parampoly_ring_identities():
-    a, b = ParamPoly.var("a"), ParamPoly.var("b")
-    assert (a + b) ** 2 == a * a + 2 * a * b + b * b
-    assert (a - b) * (a + b) == a**2 - b**2
-    assert (a * 0).is_zero()
-    assert a - a == 0
-    assert 1 + a - a == 1
+@given(
+    st.fractions(min_value=-100, max_value=100, max_denominator=50),
+    st.fractions(min_value=-100, max_value=100, max_denominator=50),
+)
+def test_compile_expr(a, b):
+    values = {"a": a, "b": b, "t": a}
+    square, names = compile_expr("(a+b)^2 - a**2 - 2*a*b - b^2")
+    assert names == ("a", "b")
+    assert square(values) == 0 and type(square(values)) is Fraction
+    line, names = compile_expr("3/2*t - 1/2")
+    assert names == ("t",) and line(values) == Fraction(3, 2) * a - Fraction(1, 2)
+    evaluate, names = compile_expr("-(b-1)*(a+1)/(3-1)^2 + b")
+    assert names == ("b", "a")
+    assert evaluate(values) == -(b - 1) * (a + 1) / 4 + b
 
 
-def test_parampoly_subs():
-    a, b = ParamPoly.var("a"), ParamPoly.var("b")
-    p = a**2 + 3 * b - Fraction(1, 2)
-    assert p.subs({"a": Fraction(1, 2), "b": Fraction(1, 3)}) == Fraction(3, 4)
-    assert p.subs({"a": 2, "b": 0}) == Fraction(7, 2)
-    with pytest.raises(InputError):
-        p.subs({"a": 1})
-    numeric = p.subs({"a": mp.mpf(2), "b": mp.mpf(1)})
-    assert abs(numeric - mp.mpf("6.5")) == 0
-
-
-def test_parse_param_expr():
-    p = parse_param_expr("(a+b)^2 - a**2 - 2*a*b - b^2")
-    assert p.is_zero()
-    q = parse_param_expr("3/2*t - 1/2")
-    assert q == Fraction(3, 2) * ParamPoly.var("t") - Fraction(1, 2)
-    assert parse_param_expr("-(a-1)*(a+1)") == 1 - ParamPoly.var("a") ** 2
-    with pytest.raises(InputError):
-        parse_param_expr("a/b")
-    with pytest.raises(InputError):
-        parse_param_expr("a +* b")
-    with pytest.raises(InputError):
-        parse_param_expr("q + 1", allowed={"a", "b"})
-    with pytest.raises(InputError):
-        parse_param_expr("a ? b")
-    with pytest.raises(InputError):
-        parse_param_expr("2 a")
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a/b", "division is only supported by nonzero constants"),
+        ("a/(2-2)", "division is only supported by nonzero constants"),
+        ("a/a", "division is only supported by nonzero constants"),
+        ("a^b", "exponents must be nonnegative integer literals"),
+        ("a +* b", "unexpected token '*' in expression"),
+        ("a ? b", "unexpected character ' ? b' in expression"),
+        ("2 a", "unexpected trailing token 'a' in expression"),
+        ("(a + 1", "expected ')' in expression, got None"),
+    ],
+)
+def test_compile_expr_rejects(text, message):
+    with pytest.raises(InputError) as err:
+        compile_expr(text)
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +233,9 @@ def test_poly_shift_and_composition():
         assert shifted(point) == p(point + Fraction(3, 2))
     composed = p(Poly([0, 0, 1]))
     assert composed == Poly([1, 0, -2, 0, 5])
-
-
-def test_poly_with_parampoly_coefficients():
-    a = ParamPoly.var("a")
-    p = Poly([a, 1])
-    square = p * p
-    assert square.coeffs == (a * a, 2 * a, ParamPoly.const(1) * 1 + 0)
-    assert square.coeff(1) == 2 * a
-    shifted = Poly([0, 1, 1]).shift(a)
-    assert shifted.coeff(0) == a + a * a
-    assert shifted.coeff(1) == 1 + 2 * a
-    diff = p - Poly([a, 1])
-    assert diff.is_zero()
+    # a zero shift keeps the coefficients, types included
+    q = Poly((Fraction(0), 1))
+    assert [type(c) for c in q.shift(0).coeffs] == [Fraction, int]
 
 
 def test_poly_rendering():
@@ -257,9 +244,7 @@ def test_poly_rendering():
     assert str(Poly.zero()) == "0"
 
 
-def test_scalar_is_zero_handles_symbolic():
-    assert scalar_is_zero(ParamPoly.var("a") - ParamPoly.var("a"))
-    assert not scalar_is_zero(ParamPoly.var("a"))
+def test_scalar_is_zero():
     assert scalar_is_zero(Fraction(0))
     assert not scalar_is_zero(mp.mpf("1e-60"))
 
@@ -270,10 +255,6 @@ def test_poly_deflate_exact_and_failing():
     assert q * Poly([-3, 1]) == p
     with pytest.raises(ArithmeticError):
         p.deflate(Fraction(1, 2))
-    # symbolic root
-    w = ParamPoly.var("w")
-    sp = Poly([0, 1]) * Poly([-w, ParamPoly.const(1)])
-    assert sp.deflate(w) == Poly([0, 1])
     assert Poly.zero().deflate(5).is_zero()
 
 

@@ -128,9 +128,14 @@ def test_tolerance_tightening_improves_accuracy():
 
 
 def test_pole_in_denominator_terminating():
-    # denominator hits zero at term 3 but the series runs to degree 5
-    with pytest.raises(PoleInDenominator):
-        eval_hyper(HyperSeries([-5], [-2], 1))
+    # denominator hits zero at term 3 but the series runs to degree 5;
+    # the terminating branch raises what the finite sum raises
+    series = HyperSeries([-5], [-2], 1)
+    with pytest.raises(PoleInDenominator) as direct:
+        eval_hyper(series)
+    with pytest.raises(PoleInDenominator) as finite:
+        eval_hyper_finite_sum(series, 5)
+    assert str(direct.value) == str(finite.value)
     # pole exactly at the termination degree is never reached; here the
     # parameters cancel and the sum is the truncated exponential 13/8
     value = eval_hyper(HyperSeries([-2], [-2], Fraction(1, 2)))

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 from mpmath import mp
 
 from discsemi.errors import (
@@ -22,7 +23,6 @@ from discsemi.functional import (
     pearson_pair,
     stieltjes_eval,
 )
-from discsemi.params import ParamPoly
 from discsemi.polys import Poly
 from discsemi.scalars import to_mpf
 from discsemi.stieltjeseq import (
@@ -75,40 +75,43 @@ def test_charlier_equation():
     assert abs(eq.xi.coeff(0) - mp.exp(mp.mpf(1) / 2)) < mp.mpf(10) ** -30
 
 
-def test_symbolic_one_denominator_families():
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+nonzero = rationals.filter(lambda q: q != 0)
+
+
+def _symbolic_rows(a, b, z, class_s):
+    """xi_symbolic of the weight with parameter lists a, b and argument z,
+    after checking that the pair has class ``class_s``."""
+    pair = pearson_pair(FunctionalSpec(a=a, b=b, z=z))
+    assert pair.class_s == class_s
+    return derive_xi(pair, MomentTable((1,) * (class_s + 1))).xi_symbolic
+
+
+def _padded(rows):
+    width = max(len(row) for row in rows)
+    return [list(row) + [0] * (width - len(row)) for row in rows]
+
+
+@given(b=rationals, z=nonzero, a=rationals)
+def test_symbolic_one_denominator_families(b, z, a):
     # weight with one denominator parameter and empty numerator list:
     # xi(t) = (t + b + 1) nu_0 + nu_1
-    b = ParamPoly.var("b")
-    z = ParamPoly.var("z")
-    nu0 = ParamPoly.var("nu0")
-    nu1 = ParamPoly.var("nu1")
-    spec = FunctionalSpec(a=(), b=(b,), z=z)
-    pair = pearson_pair(spec)
-    assert pair.class_s == 1
-    eq = derive_xi(pair, MomentTable((nu0, nu1)))
-    assert eq.xi == Poly(((b + 1) * nu0 + nu1, nu0))
+    rows = _symbolic_rows((), (b,), z, 1)
+    assert _padded(rows) == _padded([[b + 1, 1], [1]])
 
     # adding one numerator parameter only shifts the constant by -z:
     # xi(t) = (t + b + 1 - z) nu_0 + nu_1
-    a = ParamPoly.var("a")
-    spec2 = FunctionalSpec(a=(a,), b=(b,), z=z)
-    pair2 = pearson_pair(spec2)
-    assert pair2.class_s == 1
-    eq2 = derive_xi(pair2, MomentTable((nu0, nu1)))
-    assert eq2.xi == Poly(((b + 1 - z) * nu0 + nu1, nu0))
+    rows = _symbolic_rows((a,), (b,), z, 1)
+    assert _padded(rows) == _padded([[b + 1 - z, 1], [1]])
 
 
-def test_symbolic_elementary_symmetric_xi():
+@given(A=st.lists(rationals, min_size=4, max_size=4),
+       B=st.lists(rationals, min_size=3, max_size=3))
+def test_symbolic_elementary_symmetric_xi(A, B):
     # four numerator and three denominator parameters at z = 1 (class 2):
     # the xi coefficients are elementary-symmetric differences between the
     # shifted denominator offsets {b_j + 1} and the numerator offsets {a_i}.
-    A = [ParamPoly.var(f"a{i}") for i in range(1, 5)]
-    B = [ParamPoly.var(f"b{j}") for j in range(1, 4)]
-    nu = [ParamPoly.var(f"nu{n}") for n in range(3)]
     B1 = [bj + 1 for bj in B]
-    spec = FunctionalSpec(a=tuple(A), b=tuple(B), z=1)
-    pair = pearson_pair(spec)
-    assert pair.class_s == 2
 
     def e(vals, k):
         # elementary symmetric polynomial: coefficient of x^(len-k) in prod (x+v)
@@ -117,17 +120,19 @@ def test_symbolic_elementary_symmetric_xi():
             coeffs = [a + v * b for a, b in zip(coeffs + [0], [0] + coeffs)]
         return coeffs[k]
 
-    eq = derive_xi(pair, MomentTable(tuple(nu)))
-    expected = Poly(
-        (
-            (e(B1, 3) - e(A, 3)) * nu[0]
-            + (e(B1, 2) - e(A, 2) - e(A, 1) - 1) * nu[1]
-            + (e(B1, 1) - e(A, 1) - 2) * nu[2],
-            (e(B1, 2) - e(A, 2)) * nu[0] + (e(B1, 1) - e(A, 1) - 1) * nu[1],
-            (e(B1, 1) - e(A, 1)) * nu[0],
-        )
-    )
-    assert eq.xi == expected
+    # the top row vanishes, and the class drops, when e_1(B1) = e_1(A)
+    assume(e(B1, 1) != e(A, 1))
+    rows = _symbolic_rows(tuple(A), tuple(B), 1, 2)
+    expected = [
+        [
+            e(B1, 3) - e(A, 3),
+            e(B1, 2) - e(A, 2) - e(A, 1) - 1,
+            e(B1, 1) - e(A, 1) - 2,
+        ],
+        [e(B1, 2) - e(A, 2), e(B1, 1) - e(A, 1) - 1],
+        [e(B1, 1) - e(A, 1)],
+    ]
+    assert _padded(rows) == _padded(expected)
 
 
 def test_binomial_weight_equation_is_exact():

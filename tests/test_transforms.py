@@ -83,6 +83,26 @@ def test_transform_kind_json_validation():
             apply_transform(charlier(), data)
 
 
+@pytest.mark.parametrize(
+    "kind, name, value",
+    [("truncate", "N", -1), ("truncate", "N", True), ("truncate", "N", "3"),
+     ("symmetrize", "m", 0)],
+)
+def test_bad_count_has_one_message_on_every_route(kind, name, value):
+    apply = apply_truncation if name == "N" else apply_symmetrization
+    support = "truncated" if name == "N" else "symmetrized_shift"
+    messages = set()
+    for route in (
+        lambda: apply_transform(charlier(), {"kind": kind, name: value}),
+        lambda: apply(charlier(), value),
+        lambda: Support(support, **{name: value}),
+    ):
+        with pytest.raises(InputError) as err:
+            route()
+        messages.add(str(err.value))
+    assert len(messages) == 1
+
+
 def test_apply_transform_dispatch():
     spec = charlier()
     out, extra = apply_transform(spec, {"kind": "uvarov", "omega": 2, "M": 1})
