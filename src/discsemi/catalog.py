@@ -54,11 +54,9 @@ from .polys import Poly, poly_from_root_offsets
 from .scalars import (
     DEFAULT_TOL,
     Scalar,
-    agree,
     exact_div,
-    is_exact,
+    max_error,
     parse_rational,
-    scalar_is_zero,
     to_mpf,
 )
 from .stieltjeseq import derive_xi, verify_equation
@@ -386,13 +384,13 @@ def _eval_form(form: dict, values: dict, n: int):
     if kind == "binomial":
         N, z = int(ev("N")), ev("z")
         head = pochhammer(-N, n)
-        if scalar_is_zero(head):
+        if head == 0:
             return Fraction(0)
         return z**n * head * (1 - z) ** (N - n)
     if kind == "symmetric-binomial":
         m = int(ev("m"))
         head = pochhammer(-2 * m, n)
-        if scalar_is_zero(head):
+        if head == 0:
             return Fraction(0)
         return (-1) ** n * head * Fraction(2) ** (2 * m - n)
     if kind == "chu-vandermonde":
@@ -441,33 +439,20 @@ def _assemble_rows(rows: Sequence[Sequence[str]], values: dict, nu) -> Poly:
     return total
 
 
-def _max_error(pairs, tol: Scalar) -> tuple:
-    """(max error, all within tolerance?) over ``(got, want)`` pairs; an
-    equal exact pair leaves the maximum alone, so all-exact agreement
-    reports the int 0."""
-    worst: Scalar = 0
-    ok_all = True
-    for got, want in pairs:
-        err, ok = agree(got, want, tol)
-        if not is_exact(err):
-            worst = max(to_mpf(worst), err)
-        ok_all = ok_all and ok
-    return worst, ok_all
-
-
-def _pearson_residual(spec: FunctionalSpec, pair: PearsonPair, points: int = 6):
-    """Max |sigma(x+1)rho(x+1) - eta(x)rho(x)| over leading support points."""
-    shift = spec.basis_shift
+def _pearson_residual(spec: FunctionalSpec, pair: PearsonPair, tol: Scalar) -> tuple:
+    """:func:`~discsemi.scalars.max_error` of ``sigma(x+1) rho(x+1)``
+    against ``eta(x) rho(x)`` over the first six support points."""
+    lo = -spec.basis_shift
     upper = spec.weight_upper_bound()
-    lo = -shift
-    count = points if upper is None else min(points, upper)
-    worst: Scalar = 0
+    count = 6 if upper is None else min(6, upper)
     rho = [weight_at(spec, x) for x in range(lo, lo + count + 1)]
-    for i, x in enumerate(range(lo, lo + count)):
-        diff = pair.sigma(x + 1) * rho[i + 1] - pair.eta(x) * rho[i]
-        if not scalar_is_zero(diff):
-            worst = max(to_mpf(worst), abs(to_mpf(diff)))
-    return worst
+    return max_error(
+        (
+            (pair.sigma(x + 1) * rho[i + 1], pair.eta(x) * rho[i])
+            for i, x in enumerate(range(lo, lo + count))
+        ),
+        tol,
+    )
 
 
 def _parent_pair_from_values(
@@ -494,11 +479,8 @@ def _check_instance(
     spec = _build_spec(entry, values, inner)
     pair = pearson_pair(spec)
 
-    residual = _pearson_residual(spec, pair)
-    checks["pearson_residual"] = {
-        "max": residual,
-        "pass": scalar_is_zero(residual),
-    }
+    residual, ok = _pearson_residual(spec, pair, tol)
+    checks["pearson_residual"] = {"max": residual, "pass": ok}
 
     checks["class"] = {
         "expected": entry.class_s,
@@ -521,7 +503,7 @@ def _check_instance(
             entry.xi["rows_base"], values, base_table
         )
     width = max(len(assembled.coeffs), len(eq.xi.coeffs))
-    xi_err, xi_ok = _max_error(
+    xi_err, xi_ok = max_error(
         ((assembled.coeff(j), eq.xi.coeff(j)) for j in range(width)), tol
     )
     checks["xi_identity"] = {"max_error": xi_err, "pass": xi_ok}
@@ -533,7 +515,7 @@ def _check_instance(
     }
 
     if entry.moments_form is not None:
-        worst, ok = _max_error(
+        worst, ok = max_error(
             ((moment_formula(entry, values, n), table[n])
              for n in range(max_moment + 1)),
             tol,

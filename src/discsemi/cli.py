@@ -26,7 +26,7 @@ from .errors import DiscsemiError, InputError
 from .functional import FunctionalSpec, moments, pearson_pair
 from .hyper import ConvergenceClass, HyperSeries, classify_convergence
 from .orthopoly import chebyshev_from_moments, recurrence_from_moments
-from .scalars import agree, parse_rational, scalar_to_json
+from .scalars import max_error, parse_rational, scalar_to_json
 from .stieltjeseq import StieltjesEquation, derive_equation, verify_equation
 from .transforms import apply_transform
 
@@ -208,12 +208,6 @@ def _cmd_transform(args, tol) -> tuple:
     return payload, 0
 
 
-def _coeffs_agree(left, right, tol) -> bool:
-    return len(left) == len(right) and all(
-        agree(x, y, tol)[1] for x, y in zip(left, right)
-    )
-
-
 def _cmd_recurrence(args, tol) -> tuple:
     spec = _spec_from(_read_input(args.input))
     table = moments(spec, 2 * args.count, tol)
@@ -223,8 +217,8 @@ def _cmd_recurrence(args, tol) -> tuple:
         return chebyshev_from_moments(table, args.count).to_json(), 0
     hankel = recurrence_from_moments(table, args.count)
     chebyshev = chebyshev_from_moments(table, args.count)
-    agree = _coeffs_agree(hankel.alpha, chebyshev.alpha, tol) and _coeffs_agree(
-        hankel.beta, chebyshev.beta, tol
+    _, agree = max_error(
+        zip(hankel.alpha + hankel.beta, chebyshev.alpha + chebyshev.beta), tol
     )
     payload = {
         "hankel": hankel.to_json(),

@@ -55,7 +55,6 @@ from .scalars import (
     is_exact,
     is_integer,
     parse_rational,
-    scalar_is_zero,
     scalar_to_json,
     to_mpf,
 )
@@ -183,17 +182,26 @@ class FunctionalSpec:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "support", support or Support.infinite())
         object.__setattr__(self, "masses", tuple(masses))
-        if scalar_is_zero(self.z):
+        if self.z == 0:
             raise InputError("the argument z must be nonzero")
         if self.support.kind == "symmetrized_shift":
             # the Pearson pair only describes the window when the weight
             # itself stops there: eta(2m) = z * prod(2m + a_i) = 0
             two_m = 2 * self.support.m
-            if not any(scalar_is_zero(ai + two_m) for ai in self.a):
+            if not any(ai + two_m == 0 for ai in self.a):
                 raise ConstraintViolated(
                     f"a symmetric window {{-m..m}} with m = {self.support.m} "
                     f"needs a numerator parameter equal to -2m = {-two_m}, "
                     f"so that the weight vanishes beyond the window (eta(2m) = 0)"
+                )
+        if self.support.kind == "truncated":
+            # eta(N) = z * prod(N + a_i) = 0 means the weight already stops
+            # at N, and the cut would add a second factor (x - N) to the pair
+            N = self.support.N
+            if any(ai + N == 0 for ai in self.a):
+                raise TruncationAtEtaRoot(
+                    f"truncation at N = {N} is not allowed: the weight already "
+                    f"vanishes beyond N (eta(N) = 0)"
                 )
 
     # -- bookkeeping ---------------------------------------------------------
@@ -207,12 +215,12 @@ class FunctionalSpec:
         merged: list[Mass] = []
         for mass in self.masses:
             for i, seen in enumerate(merged):
-                if scalar_is_zero(seen.omega - mass.omega):
+                if seen.omega == mass.omega:
                     merged[i] = Mass(seen.omega, seen.M + mass.M)
                     break
             else:
                 merged.append(mass)
-        return [mass for mass in merged if not scalar_is_zero(mass.M)]
+        return [mass for mass in merged if mass.M != 0]
 
     def weight_upper_bound(self) -> Optional[int]:
         """Largest index of the stored N_0 weight that can be nonzero.
@@ -237,7 +245,7 @@ class FunctionalSpec:
             "b": [scalar_to_json(x) for x in self.b],
             "z": scalar_to_json(self.z),
         }
-        if not scalar_is_zero(self.scale - 1):
+        if self.scale != 1:
             out["scale"] = scalar_to_json(self.scale)
         out["support"] = self.support.to_json()
         out["masses"] = [mass.to_json() for mass in self.masses]
@@ -295,22 +303,22 @@ class MomentTable:
     """Moments ``nu_n = L[phi_n(x + basis_shift)]`` for n = 0..K.
 
     ``basis_shift`` is 0 on N_0 and ``m`` on the symmetric window, where the
-    natural basis is the shifted falling factorial.  ``exact[n]`` records
-    whether entry n was computed in exact rational arithmetic.  A vanishing
-    nu_0 flags a non-regular functional; it only blocks orthogonal-polynomial
+    natural basis is the shifted falling factorial.  ``exact[n]`` tells
+    whether entry n is an exact rational.  A vanishing nu_0 flags a
+    non-regular functional; it only blocks orthogonal-polynomial
     construction, not further moment work.
     """
 
     values: tuple
     basis_shift: Scalar = 0
-    exact: tuple = ()
 
-    def __init__(self, values: Sequence, basis_shift: Scalar = 0, exact: Sequence = ()):
+    def __init__(self, values: Sequence, basis_shift: Scalar = 0):
         object.__setattr__(self, "values", tuple(values))
         object.__setattr__(self, "basis_shift", basis_shift)
-        if not exact:
-            exact = tuple(is_exact(v) for v in self.values)
-        object.__setattr__(self, "exact", tuple(exact))
+
+    @property
+    def exact(self) -> tuple:
+        return tuple(map(is_exact, self.values))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -321,7 +329,7 @@ class MomentTable:
     @property
     def degenerate(self) -> bool:
         """True when nu_0 = 0 (non-regular functional)."""
-        return not self.values or scalar_is_zero(self.values[0])
+        return not self.values or self.values[0] == 0
 
     def to_json(self) -> dict:
         return {
@@ -390,7 +398,7 @@ def classify_class(eta: Poly, sigma: Poly, p: int, q: int, z: Scalar) -> int:
         s = p - 1
     elif p < q + 1:
         s = q
-    elif not scalar_is_zero(z - 1):
+    elif z != 1:
         s = q
     else:
         s = q - 1
@@ -424,11 +432,6 @@ def pearson_pair(spec: FunctionalSpec) -> PearsonPair:
     sigma = poly_from_root_offsets(spec.b) * Poly((0, 1))
     if spec.support.kind == "truncated":
         N = spec.support.N
-        if scalar_is_zero(eta(N)):
-            raise TruncationAtEtaRoot(
-                f"truncation at N = {N} is not allowed: the weight already "
-                f"vanishes beyond N (eta(N) = 0)"
-            )
         eta = eta * Poly((-N, 1))
         sigma = sigma * Poly((-N - 1, 1))
     if spec.support.kind == "symmetrized_shift":
@@ -438,8 +441,8 @@ def pearson_pair(spec: FunctionalSpec) -> PearsonPair:
     base_eta, base_sigma = eta, sigma
     for mass in spec.merged_masses():
         w = mass.omega
-        sigma_vanishes = scalar_is_zero(base_sigma(w))
-        eta_vanishes = scalar_is_zero(base_eta(w))
+        sigma_vanishes = base_sigma(w) == 0
+        eta_vanishes = base_eta(w) == 0
         if sigma_vanishes and eta_vanishes:
             continue
         if sigma_vanishes:
@@ -487,7 +490,7 @@ def moments(spec: FunctionalSpec, K: int, tol: Scalar = DEFAULT_TOL) -> MomentTa
             pref = spec.scale * spec.z**n
             pref = pref * pochhammer_multi(spec.a, n)
             pref = exact_div(pref, pochhammer_multi(b1, n))
-            if scalar_is_zero(pref):
+            if pref == 0:
                 series_part = 0
             else:
                 series = HyperSeries(
@@ -544,12 +547,12 @@ def stieltjes_eval(spec: FunctionalSpec, t: Scalar, tol: Scalar = DEFAULT_TOL) -
     shift = spec.basis_shift
     upper = spec.weight_upper_bound()
     for mass in spec.merged_masses():
-        if scalar_is_zero(t - mass.omega):
+        if t == mass.omega:
             raise PoleAtSupportPoint(f"t = {t} is a mass point of the functional")
     total: Scalar = 0
     for mass in spec.merged_masses():
         total = total + exact_div(mass.M, t - mass.omega)
-    if scalar_is_zero(spec.scale):
+    if spec.scale == 0:
         return total
     # with a nonzero scale the weight is nonzero at every support index
     if is_integer(t):

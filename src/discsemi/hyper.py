@@ -209,11 +209,7 @@ def eval_hyper_finite_sum(h: HyperSeries, K: int) -> Scalar:
     return to_mpf(total)
 
 
-def eval_hyper(
-    h: HyperSeries,
-    tol: Scalar = DEFAULT_TOL,
-    max_terms: int = MAX_TERMS,
-) -> Scalar:
+def eval_hyper(h: HyperSeries, tol: Scalar = DEFAULT_TOL) -> Scalar:
     """Evaluate the series under the convergence policy.
 
     Terminating series are summed exactly (rational in, rational out).
@@ -252,10 +248,10 @@ def eval_hyper(
                     "balanced series at z = 1 requires positive parameter "
                     "balance"
                 )
-    return _sum_numeric(h, tol, max_terms)
+    return _sum_numeric(h, tol)
 
 
-def _sum_numeric(h: HyperSeries, tol: Scalar, max_terms: int) -> mp.mpf:
+def _sum_numeric(h: HyperSeries, tol: Scalar) -> mp.mpf:
     """Nonterminating sum on one fixed-point integer.
 
     The term and the running sum are integers scaled by ``2^wp``; each step
@@ -290,7 +286,7 @@ def _sum_numeric(h: HyperSeries, tol: Scalar, max_terms: int) -> mp.mpf:
         term = total = big = low = one
         streak = rise = 0
         lost = False
-        for k in range(max_terms):
+        for k in range(MAX_TERMS):
             pk, qk = p_const, q_const
             for n, d in p_lin:
                 pk *= n + d * k
@@ -319,7 +315,7 @@ def _sum_numeric(h: HyperSeries, tol: Scalar, max_terms: int) -> mp.mpf:
                 streak = 0
         else:
             raise DivergentSeries(
-                f"series did not meet tolerance within {max_terms} terms"
+                f"series did not meet tolerance within {MAX_TERMS} terms"
             )
         if lost:
             if dipped:

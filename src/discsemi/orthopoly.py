@@ -45,7 +45,6 @@ from .scalars import (
     DEFAULT_TOL,
     Scalar,
     is_exact,
-    scalar_is_zero,
     scalar_to_json,
     to_mpf,
 )
@@ -92,7 +91,7 @@ class Recurrence:
                 nxt = nxt - polys[k - 1] * self.beta[k]
             polys.append(nxt)
         for k, p in enumerate(polys):
-            assert p.degree == k and scalar_is_zero(p.leading() - 1)
+            assert p.degree == k and p.leading() == 1
         return polys
 
 
@@ -261,9 +260,9 @@ def orthogonality_check(
     by ``D d_i d_j``; an entry is an ``int`` exactly when every shifted
     coefficient and moment it uses is one.  Otherwise the same loop runs on ``mpf`` moments.
 
-    PASS iff every off-diagonal entry is at most tol times the largest
-    diagonal entry (exactly zero when the arithmetic is exact) and no
-    diagonal entry vanishes.  The matrix is symmetric, so only the entries
+    PASS iff no diagonal entry vanishes and every off-diagonal entry is
+    exactly zero when the arithmetic is exact, or at most tol times the
+    largest diagonal entry otherwise.  The matrix is symmetric, so only the entries
     with j > i are computed off the diagonal.
     """
     table = moments(spec, 2 * K, tol)
@@ -300,9 +299,8 @@ def orthogonality_check(
     for i in range(K + 1):
         for j in range(i + 1, K + 1):
             max_off = max(max_off, abs(to_mpf(entry(i, j))))
-    ok = (
-        all(not scalar_is_zero(d) for d in diagonal)
-        and max_off <= to_mpf(tol) * scale
+    ok = all(d != 0 for d in diagonal) and (
+        max_off == 0 if exact else max_off <= to_mpf(tol) * scale
     )
     return {
         "pass": bool(ok),

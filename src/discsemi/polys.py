@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .scalars import scalar_is_zero
-
 
 class Poly:
     """Immutable dense univariate polynomial, coefficients low-to-high."""
@@ -24,7 +22,7 @@ class Poly:
 
     def __init__(self, coeffs: Sequence = ()):
         coeffs = list(coeffs)
-        while coeffs and scalar_is_zero(coeffs[-1]):
+        while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
 
@@ -129,11 +127,7 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if len(self.coeffs) != len(o.coeffs):
-            return False
-        return all(
-            scalar_is_zero(a - b) for a, b in zip(self.coeffs, o.coeffs)
-        )
+        return self.coeffs == o.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -168,7 +162,7 @@ class Poly:
             carry = self.coeff(i) + root * carry
             quotient[i - 1] = carry
         remainder = self.coeff(0) + root * carry
-        if not scalar_is_zero(remainder):
+        if remainder != 0:
             raise ArithmeticError("deflation remainder is nonzero")
         return Poly(quotient)
 
@@ -180,7 +174,7 @@ class Poly:
         pieces = []
         for i in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[i]
-            if scalar_is_zero(c):
+            if c == 0:
                 continue
             if i == 0:
                 body = f"({c})" if _needs_parens(c) else f"{c}"

@@ -8,6 +8,12 @@ natively with ``Fraction`` (products and sums promote to ``mpf`` at the
 current precision), which lets the same code paths run exactly on rational
 data and numerically otherwise.
 
+Every verdict on scalars is made one way.  A value is zero when ``x == 0``
+and two values are equal when ``a == b``; :func:`agree` decides whether a
+computed value matches a wanted one (exact values when they are equal,
+others when they are within ``tol (1 + |want|)``), and :func:`max_error` is
+the one loop over it.
+
 Rationals are rendered as ``p/q`` strings (or bare integers) in JSON and
 tables; floats are rendered with the full working precision.
 """
@@ -149,6 +155,15 @@ def agree(got: Scalar, want: Scalar, tol: Scalar) -> tuple:
     return error, error <= to_mpf(tol) * (1 + abs(to_mpf(want)))
 
 
-def scalar_is_zero(x: Scalar) -> bool:
-    """Exact zero test for an int, Fraction or mpf."""
-    return x == 0
+def max_error(pairs, tol: Scalar) -> tuple:
+    """``(worst, ok)`` over ``(got, want)`` pairs: the largest :func:`agree`
+    error and whether every pair agrees.  An equal exact pair leaves the
+    maximum alone, so all-exact agreement reports the int 0."""
+    worst: Scalar = 0
+    ok_all = True
+    for got, want in pairs:
+        err, ok = agree(got, want, tol)
+        if not is_exact(err):
+            worst = max(to_mpf(worst), err)
+        ok_all = ok_all and ok
+    return worst, ok_all

@@ -56,12 +56,11 @@ from .polys import Poly, difference_quotient_rows, falling_coeffs
 from .scalars import (
     DEFAULT_TOL,
     Scalar,
+    agree,
     exact_div,
     is_exact,
     parse_rational,
-    scalar_is_zero,
     scalar_to_json,
-    to_mpf,
 )
 from .transforms import TRANSFORMS
 
@@ -191,15 +190,15 @@ def derive_xi(pair: PearsonPair, table: MomentTable) -> StieltjesEquation:
         B_j = B_rows[j] if j < len(B_rows) else Poly()
         # the boundary coefficient [sigma(t+1)/(t+1)]_j equals A_j(-1), so
         # the two rho(0) corrections cancel and the row is L[A_j(x-1)+B_j(x)]
-        assert scalar_is_zero(boundary.coeff(j) - A_j(-1))
+        assert boundary.coeff(j) == A_j(-1)
         P_j = A_j.shift(-1) + B_j
         rows.append(falling_coeffs(P_j))
     # drop identically-zero top rows (they occur exactly when z = 1)
-    while rows and all(scalar_is_zero(c) for c in rows[-1]):
+    while rows and all(c == 0 for c in rows[-1]):
         rows.pop()
     if shift:
         rows = _shift_rows(rows, shift)
-        while rows and all(scalar_is_zero(c) for c in rows[-1]):
+        while rows and all(c == 0 for c in rows[-1]):
             rows.pop()
     if len(rows) - 1 != pair.class_s:
         raise DegreeMismatch(
@@ -255,10 +254,12 @@ def verify_equation(
 ) -> dict:
     """Check sigma(t+1)S(t+1) - eta(t)S(t) = xi(t) at sample points.
 
-    Returns a report with per-sample residuals; a sample passes when
-    ``|residual| <= tol * (1 + |xi(t)|)``.  The Stieltjes values are
-    computed at a much tighter internal tolerance so that the polynomial
-    amplification of the left side cannot eat the verification margin.
+    Returns a report with per-sample residuals; a sample passes when the
+    left side agrees with ``xi(t)`` by :func:`~discsemi.scalars.agree`:
+    exactly when both are exact (a terminating weight), else within
+    ``bound = tol (1 + |xi(t)|)``.  The Stieltjes values are computed at a
+    much tighter internal tolerance so that the polynomial amplification of
+    the left side cannot eat the verification margin.
     """
     if sample_ts is None:
         sample_ts = default_sample_points(spec)
@@ -268,18 +269,17 @@ def verify_equation(
     for t in sample_ts:
         S_t = stieltjes_eval(spec, t, inner_tol)
         S_t1 = stieltjes_eval(spec, t + 1, inner_tol)
-        residual = eq.lhs_at(S_t, S_t1, t) - eq.xi(t)
-        bound = tol * (1 + abs(eq.xi(t)))
-        exact = is_exact(residual)
-        ok = (abs(residual) <= bound) if exact else (abs(residual) <= to_mpf(bound))
-        overall = overall and bool(ok)
+        lhs, xi_t = eq.lhs_at(S_t, S_t1, t), eq.xi(t)
+        residual = lhs - xi_t
+        ok = agree(lhs, xi_t, tol)[1]
+        overall = overall and ok
         samples.append(
             {
                 "t": t,
                 "residual": abs(residual),
-                "bound": bound,
-                "exact": exact,
-                "pass": bool(ok),
+                "bound": tol * (1 + abs(xi_t)),
+                "exact": is_exact(residual),
+                "pass": ok,
             }
         )
     return {"pass": overall, "samples": samples}
@@ -363,17 +363,17 @@ def transform_equation(
     sig_s, eta, xi = eq.sigma_shift, eq.eta, eq.xi
     if kind == "uvarov":
         omega, M = _require(params, "omega", "M")
-        if scalar_is_zero(M):
+        if M == 0:
             return eq
         f_lo = Poly((-omega, 1))  # (t - omega)
         f_hi = Poly((1 - omega, 1))  # (t + 1 - omega)
         sigma_at = sig_s(omega - 1)  # = sigma(omega)
         eta_at = eta(omega)
-        if scalar_is_zero(sigma_at):
+        if sigma_at == 0:
             sigma1 = sig_s.deflate(omega - 1)  # sigma(t+1)/(t+1-omega)
             xi_new = f_lo * xi + (f_lo * sigma1 - eta) * M
             return StieltjesEquation(sig_s * f_lo, eta * f_lo, xi_new)
-        if scalar_is_zero(eta_at):
+        if eta_at == 0:
             eta1 = eta.deflate(omega)  # eta(t)/(t-omega)
             xi_new = f_hi * xi + (sig_s - f_hi * eta1) * M
             return StieltjesEquation(sig_s * f_hi, eta * f_hi, xi_new)

@@ -41,7 +41,7 @@ from discsemi.orthopoly import (
     orthogonality_check,
     recurrence_from_moments,
 )
-from discsemi.scalars import is_exact, scalar_is_zero, to_mpf
+from discsemi.scalars import is_exact, to_mpf
 from discsemi.stieltjeseq import derive_equation, verify_equation
 from discsemi.transforms import (
     apply_christoffel,
@@ -167,7 +167,7 @@ def test_criterion_3_equation_residuals():
             verdict = verify_equation(spec, eq, tol=F(1, 10**20))
             for sample in verdict["samples"]:
                 if sample["exact"]:
-                    if not scalar_is_zero(sample["residual"]):
+                    if sample["residual"] != 0:
                         exact_failures.append(entry.id)
                 else:
                     residual = abs(to_mpf(sample["residual"]))
@@ -277,9 +277,9 @@ def test_criterion_6_degeneracy_detection():
             for u in range(2 * m + 1)
         )
 
-    if any(not scalar_is_zero(one_sided_moment(n)) for n in range(2 * m)):
+    if any(one_sided_moment(n) != 0 for n in range(2 * m)):
         problems.append("expected all-zero moments below degree 2m")
-    if scalar_is_zero(one_sided_moment(2 * m)):
+    if one_sided_moment(2 * m) == 0:
         problems.append("degree-2m moment should break the pattern")
 
     try:
@@ -360,9 +360,9 @@ def _exact_gram_zero(spec, K):
         for j in range(K + 1):
             value = functional_of_poly(table, polys[i] * polys[j])
             if i == j:
-                if scalar_is_zero(value):
+                if value == 0:
                     return False
-            elif not (is_exact(value) and scalar_is_zero(value)):
+            elif not (is_exact(value) and value == 0):
                 return False
     return True
 

@@ -99,24 +99,34 @@ def test_stieltjes_xi_exact(monkeypatch, capsys):
     assert payload["class"] == 0
 
 
+TRUNCATED = json.loads(
+    (Path(__file__).parent / "data" / "cli_golden" / "truncated.json").read_text()
+)
+
+
 def test_verify_pass_and_corrupted_fail(monkeypatch, capsys):
-    code, eq = run_json(["stieltjes-xi", "--input", "-"],
-                        GEN_MEIXNER, monkeypatch, capsys)
-    assert code == 0
-    eq.pop("class")
+    # a terminating weight's residuals are exact and must be exactly zero
+    for spec, shift in (
+        (GEN_MEIXNER, Fraction(1, 1000)),
+        (TRUNCATED, Fraction(1, 10**40)),
+    ):
+        code, eq = run_json(["stieltjes-xi", "--input", "-"],
+                            spec, monkeypatch, capsys)
+        assert code == 0
+        eq.pop("class")
 
-    code, verdict = run_json(
-        ["verify", "--input", "-"],
-        {"spec": GEN_MEIXNER, "equation": eq}, monkeypatch, capsys)
-    assert code == 0 and verdict["pass"] is True
+        code, verdict = run_json(
+            ["verify", "--input", "-"],
+            {"spec": spec, "equation": eq}, monkeypatch, capsys)
+        assert code == 0 and verdict["pass"] is True
 
-    corrupted = dict(eq)
-    corrupted["xi"] = list(eq["xi"])
-    corrupted["xi"][0] = str(Fraction(eq["xi"][0]) + Fraction(1, 1000))
-    code, verdict = run_json(
-        ["verify", "--input", "-"],
-        {"spec": GEN_MEIXNER, "equation": corrupted}, monkeypatch, capsys)
-    assert code == 1 and verdict["pass"] is False
+        corrupted = dict(eq)
+        corrupted["xi"] = list(eq["xi"])
+        corrupted["xi"][0] = str(Fraction(eq["xi"][0]) + shift)
+        code, verdict = run_json(
+            ["verify", "--input", "-"],
+            {"spec": spec, "equation": corrupted}, monkeypatch, capsys)
+        assert code == 1 and verdict["pass"] is False
 
 
 def test_verify_bare_spec_with_samples(monkeypatch, capsys):

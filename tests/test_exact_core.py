@@ -28,7 +28,6 @@ from discsemi.scalars import (
     is_nonneg_integer,
     is_nonpos_integer,
     parse_rational,
-    scalar_is_zero,
     scalar_to_json,
     to_mpf,
 )
@@ -217,6 +216,9 @@ def test_poly_arithmetic():
     assert 2 * p == p + p
     assert (x**3).coeffs == (0, 0, 0, 1)
     assert p(Fraction(1, 2)) == Fraction(-5, 4)
+    # Fraction - mpf raises, so equality must not subtract
+    assert (Poly((Fraction(1, 3), 1)) == Poly((mp.mpf(1), 1))) is False
+    assert (Poly((Fraction(1, 2), 1)) == Poly((mp.mpf(0.5), 1))) is True
 
 
 def test_poly_from_roots_and_offsets():
@@ -242,11 +244,6 @@ def test_poly_rendering():
     assert str(Poly([-2, 1, 1])) == "x^2+x-2"
     assert Poly([Fraction(1, 2), Fraction(-3, 2)]).to_str("t") == "-3/2*t+1/2"
     assert str(Poly.zero()) == "0"
-
-
-def test_scalar_is_zero():
-    assert scalar_is_zero(Fraction(0))
-    assert not scalar_is_zero(mp.mpf("1e-60"))
 
 
 def test_poly_deflate_exact_and_failing():

@@ -222,11 +222,10 @@ def test_pair_classical_families():
 
 
 def test_truncation_at_eta_root():
-    spec = FunctionalSpec(
-        a=[Fraction(-3)], b=[], z=Fraction(1, 2), support=Support.truncated(3)
-    )
     with pytest.raises(TruncationAtEtaRoot):
-        pearson_pair(spec)
+        FunctionalSpec(
+            a=[Fraction(-3)], b=[], z=Fraction(1, 2), support=Support.truncated(3)
+        )
 
 
 def test_mass_factor_rules():

@@ -160,10 +160,12 @@ def test_binomial_weight_equation_is_exact():
 def test_corrupted_xi_fails_verification():
     spec = krawtchouk(N=2, z=HALF)
     eq = derive_equation(spec)
-    bad = StieltjesEquation(eq.sigma_shift, eq.eta, eq.xi + 1)
-    report = verify_equation(spec, bad, [5, Fraction(17, 2), 12])
-    assert not report["pass"]
-    assert all(not s["pass"] for s in report["samples"])
+    # an exact residual fails however small it is
+    for shift in (1, Fraction(1, 10**40)):
+        bad = StieltjesEquation(eq.sigma_shift, eq.eta, eq.xi + shift)
+        report = verify_equation(spec, bad, [5, Fraction(17, 2), 12])
+        assert not report["pass"]
+        assert all(not s["pass"] for s in report["samples"])
 
 
 def test_derive_matches_interpolation_exact_families():

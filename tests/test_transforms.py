@@ -103,6 +103,22 @@ def test_bad_count_has_one_message_on_every_route(kind, name, value):
     assert len(messages) == 1
 
 
+def test_truncation_at_eta_root_has_one_message_on_every_route():
+    # eta(3) = 0 through the numerator parameter -3
+    messages = set()
+    for route in (
+        lambda: FunctionalSpec(a=(-3,), z=HALF, support=Support.truncated(3)),
+        lambda: FunctionalSpec.from_json(
+            {"a": [-3], "z": "1/2", "support": {"kind": "truncated", "N": 3}}
+        ),
+        lambda: apply_truncation(krawtchouk(N=3), 3),
+    ):
+        with pytest.raises(TruncationAtEtaRoot) as err:
+            route()
+        messages.add(str(err.value))
+    assert len(messages) == 1
+
+
 def test_apply_transform_dispatch():
     spec = charlier()
     out, extra = apply_transform(spec, {"kind": "uvarov", "omega": 2, "M": 1})
