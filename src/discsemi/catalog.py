@@ -320,8 +320,7 @@ def _build_spec(entry: CatalogEntry, values: dict, tol: Scalar) -> FunctionalSpe
     for key, text in entry.build["transform"].items():
         value = text if key == "kind" else _eval_expr(text, values)
         data[key] = int(value) if key in ("N", "m") else value
-    spec, _table = apply_transform(base, data, tol)
-    return spec
+    return apply_transform(base, data, tol)
 
 
 def instantiate(

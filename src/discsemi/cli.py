@@ -195,9 +195,8 @@ def _cmd_transform(args, tol) -> tuple:
             "transform input must be an object with 'spec' and 'transform'"
         )
     spec = _spec_from(data["spec"])
-    out_spec, table = apply_transform(spec, data["transform"], tol, args.count)
-    if table is None:
-        table = moments(out_spec, args.count, tol)
+    out_spec = apply_transform(spec, data["transform"], tol)
+    table = moments(out_spec, args.count, tol)
     eq = derive_equation(out_spec, tol)
     payload = {
         "spec": out_spec.to_json(),

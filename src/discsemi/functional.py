@@ -482,6 +482,7 @@ def moments(spec: FunctionalSpec, K: int, tol: Scalar = DEFAULT_TOL) -> MomentTa
     shift = spec.basis_shift
     upper = spec.weight_upper_bound()
     b1 = tuple(bj + 1 for bj in spec.b)
+    masses = spec.merged_masses()
     values = []
     for n in range(K + 1):
         if upper is not None and n > upper:
@@ -504,7 +505,7 @@ def moments(spec: FunctionalSpec, K: int, tol: Scalar = DEFAULT_TOL) -> MomentTa
                     body = eval_hyper(series, tol / max(1, abs(pref)))
                 series_part = pref * body
         mass_part: Scalar = 0
-        for mass in spec.merged_masses():
+        for mass in masses:
             mass_part = mass_part + mass.M * falling_factorial(mass.omega + shift, n)
         values.append(series_part + mass_part)
     return MomentTable(values, basis_shift=shift)
@@ -546,11 +547,12 @@ def stieltjes_eval(spec: FunctionalSpec, t: Scalar, tol: Scalar = DEFAULT_TOL) -
     _validate_weight(spec)
     shift = spec.basis_shift
     upper = spec.weight_upper_bound()
-    for mass in spec.merged_masses():
+    masses = spec.merged_masses()
+    for mass in masses:
         if t == mass.omega:
             raise PoleAtSupportPoint(f"t = {t} is a mass point of the functional")
     total: Scalar = 0
-    for mass in spec.merged_masses():
+    for mass in masses:
         total = total + exact_div(mass.M, t - mass.omega)
     if spec.scale == 0:
         return total

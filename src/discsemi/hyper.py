@@ -53,6 +53,7 @@ from .scalars import (
     integer_ratio,
     is_exact,
     is_nonpos_integer,
+    scalar_to_json,
     to_mpf,
 )
 
@@ -92,8 +93,6 @@ class ConvergenceClass:
         if self.degree is not None:
             out["degree"] = self.degree
         if self.gamma is not None:
-            from .scalars import scalar_to_json
-
             out["gamma"] = scalar_to_json(self.gamma)
         return out
 

@@ -117,6 +117,20 @@ def _clear_denominators(values) -> tuple[int, list[int]]:
     return D, [v.numerator * (D // v.denominator) for v in values]
 
 
+def _arithmetic(values) -> tuple[list, object, object]:
+    """Decide integer or ``mpf`` arithmetic once for a slice of moments.
+
+    Returns ``(entries, divide, ratio)``: an exact slice becomes the ints
+    of :func:`_clear_denominators`, with exact ``//`` inside the loop and
+    ``Fraction`` quotients at the end; any other slice becomes ``mpf``
+    values with ``/`` for both.
+    """
+    if all(is_exact(v) for v in values):
+        _, entries = _clear_denominators(values)
+        return entries, operator.floordiv, Fraction
+    return [to_mpf(v) for v in values], operator.truediv, operator.truediv
+
+
 def _hankel_minors(m: list, K: int, divide) -> tuple[list, list]:
     """Leading minors ``H_0..H_{K+1}`` and shifted minors ``t_0..t_K`` of
     the Hankel matrix ``(m_{i+j})_{i,j<=K}``, from one Bareiss elimination.
@@ -168,12 +182,7 @@ def recurrence_from_moments(nu: MomentTable, K: int) -> Recurrence:
     _check_cap(K)
     _check_length(nu, 2 * K + 1, K)
     m = stirling_convert(nu)[: 2 * K + 1]
-    if all(is_exact(v) for v in m):
-        _, entries = _clear_denominators(m)
-        divide, ratio = operator.floordiv, Fraction
-    else:
-        entries = [to_mpf(v) for v in m]
-        divide = ratio = operator.truediv
+    entries, divide, ratio = _arithmetic(m)
     H, t = _hankel_minors(entries, K, divide)
     alpha = tuple(
         ratio(t[n + 1] * H[n] - t[n] * H[n + 1], H[n + 1] * H[n])
@@ -212,13 +221,7 @@ def chebyshev_from_moments(nu: MomentTable, K: int) -> Recurrence:
         _check_length(nu, 1, K)
         return Recurrence((), ())
     _check_length(nu, 2 * K, K)
-    values = nu.values[: 2 * K]
-    if all(is_exact(v) for v in values):
-        _, curr = _clear_denominators(values)
-        divide, ratio = operator.floordiv, Fraction
-    else:
-        curr = [to_mpf(v) for v in values]
-        divide = ratio = operator.truediv
+    curr, divide, ratio = _arithmetic(nu.values[: 2 * K])
     if curr[0] == 0:
         raise SingularHankel(0)
     shift = nu.basis_shift

@@ -29,8 +29,6 @@ the catalog passes the evaluated fields of a subcase's build.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .errors import (
     ConstraintViolated,
     DegenerateSymmetrization,
@@ -41,7 +39,6 @@ from .errors import (
 from .functional import (
     FunctionalSpec,
     Mass,
-    MomentTable,
     Support,
     moments,
     stieltjes_eval,
@@ -182,23 +179,16 @@ def apply_christoffel(
 
 
 def apply_geronimus(
-    spec: FunctionalSpec,
-    omega: Scalar,
-    M: Scalar,
-    tol: Scalar = DEFAULT_TOL,
-    K: int = 12,
-) -> tuple[FunctionalSpec, MomentTable]:
+    spec: FunctionalSpec, omega: Scalar, M: Scalar, tol: Scalar = DEFAULT_TOL
+) -> FunctionalSpec:
     """Divide the functional by (x - omega); M is the free Dirac coefficient.
 
-    Returns the transformed spec together with its first K+1 moments,
-    computed from the base moments through the solved recurrence
-
-        nu_n' = phi_n(omega) [ nu_0' + sum_{k<n} nu_k / phi_{k+1}(omega) ],
-
-    with ``nu_0' = M - S(omega)``.  The weight part of the result divides
-    the old weight by (x - omega) exactly, and the mass (omega, M) rides
-    along; both sigma and eta of the new pair vanish at omega, so the pair
-    absorbs the mass without extra factors.
+    The new moments satisfy ``nu_n = nu_{n+1}' + (n - omega) nu_n'`` with
+    ``nu_0' = M - S(omega)``, which must not vanish.  The weight part of the
+    result divides the old weight by (x - omega) exactly, and the mass
+    (omega, M) rides along; both sigma and eta of the new pair vanish at
+    omega, so the pair absorbs the mass without extra factors.  Omega must
+    lie off the support lattice.
     """
     _reject_window(spec, "a Geronimus step")
     try:
@@ -212,18 +202,11 @@ def apply_geronimus(
         raise RegularityViolation(
             "M - S(omega) = 0: the divided functional is not regular"
         )
-    nu0_g = -S_omega + M  # M - S(omega), where Fraction - mpf would raise
-    base = moments(spec, max(K - 1, 0), tol)
-    values = [nu0_g]
-    acc = nu0_g
-    for n in range(1, K + 1):
-        acc = acc + exact_div(base[n - 1], falling_factorial(omega, n))
-        values.append(falling_factorial(omega, n) * acc)
     masses = []
     for mass in spec.masses:
         masses.append(Mass(mass.omega, exact_div(mass.M, mass.omega - omega)))
     masses.append(Mass(omega, M))
-    out = canonicalize(
+    return canonicalize(
         FunctionalSpec(
             a=spec.a + (-omega,),
             b=spec.b + (-omega,),
@@ -233,7 +216,6 @@ def apply_geronimus(
             masses=tuple(masses),
         )
     )
-    return out, MomentTable(values, basis_shift=spec.basis_shift)
 
 
 def apply_truncation(spec: FunctionalSpec, N: int) -> FunctionalSpec:
@@ -305,18 +287,14 @@ TRANSFORMS = {
 
 
 def apply_transform(
-    spec: FunctionalSpec,
-    data: object,
-    tol: Scalar = DEFAULT_TOL,
-    K: int = 12,
-) -> tuple[FunctionalSpec, Optional[MomentTable]]:
+    spec: FunctionalSpec, data: object, tol: Scalar = DEFAULT_TOL
+) -> FunctionalSpec:
     """Apply the transformation ``{"kind": ..., <fields>}``.
 
     The kinds and their fields are those of :data:`TRANSFORMS`, as in the
     CLI's JSON: rationals as numbers or ``"p/q"`` strings, ``N`` and ``m``
     as JSON integers.  Raises ``InputError`` for an unknown kind, a missing
-    or extra field, or a bad value.  Geronimus also yields the moments
-    nu_0..nu_K of the result; the other kinds yield ``None`` there.
+    or extra field, or a bad value.
     """
     if not isinstance(data, dict) or "kind" not in data:
         raise InputError("a transformation must be an object with a 'kind'")
@@ -338,14 +316,14 @@ def apply_transform(
         for name in fields
     ]
     if kind == "uvarov":
-        return apply_uvarov(spec, *args, tol), None
+        return apply_uvarov(spec, *args, tol)
     if kind == "christoffel":
-        return apply_christoffel(spec, *args, tol), None
+        return apply_christoffel(spec, *args, tol)
     if kind == "geronimus":
-        return apply_geronimus(spec, *args, tol, K)
+        return apply_geronimus(spec, *args, tol)
     if kind == "truncate":
-        return apply_truncation(spec, *args), None
-    return apply_symmetrization(spec, *args), None
+        return apply_truncation(spec, *args)
+    return apply_symmetrization(spec, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +354,12 @@ def compose_check(
         report["pass"] = report["pass"] and ok_all
 
     base = moments(spec, K, tol)
-    g_spec, _ = apply_geronimus(spec, omega, M, tol, K)
+    g_spec = apply_geronimus(spec, omega, M, tol)
     back = apply_christoffel(g_spec, omega, tol)
     compare("divide_then_multiply", back, list(base.values))
 
     c_spec = apply_christoffel(spec, omega, tol)
-    gc_spec, _ = apply_geronimus(c_spec, omega, M, tol, K)
+    gc_spec = apply_geronimus(c_spec, omega, M, tol)
     shift = spec.basis_shift
     expected = [
         base[n] + M * falling_factorial(omega + shift, n) for n in range(K + 1)

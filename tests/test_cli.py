@@ -13,6 +13,7 @@ from mpmath import mp
 from discsemi.catalog import instantiate
 from discsemi.cli import main
 from discsemi.functional import FunctionalSpec
+from discsemi.scalars import agree, to_mpf
 
 CHARLIER = {"a": [], "b": [], "z": "1/2"}
 KRAWTCHOUK = {"a": ["-4"], "b": [], "z": "1/2"}
@@ -181,7 +182,7 @@ def test_raw_window_not_ending_at_2m_is_rejected(monkeypatch, capsys):
     "kind, count",
     [(kind, 3) for kind in ("uvarov", "christoffel", "geronimus", "truncate",
                             "symmetrize")]
-    + [("geronimus", 15)],  # past the 12 moments Geronimus gives by default
+    + [("geronimus", 15)],  # counts are not capped at MAX_K = 12
 )
 def test_transform_prints_count_plus_one_moments(kind, count, capsys):
     spec = Path(__file__).parent / "data" / "cli_golden" / f"transform-{kind}.json"
@@ -190,6 +191,41 @@ def test_transform_prints_count_plus_one_moments(kind, count, capsys):
     assert code == 0
     assert len(payload["moments"]["values"]) == count + 1
     assert len(payload["moments"]["exact"]) == count + 1
+
+
+@pytest.mark.parametrize(
+    "kind", ["uvarov", "christoffel", "geronimus", "truncate", "symmetrize"]
+)
+def test_transform_negative_count_is_input_error(kind, capsys):
+    spec = Path(__file__).parent / "data" / "cli_golden" / f"transform-{kind}.json"
+    code, payload = run_json(["transform", "-n", "-1", "--input", str(spec)],
+                             None, None, capsys)
+    assert code == 2 and payload["error"]["type"] == "InputError"
+
+
+def test_transform_geronimus_moments_meet_tol(monkeypatch, capsys):
+    # Charlier z = 1/2 divided at omega = -1/10 with a small mass: the
+    # divided moments are far smaller than the base ones, so any route that
+    # builds them from the base moments loses digits to cancellation.
+    z, omega, M = Fraction(1, 2), Fraction(-1, 10), Fraction(1, 10**6)
+    request = {
+        "spec": {"a": [], "b": [], "z": str(z)},
+        "transform": {"kind": "geronimus", "omega": str(omega), "M": str(M)},
+    }
+    code, payload = run_json(["transform", "-n", "15", "--tol", "1e-30",
+                              "--input", "-"], request, monkeypatch, capsys)
+    assert code == 0
+    with mp.workdps(120):
+        # the oracle at dps 120: nu_n = z^n e^z for Charlier,
+        # S(omega) = 1F1(-omega; 1 - omega; z) / omega, and the divided
+        # moments from nu_0' = M - S(omega),
+        # nu_{n+1}' = nu_n - (n - omega) nu_n'
+        zf, wf = to_mpf(z), to_mpf(omega)
+        want = to_mpf(M) - mp.hyp1f1(-wf, 1 - wf, zf) / wf
+        for n in range(15):
+            want = zf**n * mp.exp(zf) - (n - wf) * want
+        got = mp.mpf(payload["moments"]["values"][15])
+        assert agree(got, want, Fraction(1, 10**30))[1]
 
 
 def test_transform_requires_both_keys(monkeypatch, capsys):

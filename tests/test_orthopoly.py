@@ -17,6 +17,7 @@ from discsemi.functional import (
     Support,
     functional_of_poly,
     moments,
+    stieltjes_eval,
 )
 from discsemi.orthopoly import (
     MAX_K,
@@ -240,18 +241,22 @@ def test_equivalent_specs_produce_identical_recurrences():
     with_zero_mass = apply_uvarov(spec, omega, 0)
     assert recurrence_from_moments(moments(with_zero_mass, 8), 4) == base
 
-    divided, _ = apply_geronimus(spec, omega, 1)
+    divided = apply_geronimus(spec, omega, 1)
     restored = apply_christoffel(divided, omega)
     assert recurrence_from_moments(moments(restored, 8), 4) == base
 
 
 def test_divided_spec_table_matches_its_own_moments():
-    spec = krawtchouk(3)
-    divided, table = apply_geronimus(spec, Fraction(-5, 2), 1)
+    # the oracle table comes from the base moments alone, through
+    # nu_0' = M - S(omega) and nu_{n+1}' = nu_n - (n - omega) nu_n'
+    spec, omega, M = krawtchouk(3), Fraction(-5, 2), 1
+    divided = apply_geronimus(spec, omega, M)
     K = 4
-    r_from_table = recurrence_from_moments(
-        MomentTable(table.values[: 2 * K + 1], table.basis_shift), K
-    )
+    base = moments(spec, 2 * K)
+    values = [M - stieltjes_eval(spec, omega)]
+    for n in range(2 * K):
+        values.append(base[n] - (n - omega) * values[n])
+    r_from_table = recurrence_from_moments(MomentTable(values), K)
     r_from_spec = recurrence_from_moments(moments(divided, 2 * K), K)
     assert r_from_table == r_from_spec
     report = orthogonality_check(divided, r_from_table, K)

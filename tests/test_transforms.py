@@ -23,7 +23,7 @@ from discsemi.functional import (
     stieltjes_eval,
     weight_at,
 )
-from discsemi.scalars import to_mpf
+from discsemi.scalars import agree, to_mpf
 from discsemi.transforms import (
     apply_christoffel,
     apply_geronimus,
@@ -121,19 +121,15 @@ def test_truncation_at_eta_root_has_one_message_on_every_route():
 
 def test_apply_transform_dispatch():
     spec = charlier()
-    out, extra = apply_transform(spec, {"kind": "uvarov", "omega": 2, "M": 1})
+    out = apply_transform(spec, {"kind": "uvarov", "omega": 2, "M": 1})
     assert out.masses == (Mass(2, 1),)
-    assert extra is None
-    out, table = apply_transform(
-        spec, {"kind": "geronimus", "omega": "-1/2", "M": "3"}
-    )
-    assert out == apply_geronimus(spec, Fraction(-1, 2), 3)[0]
-    assert table is not None and len(table.values) == 13
-    out, _ = apply_transform(spec, {"kind": "christoffel", "omega": "-3/2"})
+    out = apply_transform(spec, {"kind": "geronimus", "omega": "-1/2", "M": "3"})
+    assert out == apply_geronimus(spec, Fraction(-1, 2), 3)
+    out = apply_transform(spec, {"kind": "christoffel", "omega": "-3/2"})
     assert out == apply_christoffel(spec, Fraction(-3, 2))
-    out, _ = apply_transform(krawtchouk(4), {"kind": "truncate", "N": 2})
+    out = apply_transform(krawtchouk(4), {"kind": "truncate", "N": 2})
     assert out.support == Support.truncated(2)
-    out, _ = apply_transform(charlier(), {"kind": "symmetrize", "m": 1})
+    out = apply_transform(charlier(), {"kind": "symmetrize", "m": 1})
     assert out.support == Support.symmetrized_shift(1)
 
 
@@ -264,26 +260,26 @@ def test_christoffel_constraints():
 def test_geronimus_exact_table_and_consistency():
     spec = krawtchouk(N=3, z=HALF)
     omega, M = Fraction(-3, 2), Fraction(1, 4)
-    out, table = apply_geronimus(spec, omega, M, K=10)
+    out = apply_geronimus(spec, omega, M)
+    table = moments(out, 10)
     base = moments(spec, 10)
+    assert all(table.exact)
     # recurrence nu_{n+1}' + (n - omega) nu_n' = nu_n, exactly
     for n in range(10):
         assert table[n + 1] + (n - omega) * table[n] == base[n]
     # nu_0' = M - S(omega)
     assert table[0] == M - stieltjes_eval(spec, omega)
-    # the transformed spec's own moments agree with the recurrence table
-    direct = moments(out, 10)
-    assert direct.values == table.values
     assert class_of(out) == class_of(spec) + 1
 
 
 def test_geronimus_numeric_consistency():
     spec = charlier()
     omega, M = Fraction(-5, 2), 1
-    out, table = apply_geronimus(spec, omega, M, tol=TIGHT, K=8)
-    direct = moments(out, 8, tol=TIGHT)
-    for n in range(9):
-        assert abs(direct[n] - table[n]) < LOOSE * (1 + abs(to_mpf(table[n])))
+    table = moments(apply_geronimus(spec, omega, M, tol=TIGHT), 8, tol=TIGHT)
+    base = moments(spec, 7, tol=TIGHT)
+    for n in range(8):
+        assert agree(table[n + 1] + (n - omega) * table[n], base[n], LOOSE)[1]
+    assert agree(table[0], -stieltjes_eval(spec, omega, TIGHT) + M, LOOSE)[1]
 
 
 def test_geronimus_regularity_and_poles():
@@ -325,10 +321,10 @@ def test_compose_spec_level_identities():
     # lands verbatim on the mass-extended spec
     spec = hahn()
     omega, M = Fraction(-3, 2), Fraction(2, 7)
-    g_spec, _ = apply_geronimus(spec, omega, M)
+    g_spec = apply_geronimus(spec, omega, M)
     assert apply_christoffel(g_spec, omega).to_json() == spec.to_json()
     c_spec = apply_christoffel(spec, omega)
-    gc_spec, _ = apply_geronimus(c_spec, omega, M)
+    gc_spec = apply_geronimus(c_spec, omega, M)
     assert gc_spec.to_json() == apply_uvarov(spec, omega, M).to_json()
 
 
