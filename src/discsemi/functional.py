@@ -19,7 +19,8 @@ direct degree formula as a cross-check.
 
 Moments are taken against the falling-factorial basis
 ``phi_n(x) = x (x-1) ... (x-n+1)`` (shifted by ``m`` for symmetric
-windows), where they reduce to single hypergeometric values.  The Stieltjes
+windows).  A finite weight gets them all from one finite-sum tree, and
+an infinite one gets each as one hypergeometric value.  The Stieltjes
 transform ``S(t) = L[1/(t-x)]`` is one more such value: the finite-sum
 kernel of :mod:`discsemi.hyper` sums it exactly for a finite weight, and
 its fixed-point kernel sums it numerically for an infinite one.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .combin import falling_factorial, pochhammer_multi
@@ -43,6 +45,7 @@ from .errors import (
 )
 from .hyper import (
     HyperSeries,
+    _split_sum,
     eval_hyper,
     eval_hyper_finite_sum,
     termination_degree,
@@ -52,6 +55,7 @@ from .scalars import (
     DEFAULT_TOL,
     Scalar,
     exact_div,
+    integer_ratio,
     is_exact,
     is_integer,
     parse_rational,
@@ -357,14 +361,6 @@ def _validate_weight(spec: FunctionalSpec) -> None:
                 )
 
 
-def _rho_hat(spec: FunctionalSpec, u: int) -> Scalar:
-    """The normalized weight at N_0 index u (scale included)."""
-    num = pochhammer_multi(spec.a, u)
-    den = pochhammer_multi(tuple(bj + 1 for bj in spec.b), u)
-    value = spec.scale * num * spec.z**u
-    return exact_div(value, den * math.factorial(u))
-
-
 def weight_at(spec: FunctionalSpec, x) -> Scalar:
     """The weight at a support point (point masses are NOT included)."""
     _validate_weight(spec)
@@ -379,7 +375,8 @@ def weight_at(spec: FunctionalSpec, x) -> Scalar:
         raise OutOfSupport(f"{x} exceeds the truncation bound N = {spec.support.N}")
     if spec.support.kind == "symmetrized_shift" and x > spec.support.m:
         raise OutOfSupport(f"{x} exceeds the symmetric window bound m = {spec.support.m}")
-    return _rho_hat(spec, u)
+    den = pochhammer_multi([bj + 1 for bj in spec.b], u) * math.factorial(u)
+    return exact_div(spec.scale * pochhammer_multi(spec.a, u) * spec.z**u, den)
 
 
 # ---------------------------------------------------------------------------
@@ -467,47 +464,39 @@ def pearson_pair(spec: FunctionalSpec) -> PearsonPair:
 def moments(spec: FunctionalSpec, K: int, tol: Scalar = DEFAULT_TOL) -> MomentTable:
     """Moments nu_0..nu_K against the (possibly shifted) falling basis.
 
-    Each weight moment reduces to the prefactor
-    ``scale * z^n * (a)_n / (b+1)_n`` times a hypergeometric sum with all
-    parameters raised by n; point masses add ``M * phi_n(omega + shift)``.
-    Exact rational inputs give exact values whenever every sum is finite.
-    A nonterminating sum is taken to ``tol / max(1, |prefactor|)``, so that
-    each moment meets ``tol (1 + |nu_n|)``.
+    As ``phi_n(u) = n! C(u, n)``, a finite weight with terms ``t_u`` takes
+    all of them from one kernel call, ``nu_n = scale n! [t^n] sum_u t_u
+    (1+t)^u``: exact on rational inputs; an mpf spec is summed as its dyadic
+    rationals and rounded once per moment.  An infinite weight's nu_n is
+    ``scale z^n (a)_n / (b+1)_n`` times a sum with every parameter raised by
+    n, taken to ``tol / max(1, |prefactor|)`` to meet ``tol (1 + |nu_n|)``.
+    Point masses add ``M phi_n(omega + shift)``.
     """
     if K < 0:
         raise InputError("moment count K must be nonnegative")
     _validate_weight(spec)
-    if not all(map(is_exact, (spec.z, spec.scale, *spec.a, *spec.b))):
-        tol = to_mpf(tol)  # the prefactor is an mpf, which a Fraction cannot divide
     shift = spec.basis_shift
     upper = spec.weight_upper_bound()
     b1 = tuple(bj + 1 for bj in spec.b)
-    masses = spec.merged_masses()
-    values = []
-    for n in range(K + 1):
-        if upper is not None and n > upper:
-            series_part: Scalar = 0
-        else:
-            pref = spec.scale * spec.z**n
-            pref = pref * pochhammer_multi(spec.a, n)
+    exact = all(map(is_exact, (spec.z, spec.scale, *spec.a, *spec.b)))
+    values: list = [0] * (K + 1)  # stays 0 past the support and for a zero scale
+    if spec.scale != 0 and upper is not None:
+        Q, T = _split_sum(spec.a, b1, spec.z, upper, min(K, upper))
+        num, den = integer_ratio(spec.scale)
+        for n, Tn in enumerate(T):
+            nu = Fraction(num * math.factorial(n) * Tn, den * Q)
+            values[n] = nu if exact else to_mpf(nu)
+    elif spec.scale != 0:
+        if not exact:
+            tol = to_mpf(tol)  # the prefactor is an mpf, which a Fraction cannot divide
+        for n in range(K + 1):
+            pref = spec.scale * spec.z**n * pochhammer_multi(spec.a, n)
             pref = exact_div(pref, pochhammer_multi(b1, n))
-            if pref == 0:
-                series_part = 0
-            else:
-                series = HyperSeries(
-                    tuple(ai + n for ai in spec.a),
-                    tuple(bj + n for bj in b1),
-                    spec.z,
-                )
-                if upper is not None:
-                    body = eval_hyper_finite_sum(series, upper - n)
-                else:
-                    body = eval_hyper(series, tol / max(1, abs(pref)))
-                series_part = pref * body
-        mass_part: Scalar = 0
-        for mass in masses:
-            mass_part = mass_part + mass.M * falling_factorial(mass.omega + shift, n)
-        values.append(series_part + mass_part)
+            series = HyperSeries([x + n for x in spec.a], [x + n for x in b1], spec.z)
+            values[n] = pref * eval_hyper(series, tol / max(1, abs(pref)))
+    masses = spec.merged_masses()
+    for n in range(K + 1):
+        values[n] += sum(m.M * falling_factorial(m.omega + shift, n) for m in masses)
     return MomentTable(values, basis_shift=shift)
 
 

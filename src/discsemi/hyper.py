@@ -22,7 +22,8 @@ sums by binary splitting: the term ratio is cleared into integer linear
 factors, products over halves of the index range are combined as integers,
 and the result is reduced to a ``Fraction`` once at the end instead of
 after every term.  An ``mpf`` input enters as the dyadic rational it
-stores, and the exact sum is rounded to ``mpf`` once.
+stores, and the exact sum is rounded to ``mpf`` once.  The same tree can
+carry ``sum_k t_k (1+t)^k`` up to ``t^top``: every moment of a finite weight.
 
 Nonterminating sums go through one fixed-point kernel, :func:`_sum_numeric`,
 on the same integer factors of the term ratio: the term and the running sum
@@ -125,7 +126,7 @@ def classify_convergence(h: HyperSeries) -> ConvergenceClass:
 
 
 #: Terms multiplied out directly at each leaf of the binary splitting.
-_LEAF_TERMS = 16
+_LEAF_TERMS = 64
 
 #: Bits the fixed-point kernel carries beyond its target precision.
 _GUARD_BITS = 24
@@ -149,38 +150,56 @@ def _linear_factors(a: Sequence, b: Sequence, z):
     return p_const, p_lin, q_const, q_lin
 
 
-def _split_sum(a: Sequence, b: Sequence, z, K: int) -> Fraction:
-    """Exact ``sum_{k=0}^{K} prod_{j<k} p(j)/q(j)`` by binary splitting.
+def _split_sum(a: Sequence, b: Sequence, z, K: int, top: int = 0) -> tuple:
+    """Integers Q and T[0..top] with ``T[n]/Q = [t^n] sum_{k<=K} t_k (1+t)^k``.
 
-    With the term ratio cleared into integer factors ``p(j)/q(j)`` (see
-    :func:`_linear_factors`), the integers P = prod p, Q = prod q and T over
-    an index range [lo, hi), with
-    ``T/Q = sum_{lo<=k<hi} prod_{lo<=j<=k} p(j)/q(j)``, combine as
-    ``(P1 P2, Q1 Q2, T1 Q2 + P1 T2)``; the only reduction is the final
-    ``Fraction(Q + T, Q)``.  The caller guarantees q(j) != 0 for j < K.
+    The terms ``t_k = prod_{j<k} p(j)/q(j)`` come from :func:`_linear_factors`,
+    and q(j) != 0 for j < K; ``top = 0`` gives the partial sum.  A range
+    [lo, hi) holds P = prod p, Q = prod q and T, cut after ``t^top``, with
+    ``T/Q = sum_{lo<=k<hi} prod_{lo<=j<=k} p(j)/q(j) (1+t)^(k-lo+1)``.
+    A leaf takes backward Horner steps ``T <- p(j) (1+t) (T + Q)``; halves
+    combine as ``T1 Q2 + P1 (1+t)^L1 T2``, L1 the length of the left half.
     """
-    p_const, p_lin, q_const, q_lin = _linear_factors(a, b, z)
+    def values(const, lin):  # const * prod(n + d j) over lin, for j < K
+        if not (lin and const):
+            return [const] * K
+        (n, d), *rest = lin
+        out = list(range(const * n, const * (n + d * K), const * d))
+        for n, d in rest:
+            out = [x * y for x, y in zip(out, range(n, n + d * K, d))]
+        return out
 
-    def pqt(lo: int, hi: int) -> tuple[int, int, int]:
+    p_const, p_lin, q_const, q_lin = _linear_factors(a, b, z)
+    ps, qs = values(p_const, p_lin), values(q_const, q_lin)
+
+    def pqt(lo: int, hi: int) -> tuple:
         if hi - lo <= _LEAF_TERMS:
-            P, Q, T = 1, 1, 0
-            for j in range(lo, hi):
-                pj, qj = p_const, q_const
-                for n, d in p_lin:
-                    pj *= n + d * j
-                for n, d in q_lin:
-                    qj *= n + d * j
+            # no merge reads P on the right edge: 0 there; T0 is T[0], kept scalar
+            P, Q, T0, T = int(hi < K), 1, 0, [0] * (top + 1)
+            for j in range(hi - 1, lo - 1, -1):
+                pj = ps[j]
+                if top:
+                    for i in range(min(top, hi - j), 1, -1):
+                        T[i] = pj * (T[i] + T[i - 1])
+                    T[1] = pj * (T[1] + T0 + Q)
+                T0 = (T0 + Q) * pj
                 P *= pj
-                Q *= qj
-                T = T * qj + P
+                Q *= qs[j]
+            T[0] = T0
             return P, Q, T
         mid = (lo + hi) // 2
-        P1, Q1, T1 = pqt(lo, mid)
+        P1, Q1, T = pqt(lo, mid)
         P2, Q2, T2 = pqt(mid, hi)
-        return P1 * P2, Q1 * Q2, T1 * Q2 + P1 * T2
+        T[0] = T[0] * Q2 + P1 * T2[0]
+        for n in range(1, top + 1):
+            shifted = sum(math.comb(mid - lo, n - i) * T2[i] for i in range(n + 1))
+            T[n] = T[n] * Q2 + P1 * shifted
+        return P1 * P2, Q1 * Q2, T
 
     _, Q, T = pqt(0, K)
-    return Fraction(Q + T, Q)
+    del pqt  # it refers to itself, a cycle that would keep ps and qs alive
+    T[0] += Q
+    return Q, T
 
 
 def eval_hyper_finite_sum(h: HyperSeries, K: int) -> Scalar:
@@ -202,7 +221,8 @@ def eval_hyper_finite_sum(h: HyperSeries, K: int) -> Scalar:
             f"denominator factor vanishes at term {pole + 1} "
             f"while the numerator is still nonzero"
         )
-    total = _split_sum(h.a, h.b, h.z, stop)
+    Q, T = _split_sum(h.a, h.b, h.z, stop)
+    total = Fraction(T[0], Q)
     if is_exact(h.z) and all(map(is_exact, h.a + h.b)):
         return total
     return to_mpf(total)

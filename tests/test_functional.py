@@ -8,10 +8,10 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import discsemi.hyper
-from discsemi.combin import falling_factorial, stirling_convert
+from discsemi.combin import falling_factorial, pochhammer_multi, stirling_convert
 from discsemi.errors import (
     ConstraintViolated,
     DegreeMismatch,
@@ -34,8 +34,10 @@ from discsemi.functional import (
     stieltjes_eval,
     weight_at,
 )
+from discsemi.hyper import HyperSeries, eval_hyper_finite_sum
 from discsemi.polys import Poly
-from discsemi.scalars import exact_div, to_mpf
+from discsemi.scalars import agree, exact_div, to_mpf
+from discsemi.transforms import apply_truncation
 
 
 def charlier(z=Fraction(1, 2)) -> FunctionalSpec:
@@ -520,6 +522,138 @@ def test_exact_truncated_moment_at_large_n_is_fast():
     nu0 = moments(spec, 0)[0]
     assert time.perf_counter() - start < 10
     assert isinstance(nu0, Fraction) and nu0 > 1
+
+
+# ---------------------------------------------------------------------------
+# finite weights: every moment from one kernel call, against the per-n route
+
+
+def direct_finite_moments(spec, K):
+    """nu_0..nu_K of a finite weight one moment at a time: the prefactor
+    ``scale z^n (a)_n / (b+1)_n`` times a finite sum with every parameter
+    raised by n, plus the masses.  The route the one-tree kernel replaced,
+    kept as the oracle."""
+    upper, shift = spec.weight_upper_bound(), spec.basis_shift
+    b1 = [bj + 1 for bj in spec.b]
+    values = []
+    for n in range(K + 1):
+        part = 0
+        if n <= upper and spec.scale != 0:
+            pref = spec.scale * spec.z**n * pochhammer_multi(spec.a, n)
+            pref = exact_div(pref, pochhammer_multi(b1, n))
+            series = HyperSeries([x + n for x in spec.a], [x + n for x in b1], spec.z)
+            part = pref * eval_hyper_finite_sum(series, upper - n)
+        mass_part = 0
+        for mass in spec.merged_masses():
+            mass_part = mass_part + mass.M * falling_factorial(mass.omega + shift, n)
+        values.append(part + mass_part)
+    return values
+
+
+def typed(values):
+    return [(type(v), v) for v in values]
+
+
+@st.composite
+def finite_weights(draw):
+    """Truncated, symmetric-window and self-terminating specs with masses,
+    any scale (zero included) and upper bounds from 0 up, so that K often
+    exceeds the support.  b + 1 is never a nonpositive integer (no pole)."""
+    kind = draw(st.sampled_from(["truncated", "window", "terminating"]))
+    a = draw(st.lists(small_rationals(-6, 6), max_size=2))
+    b = draw(st.lists(
+        small_rationals(-6, 6).filter(lambda x: x.denominator != 1 or x >= 0),
+        max_size=2,
+    ))
+    z = draw(small_rationals(-3, 3).filter(lambda x: x != 0))
+    # short supports, and long ones whose trees merge over several levels
+    upper = draw(st.one_of(
+        st.integers(min_value=0, max_value=12), st.integers(min_value=13, max_value=150)
+    ))
+    support = None
+    if kind == "truncated":
+        support = Support.truncated(upper)
+    elif kind == "window":
+        m = upper // 2 + 1
+        a, support = a + [Fraction(-2 * m)], Support.symmetrized_shift(m)
+    else:
+        a = a + [Fraction(-upper)]
+    scale = draw(small_rationals(-5, 5))
+    masses = draw(st.lists(
+        st.builds(Mass, small_rationals(-5, 5), small_rationals(-3, 3)), max_size=2
+    ))
+    try:
+        return FunctionalSpec(a, b, z, scale=scale, support=support, masses=masses)
+    except (ConstraintViolated, TruncationAtEtaRoot):
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_weights(), st.integers(min_value=0, max_value=14))
+def test_finite_moments_match_the_per_moment_route(spec, K):
+    got = moments(spec, K)
+    assert typed(got.values) == typed(direct_finite_moments(spec, K))
+    assert got.basis_shift == spec.basis_shift
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_weights(), st.integers(min_value=0, max_value=14))
+def test_numeric_finite_moments_are_rounded_once(spec, K):
+    # the same weight with mpf parameters, summed at dps 50 as the dyadic
+    # rationals they store; the oracle sums those rationals at dps 120
+    tol = Fraction(1, 10**45)
+    with mp.workdps(50):
+        spec = FunctionalSpec(
+            [to_mpf(x) for x in spec.a], [to_mpf(x) for x in spec.b], to_mpf(spec.z),
+            scale=to_mpf(spec.scale), support=spec.support, masses=spec.masses,
+        )
+        got = moments(spec, K).values
+    with mp.workdps(120):
+        want = direct_finite_moments(spec, K)
+        for g, w in zip(got, want):
+            assert agree(g, w, tol)[1], (spec, K)
+
+
+def test_truncation_at_zero_keeps_one_point():
+    spec = apply_truncation(charlier(), 0)
+    got = moments(spec, 3).values
+    assert typed(got) == typed((Fraction(1), 0, 0, 0))
+
+
+def test_zero_order_tables():
+    specs = [
+        krawtchouk(N=4),
+        hahn(),
+        apply_truncation(meixner(), 7),
+        FunctionalSpec(
+            a=[Fraction(-4)], b=[], z=-1, support=Support.symmetrized_shift(2)
+        ),
+        FunctionalSpec(
+            a=[], b=[], z=Fraction(1, 2), support=Support.truncated(5),
+            masses=[Mass(Fraction(-1, 2), Fraction(3))],
+        ),
+    ]
+    for spec in specs:
+        table = moments(spec, 0)
+        assert typed(table.values) == typed(direct_finite_moments(spec, 0)), spec
+    with mp.workdps(50):
+        nu0 = moments(charlier(), 0, tol=Fraction(1, 10**45))[0]
+        assert abs(nu0 - mp.exp(Fraction(1, 2))) < mp.mpf("1e-40")
+
+
+def test_pole_inside_a_finite_support_raises():
+    # (b+1)_u vanishes from u = 3 on: inside {0..5}, but also inside a
+    # weight that terminates at 4 on its own
+    for spec in (
+        FunctionalSpec(a=[Fraction(1, 3)], b=[Fraction(-3)], z=Fraction(1, 2),
+                       support=Support.truncated(5)),
+        FunctionalSpec(a=[Fraction(-4)], b=[Fraction(-3)], z=Fraction(1, 2)),
+    ):
+        with pytest.raises(PoleInDenominator, match="singular at x = 3"):
+            moments(spec, 2)
+    # a support that ends before the pole is fine
+    ok = FunctionalSpec(a=[Fraction(-2)], b=[Fraction(-3)], z=Fraction(1, 2))
+    assert typed(moments(ok, 4).values) == typed(direct_finite_moments(ok, 4))
 
 
 # ---------------------------------------------------------------------------
