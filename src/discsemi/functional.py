@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .combin import falling_factorial, pochhammer_multi
@@ -45,7 +44,6 @@ from .errors import (
 )
 from .hyper import (
     HyperSeries,
-    _split_sum,
     eval_hyper,
     eval_hyper_finite_sum,
     termination_degree,
@@ -55,7 +53,6 @@ from .scalars import (
     DEFAULT_TOL,
     Scalar,
     exact_div,
-    integer_ratio,
     is_exact,
     is_integer,
     parse_rational,
@@ -466,10 +463,11 @@ def moments(spec: FunctionalSpec, K: int, tol: Scalar = DEFAULT_TOL) -> MomentTa
 
     As ``phi_n(u) = n! C(u, n)``, a finite weight with terms ``t_u`` takes
     all of them from one kernel call, ``nu_n = scale n! [t^n] sum_u t_u
-    (1+t)^u``: exact on rational inputs; an mpf spec is summed as its dyadic
-    rationals and rounded once per moment.  An infinite weight's nu_n is
-    ``scale z^n (a)_n / (b+1)_n`` times a sum with every parameter raised by
-    n, taken to ``tol / max(1, |prefactor|)`` to meet ``tol (1 + |nu_n|)``.
+    (1+t)^u``: exact on rational inputs; mpf parameters are summed as the
+    dyadic rationals they store, each coefficient rounded to mpf.  An infinite
+    weight's nu_n is ``scale z^n (a)_n / (b+1)_n`` times a sum with every
+    parameter raised by n, taken to ``tol / max(1, |prefactor|)`` to meet
+    ``tol (1 + |nu_n|)``.
     Point masses add ``M phi_n(omega + shift)``.
     """
     if K < 0:
@@ -478,16 +476,13 @@ def moments(spec: FunctionalSpec, K: int, tol: Scalar = DEFAULT_TOL) -> MomentTa
     shift = spec.basis_shift
     upper = spec.weight_upper_bound()
     b1 = tuple(bj + 1 for bj in spec.b)
-    exact = all(map(is_exact, (spec.z, spec.scale, *spec.a, *spec.b)))
     values: list = [0] * (K + 1)  # stays 0 past the support and for a zero scale
     if spec.scale != 0 and upper is not None:
-        Q, T = _split_sum(spec.a, b1, spec.z, upper, min(K, upper))
-        num, den = integer_ratio(spec.scale)
-        for n, Tn in enumerate(T):
-            nu = Fraction(num * math.factorial(n) * Tn, den * Q)
-            values[n] = nu if exact else to_mpf(nu)
+        sums = eval_hyper_finite_sum(HyperSeries(spec.a, b1, spec.z), upper, min(K, upper))
+        for n, s in enumerate(sums):
+            values[n] = spec.scale * math.factorial(n) * s
     elif spec.scale != 0:
-        if not exact:
+        if not all(map(is_exact, (spec.z, spec.scale, *spec.a, *spec.b))):
             tol = to_mpf(tol)  # the prefactor is an mpf, which a Fraction cannot divide
         for n in range(K + 1):
             pref = spec.scale * spec.z**n * pochhammer_multi(spec.a, n)

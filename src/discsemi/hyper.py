@@ -191,8 +191,10 @@ def _split_sum(a: Sequence, b: Sequence, z, K: int, top: int = 0) -> tuple:
         P1, Q1, T = pqt(lo, mid)
         P2, Q2, T2 = pqt(mid, hi)
         T[0] = T[0] * Q2 + P1 * T2[0]
-        for n in range(1, top + 1):
-            shifted = sum(math.comb(mid - lo, n - i) * T2[i] for i in range(n + 1))
+        L1, L2 = mid - lo, hi - mid  # T2 has degree <= L2, C(L1, m) = 0 for m > L1
+        binom = [math.comb(L1, m) for m in range(min(L1, top) + 1)]
+        for n in range(1, min(top, hi - lo) + 1):
+            shifted = sum(binom[n - i] * T2[i] for i in range(max(0, n - L1), min(n, L2) + 1))
             T[n] = T[n] * Q2 + P1 * shifted
         return P1 * P2, Q1 * Q2, T
 
@@ -202,7 +204,7 @@ def _split_sum(a: Sequence, b: Sequence, z, K: int, top: int = 0) -> tuple:
     return Q, T
 
 
-def eval_hyper_finite_sum(h: HyperSeries, K: int) -> Scalar:
+def eval_hyper_finite_sum(h: HyperSeries, K: int, top: int | None = None) -> Scalar | list:
     """Partial sum of the series through the term of index K.
 
     If a numerator parameter terminates the series before K, the remaining
@@ -210,6 +212,8 @@ def eval_hyper_finite_sum(h: HyperSeries, K: int) -> Scalar:
     reached before that point raises PoleInDenominator.  The sum is exact,
     by binary splitting: rational in, ``Fraction`` out; with an mpf input,
     the exact sum over the dyadic rationals it stores, rounded to mpf.
+    Given ``top``, the same tree returns the list of coefficients of
+    ``t^0..t^top`` in ``sum_{k<=K} t_k (1+t)^k`` instead.
     """
     if K < 0:
         raise ValueError("partial-sum length must be nonnegative")
@@ -221,11 +225,11 @@ def eval_hyper_finite_sum(h: HyperSeries, K: int) -> Scalar:
             f"denominator factor vanishes at term {pole + 1} "
             f"while the numerator is still nonzero"
         )
-    Q, T = _split_sum(h.a, h.b, h.z, stop)
-    total = Fraction(T[0], Q)
-    if is_exact(h.z) and all(map(is_exact, h.a + h.b)):
-        return total
-    return to_mpf(total)
+    Q, T = _split_sum(h.a, h.b, h.z, stop, top or 0)
+    sums = [Fraction(Tn, Q) for Tn in T]
+    if not (is_exact(h.z) and all(map(is_exact, h.a + h.b))):
+        sums = [to_mpf(s) for s in sums]
+    return sums[0] if top is None else sums
 
 
 def eval_hyper(h: HyperSeries, tol: Scalar = DEFAULT_TOL) -> Scalar:

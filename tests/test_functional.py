@@ -598,7 +598,7 @@ def test_finite_moments_match_the_per_moment_route(spec, K):
 
 @settings(max_examples=60, deadline=None)
 @given(finite_weights(), st.integers(min_value=0, max_value=14))
-def test_numeric_finite_moments_are_rounded_once(spec, K):
+def test_numeric_finite_moments_match_a_higher_precision_oracle(spec, K):
     # the same weight with mpf parameters, summed at dps 50 as the dyadic
     # rationals they store; the oracle sums those rationals at dps 120
     tol = Fraction(1, 10**45)
@@ -654,6 +654,22 @@ def test_pole_inside_a_finite_support_raises():
     # a support that ends before the pole is fine
     ok = FunctionalSpec(a=[Fraction(-2)], b=[Fraction(-3)], z=Fraction(1, 2))
     assert typed(moments(ok, 4).values) == typed(direct_finite_moments(ok, 4))
+
+
+def test_tables_past_the_leaf_length_match_the_per_moment_route():
+    # with K beyond the 64-term leaves, a merge carries coefficients up to
+    # the length of its range, so the bounds of the shifted sum all matter
+    for spec in (
+        apply_truncation(
+            FunctionalSpec(a=[Fraction(1, 3)], b=[Fraction(2, 5)], z=Fraction(-1, 2)), 200
+        ),
+        FunctionalSpec(
+            a=[Fraction(-140), Fraction(3, 7)], b=[Fraction(1, 2)], z=Fraction(2, 3),
+            support=Support.symmetrized_shift(70),
+        ),
+    ):
+        K = spec.weight_upper_bound() + 2
+        assert typed(moments(spec, K).values) == typed(direct_finite_moments(spec, K))
 
 
 # ---------------------------------------------------------------------------
