@@ -465,9 +465,11 @@ def moments(spec: FunctionalSpec, K: int, tol: Scalar = DEFAULT_TOL) -> MomentTa
     all of them from one kernel call, ``nu_n = scale n! [t^n] sum_u t_u
     (1+t)^u``: exact on rational inputs; mpf parameters are summed as the
     dyadic rationals they store, each coefficient rounded to mpf.  An infinite
-    weight's nu_n is ``scale z^n (a)_n / (b+1)_n`` times a sum with every
-    parameter raised by n, taken to ``tol / max(1, |prefactor|)`` to meet
-    ``tol (1 + |nu_n|)``.
+    weight's nu_n is the prefactor ``scale z^n (a)_n / (b+1)_n`` times a sum
+    with every parameter raised by n, taken to ``tol / max(1, |prefactor|)``
+    to meet ``tol (1 + |nu_n|)``.  The prefactor's numerator and
+    denominator are running products, each raised by one factor per n, so
+    a table of K+1 moments costs O(K) products besides its sums.
     Point masses add ``M phi_n(omega + shift)``.
     """
     if K < 0:
@@ -484,9 +486,12 @@ def moments(spec: FunctionalSpec, K: int, tol: Scalar = DEFAULT_TOL) -> MomentTa
     elif spec.scale != 0:
         if not all(map(is_exact, (spec.z, spec.scale, *spec.a, *spec.b))):
             tol = to_mpf(tol)  # the prefactor is an mpf, which a Fraction cannot divide
+        num, den = spec.scale, 1
         for n in range(K + 1):
-            pref = spec.scale * spec.z**n * pochhammer_multi(spec.a, n)
-            pref = exact_div(pref, pochhammer_multi(b1, n))
+            if n:
+                num = num * spec.z * math.prod(x + n - 1 for x in spec.a)
+                den = den * math.prod(x + n for x in spec.b)
+            pref = exact_div(num, den)
             series = HyperSeries([x + n for x in spec.a], [x + n for x in b1], spec.z)
             values[n] = pref * eval_hyper(series, tol / max(1, abs(pref)))
     masses = spec.merged_masses()

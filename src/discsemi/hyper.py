@@ -111,7 +111,8 @@ def classify_convergence(h: HyperSeries) -> ConvergenceClass:
     """Classify a series into Terminating/Entire/UnitDisk/Divergent.
 
     Termination takes precedence regardless of p and q.  For the balanced
-    case p = q+1 the class carries gamma = sum(b) - sum(a).
+    case p = q+1 the class carries gamma = sum(b) - sum(a), exact: an mpf
+    parameter enters as the dyadic rational it stores.
     """
     deg = termination_degree(h.a)
     if deg is not None:
@@ -120,7 +121,9 @@ def classify_convergence(h: HyperSeries) -> ConvergenceClass:
     if p < q + 1:
         return ConvergenceClass("Entire")
     if p == q + 1:
-        gamma = sum(h.b, Fraction(0)) - sum(h.a, Fraction(0))
+        gamma = sum(Fraction(*integer_ratio(x)) for x in h.b) - sum(
+            Fraction(*integer_ratio(x)) for x in h.a
+        )
         return ConvergenceClass("UnitDisk", gamma=gamma)
     return ConvergenceClass("Divergent")
 

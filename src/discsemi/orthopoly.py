@@ -20,13 +20,16 @@ from a :class:`~discsemi.functional.MomentTable`:
 
 The two are cross-asserted in the test-suite; orthogonality against the
 originating functional (:func:`orthogonality_check`, the Gram matrix of
-``p_0..p_K`` through the falling basis) is the final oracle.  They stay
-independent: only the Hankel route converts the table to power moments,
-and the Gram check converts polynomials, not moments, to the falling
-basis, so a fault in one conversion shows as a disagreement.  All three
-run on ints when the table is exact (scaled once by the lcm of its
-denominators, with exact division inside the loop) and on ``mpf``
-otherwise.
+``p_0..p_K`` through the falling basis) is the final oracle.  The Hankel
+route is the only one that converts moments to powers.  The Gram check
+converts polynomials, not moments, to the falling basis, and forms its
+mixed moments ``L[p_i phi_n]`` with the identity
+``y phi_n(y) = phi_{n+1}(y) + n phi_n(y)`` that the Chebyshev route also
+runs on; a fault in the Stirling conversion of moments therefore shows as
+a disagreement between the two recurrences, and one in the Chebyshev loop
+as a failed Gram check.  All three run on ints when the table is exact
+(scaled once by the lcm of its denominators, with exact division inside
+the loop) and on ``mpf`` otherwise.
 """
 
 from __future__ import annotations
@@ -53,7 +56,9 @@ from .scalars import (
 #: at dps 60 and K = 24 the numeric Hankel and Chebyshev routes disagree by
 #: 2e-29 to 1e-14 (relative) on infinite weights with one or two parameter
 #: pairs, beyond the default tol of 1e-30, while an exact K = 24 Hankel
-#: pass takes about 0.3 s.  The regression families never need more.
+#: pass on a truncated weight with N in 30..64 and up to one parameter
+#: pair takes 0.01 to 0.2 s (Python 3.11, one core of a 2-vCPU host).  The
+#: regression families never need more.
 MAX_K = 12
 
 
@@ -171,25 +176,35 @@ def recurrence_from_moments(nu: MomentTable, K: int) -> Recurrence:
     moment matrix, read off one Bareiss pass (:func:`_hankel_minors`),
     ``alpha_n = t_{n+1}/H_{n+1} - t_n/H_n`` and
     ``beta_n = H_{n+1} H_{n-1} / H_n^2``; ``beta_0`` is ``nu_0``.  An
-    exact table is scaled by the lcm ``D`` of its denominators and
-    eliminated on ints; that multiplies ``H_k`` and ``t_k`` by ``D^k``,
-    which every quotient above cancels.  Any other table runs the same
-    pass on ``mpf``.
+    exact table is scaled by the lcm ``D`` of its denominators, converted
+    to power moments on those ints, and divided by the gcd ``g`` of ``D``
+    and the converted ints: that leaves the power moments scaled by the lcm
+    ``D / g`` of their own denominators.  The elimination runs on these
+    ints, which multiplies ``H_k`` and ``t_k`` by ``(D / g)^k``, and every
+    quotient above cancels that.  Any other table is converted and
+    eliminated on ``mpf``.
 
     Checks quasi-definiteness through level K+1 and raises
     ``SingularHankel(n)`` at the first vanishing leading determinant.
     """
     _check_cap(K)
     _check_length(nu, 2 * K + 1, K)
-    m = stirling_convert(nu)[: 2 * K + 1]
-    entries, divide, ratio = _arithmetic(m)
+    values = nu.values[: 2 * K + 1]
+    if all(map(is_exact, values)):
+        D, scaled = _clear_denominators(values)
+        powers = stirling_convert(MomentTable(scaled, nu.basis_shift))
+        g = math.gcd(D, *powers)
+        entries, divide, ratio = [p // g for p in powers], operator.floordiv, Fraction
+    else:
+        powers = stirling_convert(MomentTable(values, nu.basis_shift))
+        entries, divide, ratio = _arithmetic(powers)
     H, t = _hankel_minors(entries, K, divide)
     alpha = tuple(
         ratio(t[n + 1] * H[n] - t[n] * H[n + 1], H[n + 1] * H[n])
         for n in range(K)
     )
     beta = tuple(
-        m[0] if n == 0 else ratio(H[n + 1] * H[n - 1], H[n] * H[n])
+        values[0] if n == 0 else ratio(H[n + 1] * H[n - 1], H[n] * H[n])
         for n in range(K)
     )
     return Recurrence(alpha, beta)
@@ -254,14 +269,18 @@ def orthogonality_check(
 ) -> dict:
     """Gram matrix L[p_i p_j] for i, j <= K against the spec's functional.
 
-    Each ``p_i`` is shifted to the table's basis, and each product
-    ``p_i p_j`` is expanded in its falling basis
-    (:func:`~discsemi.polys.falling_coeffs`) and dotted with the moments.
-    When the table and the recurrence are exact, the table is scaled by the
-    lcm ``D`` of its denominators and each shifted ``p_i`` by the lcm ``d_i``
-    of its own, so the expansion runs on ints and each entry is one division
-    by ``D d_i d_j``; an entry is an ``int`` exactly when every shifted
-    coefficient and moment it uses is one.  Otherwise the same loop runs on ``mpf`` moments.
+    Each ``p_i`` is shifted to the table's basis ``phi_n(y)``, ``y = x +
+    shift``, and expanded in it once (:func:`~discsemi.polys.falling_coeffs`).
+    The mixed moments ``L[p_i phi_n]`` for n <= K come from the table by
+    Horner's rule on the shifted power coefficients of ``p_i``, with
+    ``y phi_n = phi_{n+1} + n phi_n`` (the identity the Chebyshev route
+    runs on); an entry ``L[p_i p_j]`` is then one dot product of the
+    falling coefficients of ``p_j`` with these.  When the table and the
+    recurrence are exact, the table is scaled by the lcm ``D`` of its
+    denominators and each shifted ``p_i`` by the lcm ``d_i`` of its own, so
+    the sums run on ints and each entry is one division by ``D d_i d_j``;
+    an entry is an ``int`` exactly when every shifted coefficient and
+    moment it uses is one.  Otherwise the same sums run on ``mpf`` moments.
 
     PASS iff no diagonal entry vanishes and every off-diagonal entry is
     exactly zero when the arithmetic is exact, or at most tol times the
@@ -287,9 +306,19 @@ def orthogonality_check(
     else:
         m = [to_mpf(v) for v in values]
 
+    def mixed(p: Poly) -> list:
+        """``L[p phi_n]`` for n <= K (scaled as ``m`` and ``p`` are)."""
+        *rest, lead = p.coeffs
+        s = [lead * v for v in m[: K + len(rest) + 1]]
+        for c in reversed(rest):
+            s = [s[n + 1] + n * s[n] + c * m[n] for n in range(len(s) - 1)]
+        return s
+
+    falling = [falling_coeffs(p) for p in polys]
+    mu = [mixed(p) for p in polys]
+
     def entry(i: int, j: int):
-        coeffs = falling_coeffs(polys[i] * polys[j])
-        total = sum(c * m[n] for n, c in enumerate(coeffs))
+        total = sum(c * mu[i][n] for n, c in enumerate(falling[j]))
         if not exact:
             return total
         if fractional[i] or fractional[j] or prefix[i + j]:

@@ -34,9 +34,9 @@ from discsemi.functional import (
     stieltjes_eval,
     weight_at,
 )
-from discsemi.hyper import HyperSeries, eval_hyper_finite_sum
+from discsemi.hyper import HyperSeries, eval_hyper, eval_hyper_finite_sum
 from discsemi.polys import Poly
-from discsemi.scalars import agree, exact_div, to_mpf
+from discsemi.scalars import agree, exact_div, is_exact, to_mpf
 from discsemi.transforms import apply_truncation
 
 
@@ -805,3 +805,58 @@ def test_mpf_integer_denominator_pole_is_typed():
         spec = FunctionalSpec(a=[Fraction(1, 3)], b=[b], z=Fraction(1, 2))
         with pytest.raises(PoleInDenominator, match="singular at x = 3"):
             moments(spec, 3)
+
+
+# ---------------------------------------------------------------------------
+# infinite weights: running prefactors against the per-n products
+
+
+def direct_infinite_moments(spec, K, tol):
+    """nu_0..nu_K of an infinite weight with each prefactor
+    ``scale z^n (a)_n / (b+1)_n`` rebuilt from ``pochhammer_multi``: the
+    route the running products replaced, kept as the oracle."""
+    if not all(map(is_exact, (spec.z, spec.scale, *spec.a, *spec.b))):
+        tol = to_mpf(tol)
+    b1 = [bj + 1 for bj in spec.b]
+    values = []
+    for n in range(K + 1):
+        pref = spec.scale * spec.z**n * pochhammer_multi(spec.a, n)
+        pref = exact_div(pref, pochhammer_multi(b1, n))
+        series = HyperSeries([x + n for x in spec.a], [x + n for x in b1], spec.z)
+        value = pref * eval_hyper(series, tol / max(1, abs(pref)))
+        value += sum(m.M * falling_factorial(m.omega, n) for m in spec.merged_masses())
+        values.append(value)
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(infinite_weights(), st.integers(min_value=0, max_value=30))
+def test_infinite_moments_match_the_per_moment_prefactors(case, K):
+    spec, _ = case
+    tol = Fraction(1, 10**30)
+    with mp.workdps(50):
+        assert typed(moments(spec, K, tol).values) == typed(
+            direct_infinite_moments(spec, K, tol)
+        )
+        numeric = FunctionalSpec(
+            [to_mpf(x) for x in spec.a], [to_mpf(x) for x in spec.b], to_mpf(spec.z),
+            scale=to_mpf(spec.scale), masses=spec.masses,
+        )
+        got = moments(numeric, K, tol).values
+    # the oracle sums the same dyadic parameters at a higher precision
+    with mp.workdps(120):
+        want = direct_infinite_moments(numeric, K, tol / 10**30)
+        for g, w in zip(got, want):
+            assert agree(g, w, tol)[1], (numeric, K)
+
+
+def test_mpf_meixner_table_matches_the_rational_one():
+    # a balanced series (p = q + 1) with an mpf parameter: its convergence
+    # class once mixed Fraction and mpf and raised a TypeError
+    tol = Fraction(1, 10**30)
+    with mp.workdps(50):
+        got = moments(meixner(mp.mpf(1) / 3, mp.mpf(1) / 2), 8, tol)
+        want = moments(meixner(), 8, tol)
+        assert all(isinstance(v, mp.mpf) for v in got.values)
+        for g, w in zip(got.values, want.values):
+            assert agree(g, w, tol)[1]

@@ -22,11 +22,13 @@ from discsemi.functional import (
 from discsemi.orthopoly import (
     MAX_K,
     Recurrence,
+    _arithmetic,
+    _hankel_minors,
     chebyshev_from_moments,
     orthogonality_check,
     recurrence_from_moments,
 )
-from discsemi.scalars import DEFAULT_TOL, exact_div, to_mpf
+from discsemi.scalars import DEFAULT_TOL, agree, exact_div, to_mpf
 from discsemi.transforms import (
     apply_christoffel,
     apply_geronimus,
@@ -604,6 +606,35 @@ def test_integer_gram_matches_per_product_check(spec, K, use_drawn, drawn):
     assert _typed(got["diagonal"]) == _typed(want["diagonal"])
 
 
+def _hankel_fraction_route(nu: MomentTable, K: int) -> Recurrence:
+    """The Hankel route with the Stirling conversion run on the table's own
+    Fractions and their denominators cleared afterwards: the route the
+    conversion on cleared integers replaced."""
+    m = stirling_convert(nu)[: 2 * K + 1]
+    entries, divide, ratio = _arithmetic(m)
+    H, t = _hankel_minors(entries, K, divide)
+    alpha = tuple(
+        ratio(t[n + 1] * H[n] - t[n] * H[n + 1], H[n + 1] * H[n]) for n in range(K)
+    )
+    beta = tuple(
+        m[0] if n == 0 else ratio(H[n + 1] * H[n - 1], H[n] * H[n]) for n in range(K)
+    )
+    return Recurrence(alpha, beta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(discrete_measures(), st.integers(min_value=0, max_value=7))
+def test_integer_stirling_matches_fraction_route(measure, K):
+    nu = _exact_table(measure, K + 1)  # nu_0..nu_{2K+1}; Hankel reads 2K+1
+    got = _outcome(recurrence_from_moments, nu, K)
+    want = _outcome(_hankel_fraction_route, nu, K)
+    if isinstance(want, tuple):
+        assert got == want  # the same SingularHankel index
+        return
+    assert _typed(got.alpha) == _typed(want.alpha)
+    assert _typed(got.beta) == _typed(want.beta)
+
+
 @st.composite
 def numeric_weights(draw):
     """Infinite weights (numeric moments): positive parameters, z > 0, and
@@ -629,3 +660,22 @@ def test_numeric_chebyshev_matches_fraction_loop(spec, K):
         for x, y in zip(got.alpha + got.beta, want.alpha + want.beta):
             assert isinstance(x, mp.mpf)
             assert abs(x - y) <= to_mpf(tol) * (1 + abs(y))
+
+
+@settings(max_examples=40, deadline=None)
+@given(numeric_weights(), st.integers(min_value=1, max_value=6))
+def test_numeric_gram_matches_per_product_check(spec, K):
+    # mpf recurrences on infinite weights; the oracle expands each product
+    # p_i p_j from a table summed at a higher precision
+    tol = DEFAULT_TOL
+    with mp.workdps(60):
+        rec = chebyshev_from_moments(moments(spec, 2 * K, tol), K)
+        got = orthogonality_check(spec, rec, K, tol)
+    with mp.workdps(120):
+        want = _gram_per_product(spec, rec, K, tol / 10**30)
+        scale = max(abs(d) for d in want["diagonal"])
+        assert got["pass"] is True and got["K"] == K
+        for g, w in zip(got["diagonal"], want["diagonal"]):
+            assert isinstance(g, mp.mpf)
+            assert agree(g, w, tol)[1]
+        assert abs(got["max_offdiagonal"] - want["max_offdiagonal"]) <= to_mpf(tol) * scale

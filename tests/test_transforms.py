@@ -24,6 +24,7 @@ from discsemi.functional import (
     weight_at,
 )
 from discsemi.scalars import agree, to_mpf
+from discsemi import transforms
 from discsemi.transforms import (
     apply_christoffel,
     apply_geronimus,
@@ -314,6 +315,37 @@ def test_compose_numeric_and_zero_mass():
     assert report["round_trip_exact"]
     report0 = compose_check(krawtchouk(N=3, z=HALF), Fraction(-3, 2), 0)
     assert report0["pass"]
+
+
+@pytest.mark.parametrize("spec, omega, M", [
+    (krawtchouk(N=3, z=HALF), Fraction(-3, 2), 2),
+    (apply_truncation(meixner(), 9), Fraction(-1, 2), Fraction(1, 3)),
+    (apply_uvarov(apply_truncation(hahn(N=7), 5), Fraction(-5, 2), Fraction(1, 4)),
+     Fraction(-1, 2), Fraction(2, 5)),
+    (charlier(Fraction(1, 3)), HALF, 2),
+])
+def test_compose_check_sums_three_tables(monkeypatch, spec, omega, M):
+    # the base table serves the regularity tests on spec itself, so only
+    # spec, the divided spec and the multiplied-then-divided spec are summed
+    summed = []
+
+    def counting(spec, K, tol):
+        summed.append(spec)
+        return moments(spec, K, tol)
+
+    monkeypatch.setattr(transforms, "moments", counting)
+    report = compose_check(spec, omega, M, tol=TIGHT)
+    assert len(summed) == 3
+    monkeypatch.undo()
+    # the steps the report names, each through its public transform
+    gc_spec = apply_geronimus(apply_christoffel(spec, omega, TIGHT), omega, M, TIGHT)
+    back = apply_christoffel(apply_geronimus(spec, omega, M, TIGHT), omega, TIGHT)
+    assert report["multiply_then_divide"]["spec"] == gc_spec.to_json()
+    assert report["round_trip_exact"] is (
+        back.to_json() == spec.to_json()
+        and gc_spec.to_json() == apply_uvarov(spec, omega, M, TIGHT).to_json()
+    )
+    assert report["pass"] is True
 
 
 def test_compose_spec_level_identities():
