@@ -226,17 +226,29 @@ class FunctionalSpec:
     def weight_upper_bound(self) -> Optional[int]:
         """Largest index of the stored N_0 weight that can be nonzero.
 
-        ``None`` means the weight extends to infinity.  For the symmetric
-        window this is ``2m``; for truncated support, ``N``; otherwise the
-        self-termination degree of the numerator parameters, if any.
+        ``None`` means the weight extends to infinity.  Otherwise it is the
+        self-termination degree of the numerator parameters, capped at
+        ``N`` on truncated support; a symmetric window's required
+        numerator ``-2m`` stops its weight by ``2m``.
         """
         term = termination_degree(self.a)
         if self.support.kind == "truncated":
             return self.support.N if term is None else min(self.support.N, term)
-        if self.support.kind == "symmetrized_shift":
-            cap = 2 * self.support.m
-            return cap if term is None else min(cap, term)
         return term
+
+    def support_index(self, x) -> Optional[int]:
+        """The stored index ``u = x + basis_shift`` of a point of the
+        weight's lattice, or ``None`` when ``x`` is not one.
+
+        ``x`` is a lattice point when it has an integer value (an mpf counts
+        by value) and ``0 <= u <= weight_upper_bound()``.  This is the one
+        test of support membership; point masses do not enter it.
+        """
+        if not is_integer(x):
+            return None
+        u = int(x) + self.basis_shift
+        upper = self.weight_upper_bound()
+        return u if 0 <= u and (upper is None or u <= upper) else None
 
     # -- JSON ------------------------------------------------------------------
 
@@ -359,19 +371,15 @@ def _validate_weight(spec: FunctionalSpec) -> None:
 
 
 def weight_at(spec: FunctionalSpec, x) -> Scalar:
-    """The weight at a support point (point masses are NOT included)."""
+    """The weight at a support point (point masses are NOT included).
+
+    Any other ``x`` raises :class:`OutOfSupport`, a point past the weight's
+    own termination included (see :meth:`FunctionalSpec.support_index`).
+    """
     _validate_weight(spec)
-    if not is_integer(x):
-        raise OutOfSupport(f"support points are integers; got {x}")
-    x = int(x)
-    shift = spec.basis_shift
-    u = x + shift
-    if u < 0:
-        raise OutOfSupport(f"{x} lies below the support")
-    if spec.support.kind == "truncated" and u > spec.support.N:
-        raise OutOfSupport(f"{x} exceeds the truncation bound N = {spec.support.N}")
-    if spec.support.kind == "symmetrized_shift" and x > spec.support.m:
-        raise OutOfSupport(f"{x} exceeds the symmetric window bound m = {spec.support.m}")
+    u = spec.support_index(x)
+    if u is None:
+        raise OutOfSupport(f"x = {x} is not a support point of the weight")
     den = pochhammer_multi([bj + 1 for bj in spec.b], u) * math.factorial(u)
     return exact_div(spec.scale * pochhammer_multi(spec.a, u) * spec.z**u, den)
 
@@ -531,7 +539,8 @@ def stieltjes_eval(spec: FunctionalSpec, t: Scalar, tol: Scalar = DEFAULT_TOL) -
     (truncated, symmetric-window, or self-terminating) weight sums it with
     :func:`eval_hyper_finite_sum`, exactly on rational inputs; an infinite
     weight with :func:`eval_hyper`, under its convergence policy and to
-    ``tol``.  Point masses add ``M / (t - omega)``.
+    ``tol``.  Point masses add ``M / (t - omega)``.  ``PoleAtSupportPoint``
+    is raised at a mass point, and at a support point of a nonzero weight.
     """
     _validate_weight(spec)
     shift = spec.basis_shift
@@ -546,10 +555,8 @@ def stieltjes_eval(spec: FunctionalSpec, t: Scalar, tol: Scalar = DEFAULT_TOL) -
     if spec.scale == 0:
         return total
     # with a nonzero scale the weight is nonzero at every support index
-    if is_integer(t):
-        u = int(t) + shift
-        if u >= 0 and (upper is None or u <= upper):
-            raise PoleAtSupportPoint(f"t = {t} is a support point of the weight")
+    if spec.support_index(t) is not None:
+        raise PoleAtSupportPoint(f"t = {t} is a support point of the weight")
     # support indices raised above, so c != u for every summed u, c != 0
     c = t + shift
     series = HyperSeries(

@@ -36,10 +36,6 @@ class Poly:
     def one(cls) -> "Poly":
         return cls((1,))
 
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls((0, 1))
-
     # -- basic views ----------------------------------------------------------
 
     @property
@@ -115,14 +111,6 @@ class Poly:
             return NotImplemented
         return Poly([other * c for c in self.coeffs])
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("Poly powers must be nonnegative integers")
-        result = Poly.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -168,7 +156,7 @@ class Poly:
 
     # -- rendering --------------------------------------------------------------
 
-    def to_str(self, variable: str = "x") -> str:
+    def __str__(self):
         if not self.coeffs:
             return "0"
         pieces = []
@@ -179,7 +167,7 @@ class Poly:
             if i == 0:
                 body = f"({c})" if _needs_parens(c) else f"{c}"
             else:
-                xpart = variable if i == 1 else f"{variable}^{i}"
+                xpart = "x" if i == 1 else f"x^{i}"
                 if c == 1:
                     body = xpart
                 elif c == -1:
@@ -193,11 +181,8 @@ class Poly:
                 pieces.append(body)
         return "".join(pieces)
 
-    def __str__(self):
-        return self.to_str()
-
     def __repr__(self):
-        return f"Poly({self.to_str()})"
+        return f"Poly({self})"
 
 
 def _needs_parens(c) -> bool:

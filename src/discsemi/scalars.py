@@ -113,11 +113,6 @@ def is_integer(x: object) -> bool:
     return integer_ratio(x)[1] == 1
 
 
-def is_nonneg_integer(x: Scalar) -> bool:
-    """True when ``x`` is a scalar of integer value >= 0."""
-    return is_integer(x) and x >= 0
-
-
 def is_nonpos_integer(x: Scalar) -> bool:
     """True when ``x`` is a scalar of integer value <= 0."""
     return is_integer(x) and x <= 0

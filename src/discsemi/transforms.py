@@ -33,7 +33,6 @@ from .errors import (
     ConstraintViolated,
     DegenerateSymmetrization,
     InputError,
-    PoleAtSupportPoint,
     RegularityViolation,
 )
 from .functional import (
@@ -50,7 +49,6 @@ from .scalars import (
     agree,
     exact_div,
     is_exact,
-    is_nonneg_integer,
     max_error,
     parse_rational,
 )
@@ -102,17 +100,6 @@ def _reject_window(spec: FunctionalSpec, what: str):
         )
 
 
-def _support_integer(spec: FunctionalSpec, omega) -> bool:
-    """Whether omega lands on a potential support point of the weight."""
-    shift = spec.basis_shift
-    if not is_nonneg_integer(omega + shift):
-        return False
-    upper = spec.weight_upper_bound()
-    if upper is None:
-        return True
-    return omega + shift <= upper
-
-
 # ---------------------------------------------------------------------------
 # the five transformations
 
@@ -161,7 +148,7 @@ def apply_christoffel(
 def _christoffel_point(spec: FunctionalSpec, omega: Scalar) -> None:
     """Reject an omega that :func:`apply_christoffel` cannot multiply by."""
     _reject_window(spec, "a Christoffel step")
-    if _support_integer(spec, omega):
+    if spec.support_index(omega) is not None:
         raise ConstraintViolated(
             f"omega = {omega} lies on the support; the multiplied weight "
             f"degenerates there"
@@ -202,23 +189,26 @@ def apply_geronimus(
     result divides the old weight by (x - omega) exactly, and the mass
     (omega, M) rides along; both sigma and eta of the new pair vanish at
     omega, so the pair absorbs the mass without extra factors.  Omega must
-    lie off the support lattice.
+    lie off the support lattice, whatever the scale (``ConstraintViolated``),
+    and off the masses, where S has a pole (``PoleAtSupportPoint``).
     """
     _reject_window(spec, "a Geronimus step")
-    try:
-        S_omega = stieltjes_eval(spec, omega, tol)
-    except PoleAtSupportPoint:
+    if spec.support_index(omega) is not None:
         raise ConstraintViolated(
             f"the division point must lie off the support lattice "
             f"(omega = {omega} is a support point)"
-        ) from None
+        )
+    S_omega = stieltjes_eval(spec, omega, tol)
     if agree(M, S_omega, tol)[1]:
         raise RegularityViolation(
             "M - S(omega) = 0: the divided functional is not regular"
         )
-    masses = []
-    for mass in spec.masses:
-        masses.append(Mass(mass.omega, exact_div(mass.M, mass.omega - omega)))
+    # masses at omega itself sum to zero, or S(omega) had a pole there
+    masses = [
+        Mass(mass.omega, exact_div(mass.M, mass.omega - omega))
+        for mass in spec.masses
+        if mass.omega != omega
+    ]
     masses.append(Mass(omega, M))
     return canonicalize(
         FunctionalSpec(

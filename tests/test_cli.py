@@ -170,6 +170,19 @@ def test_transform_geronimus_on_support_is_input_error(monkeypatch, capsys):
     assert "support lattice" in payload["error"]["message"]
 
 
+def test_transform_geronimus_on_zero_scale_lattice_is_input_error(monkeypatch, capsys):
+    request = {
+        "spec": {"a": [], "b": [], "z": 1, "scale": 0,
+                 "masses": [{"omega": "1/2", "M": 1}]},
+        "transform": {"kind": "geronimus", "omega": 0, "M": 1},
+    }
+    code, payload = run_json(["transform", "--input", "-"],
+                             request, monkeypatch, capsys)
+    assert code == 2
+    assert payload["error"]["type"] == "ConstraintViolated"
+    assert "support lattice" in payload["error"]["message"]
+
+
 def test_raw_window_not_ending_at_2m_is_rejected(monkeypatch, capsys):
     spec = dict(GEN_MEIXNER, support={"kind": "symmetrized_shift", "m": 3})
     code, payload = run_json(["verify", "--input", "-"],

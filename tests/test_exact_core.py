@@ -25,7 +25,6 @@ from discsemi.polys import (
 from discsemi.scalars import (
     agree,
     format_rational,
-    is_nonneg_integer,
     is_nonpos_integer,
     parse_rational,
     scalar_to_json,
@@ -67,9 +66,6 @@ def test_format_and_json():
 
 
 def test_integer_predicates():
-    assert is_nonneg_integer(Fraction(4, 2))
-    assert not is_nonneg_integer(Fraction(1, 2))
-    assert not is_nonneg_integer(-1)
     assert is_nonpos_integer(0)
     assert is_nonpos_integer(Fraction(-6, 3))
     assert not is_nonpos_integer(2)
@@ -208,13 +204,13 @@ def test_poly_basicas():
 
 
 def test_poly_arithmetic():
-    x = Poly.x()
+    x = Poly((0, 1))
     p = (x - 1) * (x + 2)
     assert p == Poly([-2, 1, 1])
     assert p - p == Poly.zero()
     assert (p * 0).is_zero()
     assert 2 * p == p + p
-    assert (x**3).coeffs == (0, 0, 0, 1)
+    assert (x * x * x).coeffs == (0, 0, 0, 1)
     assert p(Fraction(1, 2)) == Fraction(-5, 4)
     # Fraction - mpf raises, so equality must not subtract
     assert (Poly((Fraction(1, 3), 1)) == Poly((mp.mpf(1), 1))) is False
@@ -225,7 +221,7 @@ def test_poly_from_roots_and_offsets():
     p = poly_from_root_offsets([-1, Fraction(-1, 2)], leading=2)
     assert p == Poly([1, -3, 2])
     q = poly_from_root_offsets([Fraction(1, 3), 2], leading=3)
-    assert q == 3 * (Poly.x() + Fraction(1, 3)) * (Poly.x() + 2)
+    assert q == 3 * Poly((Fraction(1, 3), 1)) * Poly((2, 1))
 
 
 def test_poly_shift_and_composition():
@@ -242,7 +238,7 @@ def test_poly_shift_and_composition():
 
 def test_poly_rendering():
     assert str(Poly([-2, 1, 1])) == "x^2+x-2"
-    assert Poly([Fraction(1, 2), Fraction(-3, 2)]).to_str("t") == "-3/2*t+1/2"
+    assert str(Poly([Fraction(1, 2), Fraction(-3, 2)])) == "-3/2*x+1/2"
     assert str(Poly.zero()) == "0"
 
 

@@ -145,6 +145,36 @@ def test_weight_out_of_support():
     assert weight_at(symm, 0) == 6  # binomial(4, 2)
     with pytest.raises(OutOfSupport):
         weight_at(symm, 3)
+    # past the weight's own termination: Krawtchouk with N = 2 stops at 2
+    assert weight_at(krawtchouk(N=2), mp.mpf(2)) == Fraction(1, 4)
+    with pytest.raises(OutOfSupport):
+        weight_at(krawtchouk(N=2), 3)
+
+
+def test_support_index_is_the_one_lattice_rule():
+    symm = FunctionalSpec(
+        a=[Fraction(-4)], b=[], z=-1, support=Support.symmetrized_shift(2)
+    )
+    cases = [
+        (charlier(), {0: 0, 7: 7, mp.mpf(3): 3}, [-1, Fraction(1, 2), mp.mpf(2.5)]),
+        (krawtchouk(N=2), {0: 0, 2: 2}, [-1, 3]),
+        (
+            FunctionalSpec(a=[], b=[], z=2, support=Support.truncated(3)),
+            {Fraction(3): 3},
+            [4],
+        ),
+        (symm, {-2: 0, 0: 2, 2: 4}, [-3, 3]),
+    ]
+    for spec, inside, outside in cases:
+        for x, u in inside.items():
+            assert spec.support_index(x) == u
+            assert isinstance(spec.support_index(x), int)
+            with pytest.raises(PoleAtSupportPoint, match="support point"):
+                stieltjes_eval(spec, x)
+        for x in outside:
+            assert spec.support_index(x) is None
+            with pytest.raises(OutOfSupport):
+                weight_at(spec, x)
 
 
 def test_weight_pole_in_denominator():

@@ -3,12 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 from mpmath import mp
 
 from discsemi.combin import falling_factorial
 from discsemi.errors import (
     ConstraintViolated,
     DegenerateSymmetrization,
+    DiscsemiError,
     InputError,
     PoleAtSupportPoint,
     RegularityViolation,
@@ -134,6 +136,52 @@ def test_apply_transform_dispatch():
     assert out.support == Support.symmetrized_shift(1)
 
 
+_SMALL = st.sampled_from([0, 1, -1, 2, -3, "1/2", "-1/2", "1/3", "-5/2"])
+
+
+@st.composite
+def small_specs(draw):
+    """JSON specs with N <= 5 and at most one mass.  An infinite weight
+    keeps |z| != 1, where a balanced series may converge too slowly to sum."""
+    N = draw(st.one_of(st.none(), st.integers(0, 5)))
+    data = {
+        "a": draw(st.lists(_SMALL, max_size=2)),
+        "b": draw(st.lists(_SMALL, max_size=2)),
+        "z": draw(st.sampled_from(["1/2", "-1/3", 2] if N is None else [1, "1/2", -2])),
+        "scale": draw(st.sampled_from([1, 0, -2])),
+        "masses": draw(
+            st.lists(st.fixed_dictionaries({"omega": _SMALL, "M": _SMALL}), max_size=1)
+        ),
+    }
+    if N is not None:
+        data["support"] = {"kind": "truncated", "N": N}
+    return data
+
+
+@given(
+    small_specs(),
+    st.one_of(
+        st.fixed_dictionaries({"kind": st.just("uvarov"), "omega": _SMALL, "M": _SMALL}),
+        st.fixed_dictionaries({"kind": st.just("christoffel"), "omega": _SMALL}),
+        st.fixed_dictionaries({"kind": st.just("geronimus"), "omega": _SMALL, "M": _SMALL}),
+    ),
+)
+@example(  # Geronimus used to divide the scale by omega = 0 before any check
+    {"a": [], "b": [], "z": 1, "scale": 0, "masses": [{"omega": "1/2", "M": 1}]},
+    {"kind": "geronimus", "omega": 0, "M": 1},
+)
+@example(  # and divided a zero mass at omega by omega - omega = 0
+    {"a": [], "b": [], "z": "1/2", "masses": [{"omega": -1, "M": 0}]},
+    {"kind": "geronimus", "omega": -1, "M": 1},
+)
+def test_transforms_raise_only_typed_errors(spec_data, transform):
+    try:
+        out = apply_transform(FunctionalSpec.from_json(spec_data), transform)
+    except DiscsemiError:
+        return
+    assert isinstance(out, FunctionalSpec)
+
+
 # ---------------------------------------------------------------------------
 # Uvarov
 
@@ -252,6 +300,21 @@ def test_christoffel_constraints():
     sym = apply_symmetrization(charlier(), 2)
     with pytest.raises(ConstraintViolated):
         apply_christoffel(sym, Fraction(7, 2))
+    # a zero scale leaves the lattice in place: Christoffel and Geronimus
+    # reject the same points on it and accept the same points off it
+    mass = (Mass(HALF, 1),)
+    for spec, on, off in (
+        (FunctionalSpec(a=(), b=(), z=1, scale=0, masses=mass), (0, mp.mpf(1), 5), (-1,)),
+        (FunctionalSpec(a=(-3,), b=(), z=HALF, scale=0, masses=mass), (0, mp.mpf(1), 3), (5, -1)),
+    ):
+        for omega in on:
+            with pytest.raises(ConstraintViolated, match="support"):
+                apply_christoffel(spec, omega)
+            with pytest.raises(ConstraintViolated, match="support"):
+                apply_geronimus(spec, omega, 1)
+        for omega in off:
+            assert isinstance(apply_christoffel(spec, omega), FunctionalSpec)
+            assert isinstance(apply_geronimus(spec, omega, 1), FunctionalSpec)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +357,10 @@ def test_geronimus_regularity_and_poles():
     sym = apply_symmetrization(charlier(), 2)
     with pytest.raises(ConstraintViolated):
         apply_geronimus(sym, Fraction(7, 2), 1)
+    # S(omega) has a pole at an existing mass point off the lattice
+    massed = apply_uvarov(charlier(), Fraction(-1, 2), 1)
+    with pytest.raises(PoleAtSupportPoint, match="mass point"):
+        apply_geronimus(massed, Fraction(-1, 2), 1)
 
 
 # ---------------------------------------------------------------------------
