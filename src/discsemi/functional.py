@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .combin import falling_factorial, pochhammer_multi
@@ -44,20 +45,27 @@ from .errors import (
 )
 from .hyper import (
     HyperSeries,
+    check_summable,
+    classify_convergence,
     eval_hyper,
     eval_hyper_finite_sum,
+    linear_factors,
+    sum_numeric,
     termination_degree,
 )
 from .polys import Poly, falling_coeffs, poly_from_root_offsets
 from .scalars import (
     DEFAULT_TOL,
     Scalar,
+    difference,
     exact_div,
+    exact_value,
+    integer_ratio,
     is_exact,
     is_integer,
     parse_rational,
+    ratio_to_mpf,
     scalar_to_json,
-    to_mpf,
 )
 
 SUPPORT_KINDS = ("infinite", "truncated", "symmetrized_shift")
@@ -212,11 +220,12 @@ class FunctionalSpec:
         return self.support.shift
 
     def merged_masses(self) -> list[Mass]:
-        """Masses with equal points combined and zero masses dropped."""
+        """Masses at the same point (equal :func:`integer_ratio`) combined
+        and zero masses dropped."""
         merged: list[Mass] = []
         for mass in self.masses:
             for i, seen in enumerate(merged):
-                if seen.omega == mass.omega:
+                if integer_ratio(seen.omega) == integer_ratio(mass.omega):
                     merged[i] = Mass(seen.omega, seen.M + mass.M)
                     break
             else:
@@ -475,9 +484,11 @@ def moments(spec: FunctionalSpec, K: int, tol: Scalar = DEFAULT_TOL) -> MomentTa
     dyadic rationals they store, each coefficient rounded to mpf.  An infinite
     weight's nu_n is the prefactor ``scale z^n (a)_n / (b+1)_n`` times a sum
     with every parameter raised by n, taken to ``tol / max(1, |prefactor|)``
-    to meet ``tol (1 + |nu_n|)``.  The prefactor's numerator and
-    denominator are running products, each raised by one factor per n, so
-    a table of K+1 moments costs O(K) products besides its sums.
+    to meet ``tol (1 + |nu_n|)``.  The term ratio is cleared into integer
+    linear factors once (an mpf as the dyadic rational it stores); each n
+    shifts them for the fixed-point kernel, and the prefactor is their
+    running product.  A balanced series on ``|z| = 1`` loses one unit of
+    balance per n.
     Point masses add ``M phi_n(omega + shift)``.
     """
     if K < 0:
@@ -492,16 +503,23 @@ def moments(spec: FunctionalSpec, K: int, tol: Scalar = DEFAULT_TOL) -> MomentTa
         for n, s in enumerate(sums):
             values[n] = spec.scale * math.factorial(n) * s
     elif spec.scale != 0:
-        if not all(map(is_exact, (spec.z, spec.scale, *spec.a, *spec.b))):
-            tol = to_mpf(tol)  # the prefactor is an mpf, which a Fraction cannot divide
-        num, den = spec.scale, 1
+        series = HyperSeries(spec.a, b1, spec.z)
+        cls = classify_convergence(series)
+        p_const, p_lin, q_const, (factorial, *q_lin) = linear_factors(spec.a, b1, spec.z)
+        num, den = integer_ratio(spec.scale)
+        tol = exact_value(tol)
+        exact = all(map(is_exact, (spec.z, spec.scale, *spec.a, *spec.b)))
         for n in range(K + 1):
+            check_summable(series, cls, n)
             if n:
-                num = num * spec.z * math.prod(x + n - 1 for x in spec.a)
-                den = den * math.prod(x + n for x in spec.b)
-            pref = exact_div(num, den)
-            series = HyperSeries([x + n for x in spec.a], [x + n for x in b1], spec.z)
-            values[n] = pref * eval_hyper(series, tol / max(1, abs(pref)))
+                num *= p_const * math.prod(c + d * (n - 1) for c, d in p_lin)
+                den *= q_const * math.prod(c + d * (n - 1) for c, d in q_lin)
+            tol_n = (tol.numerator * abs(den), tol.denominator * max(abs(num), abs(den)))
+            # the kernel reads tol at every term; a dyadic prefactor's ratio is long
+            tol_n = Fraction(*tol_n) if exact else exact_value(ratio_to_mpf(*tol_n))
+            p_n, q_n = ([(c + d * n, d) for c, d in lin] for lin in (p_lin, q_lin))
+            factors = (p_const, p_n, q_const, [factorial] + q_n)
+            values[n] = ratio_to_mpf(num, den) * sum_numeric(factors, tol_n.as_integer_ratio())
     masses = spec.merged_masses()
     for n in range(K + 1):
         values[n] += sum(m.M * falling_factorial(m.omega + shift, n) for m in masses)
@@ -545,13 +563,12 @@ def stieltjes_eval(spec: FunctionalSpec, t: Scalar, tol: Scalar = DEFAULT_TOL) -
     _validate_weight(spec)
     shift = spec.basis_shift
     upper = spec.weight_upper_bound()
-    masses = spec.merged_masses()
-    for mass in masses:
-        if t == mass.omega:
-            raise PoleAtSupportPoint(f"t = {t} is a mass point of the functional")
     total: Scalar = 0
-    for mass in masses:
-        total = total + exact_div(mass.M, t - mass.omega)
+    for mass in spec.merged_masses():
+        gap = difference(t, mass.omega)
+        if gap == 0:
+            raise PoleAtSupportPoint(f"t = {t} is a mass point of the functional")
+        total = total + exact_div(mass.M, gap)
     if spec.scale == 0:
         return total
     # with a nonzero scale the weight is nonzero at every support index

@@ -25,7 +25,7 @@ after every term.  An ``mpf`` input enters as the dyadic rational it
 stores, and the exact sum is rounded to ``mpf`` once.  The same tree can
 carry ``sum_k t_k (1+t)^k`` up to ``t^top``: every moment of a finite weight.
 
-Nonterminating sums go through one fixed-point kernel, :func:`_sum_numeric`,
+Nonterminating sums go through one fixed-point kernel, :func:`sum_numeric`,
 on the same integer factors of the term ratio: the term and the running sum
 are Python integers scaled by ``2^wp``, with ``wp`` the working precision
 (or ``log2(1/tol)``, if larger) plus guard bits, and one ``mpf`` is made at
@@ -51,6 +51,7 @@ from .errors import ComputationError, DivergentSeries, PoleInDenominator
 from .scalars import (
     DEFAULT_TOL,
     Scalar,
+    exact_value,
     integer_ratio,
     is_exact,
     is_nonpos_integer,
@@ -121,9 +122,7 @@ def classify_convergence(h: HyperSeries) -> ConvergenceClass:
     if p < q + 1:
         return ConvergenceClass("Entire")
     if p == q + 1:
-        gamma = sum(Fraction(*integer_ratio(x)) for x in h.b) - sum(
-            Fraction(*integer_ratio(x)) for x in h.a
-        )
+        gamma = sum(map(exact_value, h.b)) - sum(map(exact_value, h.a))
         return ConvergenceClass("UnitDisk", gamma=gamma)
     return ConvergenceClass("Divergent")
 
@@ -135,7 +134,7 @@ _LEAF_TERMS = 64
 _GUARD_BITS = 24
 
 
-def _linear_factors(a: Sequence, b: Sequence, z):
+def linear_factors(a: Sequence, b: Sequence, z):
     """The term ratio ``z prod(a_i + j) / ((j+1) prod(b_i + j))`` as ``p(j)/q(j)``.
 
     Clearing the denominators of ``a``, ``b`` and ``z`` gives integer
@@ -156,7 +155,7 @@ def _linear_factors(a: Sequence, b: Sequence, z):
 def _split_sum(a: Sequence, b: Sequence, z, K: int, top: int = 0) -> tuple:
     """Integers Q and T[0..top] with ``T[n]/Q = [t^n] sum_{k<=K} t_k (1+t)^k``.
 
-    The terms ``t_k = prod_{j<k} p(j)/q(j)`` come from :func:`_linear_factors`,
+    The terms ``t_k = prod_{j<k} p(j)/q(j)`` come from :func:`linear_factors`,
     and q(j) != 0 for j < K; ``top = 0`` gives the partial sum.  A range
     [lo, hi) holds P = prod p, Q = prod q and T, cut after ``t^top``, with
     ``T/Q = sum_{lo<=k<hi} prod_{lo<=j<=k} p(j)/q(j) (1+t)^(k-lo+1)``.
@@ -172,7 +171,7 @@ def _split_sum(a: Sequence, b: Sequence, z, K: int, top: int = 0) -> tuple:
             out = [x * y for x, y in zip(out, range(n, n + d * K, d))]
         return out
 
-    p_const, p_lin, q_const, q_lin = _linear_factors(a, b, z)
+    p_const, p_lin, q_const, q_lin = linear_factors(a, b, z)
     ps, qs = values(p_const, p_lin), values(q_const, q_lin)
 
     def pqt(lo: int, hi: int) -> tuple:
@@ -240,17 +239,25 @@ def eval_hyper(h: HyperSeries, tol: Scalar = DEFAULT_TOL) -> Scalar:
 
     Terminating series are summed exactly (rational in, rational out).
     Entire series and unit-disk series inside the admissible region are
-    summed by the fixed-point kernel :func:`_sum_numeric` until two
+    summed by the fixed-point kernel :func:`sum_numeric` until two
     consecutive terms drop below ``tol`` times ``1 + |sum|``; the result is
     an mpf at the current precision.
     """
     cls = classify_convergence(h)
     if cls.tag == "Terminating":
         return eval_hyper_finite_sum(h, cls.degree)
+    check_summable(h, cls)
+    return sum_numeric(linear_factors(h.a, h.b, h.z), integer_ratio(tol))
+
+
+def check_summable(h: HyperSeries, cls: ConvergenceClass, shift: int = 0) -> None:
+    """Raise the typed error that keeps nonterminating ``h``, every parameter
+    raised by ``shift``, from the kernel; ``cls`` is the class of ``h``
+    (a shift keeps p, q and z, and lowers a balanced ``gamma`` by it)."""
     for bj in h.b:
-        if is_nonpos_integer(bj):
+        if is_nonpos_integer(bj + shift):
             raise PoleInDenominator(
-                f"denominator parameter {bj} is a nonpositive integer in a "
+                f"denominator parameter {bj + shift} is a nonpositive integer in a "
                 f"nonterminating series"
             )
     if cls.tag == "Divergent":
@@ -263,7 +270,7 @@ def eval_hyper(h: HyperSeries, tol: Scalar = DEFAULT_TOL) -> Scalar:
         if absz > 1:
             raise DivergentSeries("balanced series diverges for |z| > 1")
         if absz == 1:
-            gamma = cls.gamma
+            gamma = cls.gamma - shift
             if gamma <= -1:
                 raise DivergentSeries(
                     "balanced series on |z| = 1 diverges when the parameter "
@@ -274,22 +281,22 @@ def eval_hyper(h: HyperSeries, tol: Scalar = DEFAULT_TOL) -> Scalar:
                     "balanced series at z = 1 requires positive parameter "
                     "balance"
                 )
-    return _sum_numeric(h, tol)
 
 
-def _sum_numeric(h: HyperSeries, tol: Scalar) -> mp.mpf:
+def sum_numeric(factors: tuple, tol: tuple) -> mp.mpf:
     """Nonterminating sum on one fixed-point integer.
 
-    The term and the running sum are integers scaled by ``2^wp``; each step
-    is ``term = term * p(k) // q(k)`` rounded toward zero, so a term that has
-    vanished stays 0.  Each step rounds by at most one unit of ``2^-wp``,
-    which every later term carries, scaled by the growth of the terms since
-    that step: at most M for a step whose term was at least 1, and at most
-    ``2^(r+1)`` for one below 1, where r is the largest number of bits a
-    term has grown over a smaller earlier one.  Over n terms that is taken
-    as ``n^2 max(M + 1, 2^(r+1))`` units.  If that estimate exceeds
-    ``tol (1 + |sum|)``, the sum is redone once with ``wp`` raised by the
-    bits it lacks.
+    ``factors`` is the term ratio from :func:`linear_factors` and ``tol``
+    an integer ratio in lowest terms (its bit lengths set ``wp``).  The
+    term and the running sum are integers scaled by ``2^wp``; each step is
+    ``term = term * p(k) // q(k)`` rounded toward zero, so a vanished term
+    stays 0.  Each step rounds by at most one unit of ``2^-wp``, which
+    every later term carries, scaled by the growth of the terms since that
+    step: at most M for a step whose term was at least 1, and at most
+    ``2^(r+1)`` for one below 1, r the largest number of bits a term has
+    grown over a smaller earlier one.  Over n terms that is taken as
+    ``n^2 max(M + 1, 2^(r+1))`` units; if that exceeds ``tol (1 + |sum|)``,
+    the sum is redone once with ``wp`` raised by the bits it lacks.
 
     Summation stops at two consecutive terms below ``tol (1 + |sum|)``, but
     not before every factor ``b_j + k`` of q is positive: below a negative
@@ -301,9 +308,9 @@ def _sum_numeric(h: HyperSeries, tol: Scalar) -> mp.mpf:
     series exactly 0, so otherwise a term still 0 after that raises
     ComputationError.
     """
-    p_const, p_lin, q_const, q_lin = _linear_factors(h.a, h.b, h.z)
+    p_const, p_lin, q_const, q_lin = factors
     start = max([0] + [-n // d + 1 for n, d in q_lin if n < 0])
-    tol_num, tol_den = integer_ratio(tol)
+    tol_num, tol_den = tol
     tol_bits = tol_den.bit_length() - abs(tol_num).bit_length() + 1
     wp = max(mp.mp.prec, tol_bits) + _GUARD_BITS
     retried = dipped = False

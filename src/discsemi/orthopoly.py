@@ -7,29 +7,26 @@ Two independent routes produce the three-term recurrence
 from a :class:`~discsemi.functional.MomentTable`:
 
 * :func:`recurrence_from_moments` — quotients of the leading and shifted
-  minors of the power-basis Hankel moment matrix, all read off the pivots
-  of one fraction-free (Bareiss) elimination.  Exact arithmetic
-  neutralizes the notorious conditioning of this construction at the
-  small degrees used here.
+  minors of the power-basis Hankel moment matrix, read off the pivots of
+  one elimination.
 * :func:`chebyshev_from_moments` — the modified Chebyshev algorithm run
   directly on the falling-factorial moments (the falling factorials are
   themselves a monic family with recurrence coefficients â_l = l - shift,
-  b̂_l = 0, which is what makes the moment table usable as modified
-  moments without conversion), in a fraction-free form whose entries are
-  the mixed moments scaled by the Hankel minors.
+  b̂_l = 0, so the table serves as modified moments without conversion).
 
 The two are cross-asserted in the test-suite; orthogonality against the
 originating functional (:func:`orthogonality_check`, the Gram matrix of
-``p_0..p_K`` through the falling basis) is the final oracle.  The Hankel
-route is the only one that converts moments to powers.  The Gram check
-converts polynomials, not moments, to the falling basis, and forms its
-mixed moments ``L[p_i phi_n]`` with the identity
-``y phi_n(y) = phi_{n+1}(y) + n phi_n(y)`` that the Chebyshev route also
-runs on; a fault in the Stirling conversion of moments therefore shows as
-a disagreement between the two recurrences, and one in the Chebyshev loop
-as a failed Gram check.  All three run on ints when the table is exact
-(scaled once by the lcm of its denominators, with exact division inside
-the loop) and on ``mpf`` otherwise.
+``p_0..p_K`` through the falling basis) is the final oracle.  Only the
+Hankel route converts moments to powers; the Gram check forms its mixed
+moments with the identity ``y phi_n(y) = phi_{n+1}(y) + n phi_n(y)`` that
+the Chebyshev route runs on, so a fault in the conversion shows as a
+disagreement between the recurrences, and one in the Chebyshev loop as a
+failed Gram check.  The linear maps (Stirling conversion, mixed moments,
+dot products) run on ints for every table, scaled by the lcm of its
+denominators (an mpf is the dyadic rational it stores); a numeric output is
+rounded to ``mpf`` once.  An exact table is eliminated fraction-free with
+exact division; an ``mpf`` one, where division is free, by the division
+forms (Gaussian pivots, the sigma form of the Chebyshev algorithm).
 """
 
 from __future__ import annotations
@@ -47,18 +44,21 @@ from .polys import Poly, falling_coeffs
 from .scalars import (
     DEFAULT_TOL,
     Scalar,
+    integer_ratio,
     is_exact,
+    ratio_to_mpf,
     scalar_to_json,
     to_mpf,
 )
 
 #: Largest supported recurrence length.  The limit is accuracy, not speed:
 #: at dps 60 and K = 24 the numeric Hankel and Chebyshev routes disagree by
-#: 2e-29 to 1e-14 (relative) on infinite weights with one or two parameter
-#: pairs, beyond the default tol of 1e-30, while an exact K = 24 Hankel
-#: pass on a truncated weight with N in 30..64 and up to one parameter
-#: pair takes 0.01 to 0.2 s (Python 3.11, one core of a 2-vCPU host).  The
-#: regression families never need more.
+#: up to 4e-15 (relative; 2e-34 at best) on the 65 infinite weights with one
+#: or two parameter pairs of the benchmark's recurrence pool, far beyond the
+#: default tol of 1e-30, while an exact K = 24 Hankel pass on a truncated
+#: weight with N in 30..64 and up to one parameter pair takes 0.01 to 0.2 s
+#: (Python 3.11, one core of a 2-vCPU host).  The regression families never
+#: need more.
 MAX_K = 12
 
 
@@ -116,152 +116,164 @@ def _check_cap(K: int):
 
 
 def _clear_denominators(values) -> tuple[int, list[int]]:
-    """The lcm ``D`` of the denominators of exact ``values``, and the
-    integers ``D * v``."""
-    D = math.lcm(*(v.denominator for v in values))
-    return D, [v.numerator * (D // v.denominator) for v in values]
+    """The lcm ``D`` of the denominators of ``values`` (an mpf read as the
+    dyadic rational it stores), and the integers ``D * v``."""
+    ratios = [integer_ratio(v) for v in values]
+    D = math.lcm(*(d for _, d in ratios))
+    return D, [n * (D // d) for n, d in ratios]
 
 
-def _arithmetic(values) -> tuple[list, object, object]:
-    """Decide integer or ``mpf`` arithmetic once for a slice of moments.
+def _hankel_pivots(m: list, K: int) -> tuple[list, list]:
+    """The pivots ``A[k][k]`` (k <= K) and their right neighbours
+    ``A[k][k+1]`` (k < K) in one elimination of ``(m_{i+j})_{i,j<=K}``.
 
-    Returns ``(entries, divide, ratio)``: an exact slice becomes the ints
-    of :func:`_clear_denominators`, with exact ``//`` inside the loop and
-    ``Fraction`` quotients at the end; any other slice becomes ``mpf``
-    values with ``/`` for both.
-    """
-    if all(is_exact(v) for v in values):
-        _, entries = _clear_denominators(values)
-        return entries, operator.floordiv, Fraction
-    return [to_mpf(v) for v in values], operator.truediv, operator.truediv
-
-
-def _hankel_minors(m: list, K: int, divide) -> tuple[list, list]:
-    """Leading minors ``H_0..H_{K+1}`` and shifted minors ``t_0..t_K`` of
-    the Hankel matrix ``(m_{i+j})_{i,j<=K}``, from one Bareiss elimination.
-
-    ``H_k`` is the k x k leading minor (``H_0 = 1``); ``t_k`` is the same
-    minor with its last column advanced by one (``t_0 = 0``).  After step k
-    the pivot ``A[k][k]`` is ``H_{k+1}`` and the entry to its right is
-    ``t_{k+1}``.  ``divide`` takes Bareiss's division by the previous
-    pivot, which is exact on integer entries.  The matrix is symmetric, and
-    so is every Bareiss stage, so only the upper triangle is updated.
-    Raises ``SingularHankel(k)`` at the first vanishing pivot, i.e. the
-    first k with ``H_{k+1} = 0``.
+    With ``H_k`` its k x k leading minor and ``t_k`` that minor with its
+    last column advanced by one, Bareiss steps on ints give ``H_{k+1}`` and
+    ``t_{k+1}``; Gaussian steps on ``mpf`` (one division per row, one
+    product per entry) give ``d_k = H_{k+1}/H_k`` and ``e_k = t_{k+1}/H_k``.
+    Stages stay symmetric, so only the upper triangle is updated.  Raises
+    ``SingularHankel(k)`` at the first vanishing pivot.
     """
     n = K + 1
     A = [m[i : i + n] for i in range(n)]
-    H, t = [1], [0]
-    prev = 1
+    pivots, right = [], []
+    exact, prev = isinstance(m[0], int), 1
     for k in range(n):
         row = A[k]
         pivot = row[k]
         if pivot == 0:
             raise SingularHankel(k)
-        H.append(pivot)
+        pivots.append(pivot)
         if k < K:
-            t.append(row[k + 1])
+            right.append(row[k + 1])
         for i in range(k + 1, n):
             lower, head = A[i], row[i]
-            for j in range(i, n):
-                lower[j] = divide(pivot * lower[j] - head * row[j], prev)
+            if exact:  # Bareiss's division by the previous pivot is exact
+                for j in range(i, n):
+                    lower[j] = (pivot * lower[j] - head * row[j]) // prev
+            else:
+                factor = head / pivot
+                for j in range(i, n):
+                    lower[j] -= factor * row[j]
         prev = pivot
-    return H, t
+    return pivots, right
 
 
 def recurrence_from_moments(nu: MomentTable, K: int) -> Recurrence:
     """alpha_0..alpha_{K-1}, beta_0..beta_{K-1} from Hankel minors.
 
-    With ``H_k`` the leading and ``t_k`` the shifted minors of the power
-    moment matrix, read off one Bareiss pass (:func:`_hankel_minors`),
-    ``alpha_n = t_{n+1}/H_{n+1} - t_n/H_n`` and
-    ``beta_n = H_{n+1} H_{n-1} / H_n^2``; ``beta_0`` is ``nu_0``.  An
-    exact table is scaled by the lcm ``D`` of its denominators, converted
-    to power moments on those ints, and divided by the gcd ``g`` of ``D``
-    and the converted ints: that leaves the power moments scaled by the lcm
-    ``D / g`` of their own denominators.  The elimination runs on these
-    ints, which multiplies ``H_k`` and ``t_k`` by ``(D / g)^k``, and every
-    quotient above cancels that.  Any other table is converted and
-    eliminated on ``mpf``.
-
-    Checks quasi-definiteness through level K+1 and raises
+    With ``H_k`` and ``t_k`` as in :func:`_hankel_pivots` for the power
+    moments, ``alpha_n = t_{n+1}/H_{n+1} - t_n/H_n`` and
+    ``beta_n = H_{n+1} H_{n-1} / H_n^2``; ``beta_0`` is ``nu_0``.  The table
+    is scaled by the lcm ``D`` of its denominators and converted to power
+    moments on those ints.  An exact table is divided by the gcd ``g`` of
+    ``D`` and them, leaving power moments scaled by ``D / g``, which the
+    quotients cancel.  Any other table rounds each power moment to ``mpf``
+    once and takes ``alpha_n = e_n/d_n - e_{n-1}/d_{n-1}`` and
+    ``beta_n = d_n / d_{n-1}`` from Gaussian pivots.  Raises
     ``SingularHankel(n)`` at the first vanishing leading determinant.
     """
     _check_cap(K)
     _check_length(nu, 2 * K + 1, K)
     values = nu.values[: 2 * K + 1]
+    D, scaled = _clear_denominators(values)
+    powers = stirling_convert(MomentTable(scaled, nu.basis_shift))
     if all(map(is_exact, values)):
-        D, scaled = _clear_denominators(values)
-        powers = stirling_convert(MomentTable(scaled, nu.basis_shift))
         g = math.gcd(D, *powers)
-        entries, divide, ratio = [p // g for p in powers], operator.floordiv, Fraction
+        H, t = _hankel_pivots([p // g for p in powers], K)
+        H, t = [1] + H, [0] + t
+        alpha = [Fraction(t[n + 1] * H[n] - t[n] * H[n + 1], H[n + 1] * H[n]) for n in range(K)]
+        beta = [Fraction(H[n + 1] * H[n - 1], H[n] * H[n]) for n in range(1, K)]
     else:
-        powers = stirling_convert(MomentTable(values, nu.basis_shift))
-        entries, divide, ratio = _arithmetic(powers)
-    H, t = _hankel_minors(entries, K, divide)
-    alpha = tuple(
-        ratio(t[n + 1] * H[n] - t[n] * H[n + 1], H[n + 1] * H[n])
-        for n in range(K)
-    )
-    beta = tuple(
-        values[0] if n == 0 else ratio(H[n + 1] * H[n - 1], H[n] * H[n])
-        for n in range(K)
-    )
-    return Recurrence(alpha, beta)
+        d, e = _hankel_pivots([ratio_to_mpf(p, D) for p in powers], K)
+        ratios = [0] + [e[n] / d[n] for n in range(K)]
+        alpha = [ratios[n + 1] - ratios[n] for n in range(K)]
+        beta = [d[n] / d[n - 1] for n in range(1, K)]
+    return Recurrence(tuple(alpha), tuple([values[0]] + beta)[:K])
 
 
 def chebyshev_from_moments(nu: MomentTable, K: int) -> Recurrence:
     """The same coefficients via the modified Chebyshev algorithm.
 
-    The falling-factorial family phi_l (recentred by the table's basis
-    shift) serves as the reference system, so the table's entries are the
-    modified moments as-is.  The loop runs fraction-free on
-    ``T_k(l) = H_k L[p_k phi_l]``, with ``H_k`` the k x k Hankel minor:
-    ``T_0(l) = nu_l``, ``T_k(k) = H_{k+1}``, and
+    The reference system is phi_l, with coefficients ``l - shift`` and 0.
+    An ``mpf`` table runs the sigma form (Gautschi, *Orthogonal Polynomials:
+    Computation and Approximation*, 2004, §2.1.7) on
+    ``sigma_k(l) = L[p_k phi_l]``: ``sigma_0(l) = nu_l``,
+
+        sigma_{k+1}(l) = sigma_k(l+1) - (alpha_k - l + shift) sigma_k(l)
+                         - beta_k sigma_{k-1}(l),
+
+    ``alpha_k = k - shift + sigma_k(k+1)/sigma_k(k) - sigma_{k-1}(k)/sigma_{k-1}(k-1)``
+    and ``beta_k = sigma_k(k)/sigma_{k-1}(k-1)``; ``beta_0`` is ``nu_0``.
+    An exact table, scaled by the lcm of its denominators, runs fraction-free
+    on ints, on ``T_k(l) = H_k sigma_k(l)`` with ``H_k`` the k x k Hankel
+    minor: ``T_0(l) = nu_l``, ``T_k(k) = H_{k+1}``, and
 
         T_{k+1}(l) = [H_k H_{k+1} (T_k(l+1) - (k-l) T_k(l))
                       - H_k T_k(k+1) T_k(l)
                       + H_{k+1} (T_{k-1}(k) T_k(l) - H_{k+1} T_{k-1}(l))] / H_k^2,
 
-    where the division is exact.  Then
-    ``alpha_k = k - shift + (T_k(k+1) H_k - T_{k-1}(k) H_{k+1}) / (H_{k+1} H_k)``
-    and ``beta_k = H_{k+1} H_{k-1} / H_k^2``; ``beta_0`` is ``nu_0``.  An
-    exact table is scaled by the lcm ``D`` of its denominators and run on
-    ints (``T_k`` picks up ``D^{k+1}``, which the quotients cancel); any
-    other table runs the same loop on ``mpf``.  Raises ``SingularHankel(k)``
-    at the first ``k < K`` with ``H_{k+1} = 0``.
+    an exact division.  Raises ``SingularHankel(k)`` at the first
+    ``k < K`` with ``H_{k+1} = 0``.
     """
     _check_cap(K)
     if K == 0:
         _check_length(nu, 1, K)
         return Recurrence((), ())
     _check_length(nu, 2 * K, K)
-    curr, divide, ratio = _arithmetic(nu.values[: 2 * K])
-    if curr[0] == 0:
-        raise SingularHankel(0)
-    shift = nu.basis_shift
+    values = nu.values[: 2 * K]
+    loop = _chebyshev_integers if all(map(is_exact, values)) else _chebyshev_sigma
+    alpha, beta = loop(values, K, nu.basis_shift)
+    return Recurrence(tuple(alpha), (values[0],) + tuple(beta))
+
+
+def _chebyshev_integers(values, K: int, shift) -> tuple[list, list]:
+    """alpha_0..alpha_{K-1} and beta_1..beta_{K-1}, fraction-free on ints."""
+    _, curr = _clear_denominators(values)
     prev = [0] * (2 * K)  # T_{-1} = 0
     H = [1, curr[0]]
-    alpha, beta = [], [nu.values[0]]
+    alpha, beta = [], []
     for k in range(K):
         h0, h1, right, above = H[k], H[k + 1], curr[k + 1], prev[k]
-        alpha.append(k - shift + ratio(right * h0 - above * h1, h1 * h0))
+        if h1 == 0:
+            raise SingularHankel(k)
+        alpha.append(k - shift + Fraction(right * h0 - above * h1, h1 * h0))
         if k:
-            beta.append(ratio(h1 * H[k - 1], h0 * h0))
+            beta.append(Fraction(h1 * H[k - 1], h0 * h0))
         if k == K - 1:
             break
         square, lead, mix, back = h0 * h0, h0 * h1, h1 * above - h0 * right, h1 * h1
         nxt = [0] * (2 * K)
         for l in range(k + 1, 2 * K - k - 1):
             t = curr[l]
-            nxt[l] = divide(
-                lead * (curr[l + 1] + (l - k) * t) + mix * t - back * prev[l], square
-            )
-        if nxt[k + 1] == 0:
-            raise SingularHankel(k + 1)
+            nxt[l] = (lead * (curr[l + 1] + (l - k) * t) + mix * t - back * prev[l]) // square
         H.append(nxt[k + 1])
         prev, curr = curr, nxt
-    return Recurrence(tuple(alpha), tuple(beta))
+    return alpha, beta
+
+
+def _chebyshev_sigma(values, K: int, shift) -> tuple[list, list]:
+    """alpha_0..alpha_{K-1} and beta_1..beta_{K-1}, in the sigma form on ``mpf``."""
+    curr = [to_mpf(v) for v in values]
+    prev = [0] * (2 * K)  # sigma_{-1} = 0
+    alpha, beta = [], []
+    ratio = diagonal = 0  # sigma_{k-1}(k)/sigma_{k-1}(k-1) and sigma_{k-1}(k-1)
+    for k in range(K):
+        if curr[k] == 0:
+            raise SingularHankel(k)
+        r = curr[k + 1] / curr[k]
+        a, b = k - shift + r - ratio, curr[k] / diagonal if k else 0
+        alpha.append(a)
+        if k:
+            beta.append(b)
+        if k == K - 1:
+            break
+        ratio, diagonal = r, curr[k]
+        nxt = [0] * (2 * K)
+        for l in range(k + 1, 2 * K - k - 1):
+            nxt[l] = curr[l + 1] - (a - l + shift) * curr[l] - b * prev[l]
+        prev, curr = curr, nxt
+    return alpha, beta
 
 
 def orthogonality_check(
@@ -275,12 +287,13 @@ def orthogonality_check(
     Horner's rule on the shifted power coefficients of ``p_i``, with
     ``y phi_n = phi_{n+1} + n phi_n`` (the identity the Chebyshev route
     runs on); an entry ``L[p_i p_j]`` is then one dot product of the
-    falling coefficients of ``p_j`` with these.  When the table and the
-    recurrence are exact, the table is scaled by the lcm ``D`` of its
-    denominators and each shifted ``p_i`` by the lcm ``d_i`` of its own, so
-    the sums run on ints and each entry is one division by ``D d_i d_j``;
-    an entry is an ``int`` exactly when every shifted coefficient and
-    moment it uses is one.  Otherwise the same sums run on ``mpf`` moments.
+    falling coefficients of ``p_j`` with these.  The table is scaled by the
+    lcm ``D`` of its denominators and each shifted ``p_i`` by the lcm
+    ``d_i`` of its own (an mpf read as the dyadic rational it stores), so
+    the sums run on ints and each entry is one division by ``D d_i d_j``.
+    When the table and the recurrence are exact, an entry is an ``int``
+    exactly when every shifted coefficient and moment it uses is one, else
+    a ``Fraction``; otherwise every entry is rounded to ``mpf`` once.
 
     PASS iff no diagonal entry vanishes and every off-diagonal entry is
     exactly zero when the arithmetic is exact, or at most tol times the
@@ -293,18 +306,15 @@ def orthogonality_check(
     exact = all(map(is_exact, values)) and all(
         is_exact(c) for p in polys for c in p.coeffs
     )
-    if exact:
-        # entry (i, j) uses the coefficients of p_i, p_j and nu_0..nu_{i+j}
-        fractional = [any(isinstance(c, Fraction) for c in p.coeffs) for p in polys]
-        prefix = list(itertools.accumulate(
-            (isinstance(v, Fraction) for v in values), operator.or_
-        ))
-        D, m = _clear_denominators(values)
-        scaled = [_clear_denominators(p.coeffs) for p in polys]
-        dens = [den for den, _ in scaled]
-        polys = [Poly(coeffs) for _, coeffs in scaled]
-    else:
-        m = [to_mpf(v) for v in values]
+    # entry (i, j) uses the coefficients of p_i, p_j and nu_0..nu_{i+j}
+    fractional = [any(isinstance(c, Fraction) for c in p.coeffs) for p in polys]
+    prefix = list(itertools.accumulate(
+        (isinstance(v, Fraction) for v in values), operator.or_
+    ))
+    D, m = _clear_denominators(values)
+    scaled = [_clear_denominators(p.coeffs) for p in polys]
+    dens = [den for den, _ in scaled]
+    polys = [Poly(coeffs) for _, coeffs in scaled]
 
     def mixed(p: Poly) -> list:
         """``L[p phi_n]`` for n <= K (scaled as ``m`` and ``p`` are)."""
@@ -320,7 +330,7 @@ def orthogonality_check(
     def entry(i: int, j: int):
         total = sum(c * mu[i][n] for n, c in enumerate(falling[j]))
         if not exact:
-            return total
+            return ratio_to_mpf(total, D * dens[i] * dens[j])
         if fractional[i] or fractional[j] or prefix[i + j]:
             return Fraction(total, D * dens[i] * dens[j])
         return total // (D * dens[i] * dens[j])

@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Union
 
 import mpmath as mp
+from mpmath.libmp import from_rational
 
 from .errors import InputError
 
@@ -92,18 +93,41 @@ def to_mpf(x: Scalar) -> mp.mpf:
     return mp.mpf(x)
 
 
+def ratio_to_mpf(num: int, den: int) -> mp.mpf:
+    """``num / den`` rounded once, as mpmath rounds ``Fraction(num, den)``;
+    factors of two go to the exponent first (mpmath strips them bytewise)."""
+    if not num:
+        return mp.mpf(0)
+    a, b = (num & -num).bit_length() - 1, (den & -den).bit_length() - 1
+    return mp.ldexp(mp.mpf(from_rational(num >> a, den >> b, mp.mp.prec)), a - b)
+
+
 def is_exact(x: Scalar) -> bool:
     """True when ``x`` is an exact rational (int or Fraction)."""
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
 def integer_ratio(x: Scalar) -> tuple[int, int]:
-    """``x`` as an integer ratio; an mpf is the dyadic rational it stores."""
+    """``x`` in lowest terms (an mpf: the dyadic rational it stores); equal
+    ratios are equal values, where ``Fraction == mpf`` rounds first."""
     if isinstance(x, mp.mpf):
         man, exp = x.man_exp
         man = -man if x < 0 else man
         return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
     return x.as_integer_ratio()
+
+
+def exact_value(x: Scalar) -> Fraction:
+    """``x`` as a Fraction; an mpf is the dyadic rational it stores."""
+    return Fraction(*integer_ratio(x))
+
+
+def difference(x: Scalar, y: Scalar) -> Scalar:
+    """``x - y``; with an mpf operand, the exact gap made an mpf: never 0
+    for distinct values, and defined for a Fraction minus an mpf."""
+    if is_exact(x) and is_exact(y):
+        return x - y
+    return to_mpf(exact_value(x) - exact_value(y))
 
 
 def is_integer(x: object) -> bool:

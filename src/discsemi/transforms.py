@@ -47,7 +47,9 @@ from .scalars import (
     DEFAULT_TOL,
     Scalar,
     agree,
+    difference,
     exact_div,
+    integer_ratio,
     is_exact,
     max_error,
     parse_rational,
@@ -205,9 +207,9 @@ def apply_geronimus(
         )
     # masses at omega itself sum to zero, or S(omega) had a pole there
     masses = [
-        Mass(mass.omega, exact_div(mass.M, mass.omega - omega))
+        Mass(mass.omega, exact_div(mass.M, difference(mass.omega, omega)))
         for mass in spec.masses
-        if mass.omega != omega
+        if integer_ratio(mass.omega) != integer_ratio(omega)
     ]
     masses.append(Mass(omega, M))
     return canonicalize(

@@ -36,12 +36,12 @@ from discsemi.functional import (
 )
 from discsemi.hyper import HyperSeries, eval_hyper, eval_hyper_finite_sum
 from discsemi.polys import Poly
-from discsemi.scalars import agree, exact_div, is_exact, to_mpf
+from discsemi.scalars import agree, exact_div, exact_value, is_exact, to_mpf
 from discsemi.transforms import apply_truncation
 
 
-def charlier(z=Fraction(1, 2)) -> FunctionalSpec:
-    return FunctionalSpec(a=[], b=[], z=z)
+def charlier(z=Fraction(1, 2), masses=()) -> FunctionalSpec:
+    return FunctionalSpec(a=[], b=[], z=z, masses=masses)
 
 
 def meixner(a=Fraction(1, 3), z=Fraction(1, 2)) -> FunctionalSpec:
@@ -116,6 +116,18 @@ def test_merged_masses():
     assert merged == [Mass(Fraction(1, 2), 1)]
     # but serialization keeps what was given
     assert len(spec.to_json()["masses"]) == 3
+
+
+def test_masses_merge_by_exact_value():
+    # Fraction == mpf compares after rounding the Fraction: -1/3 and the
+    # mpf nearest to it once merged into one mass at dps 50
+    with mp.workdps(50):
+        near = -mp.mpf(1) / 3
+        spec = charlier(masses=[Mass(Fraction(-1, 3), 1), Mass(near, 2)])
+        assert spec.merged_masses() == [Mass(Fraction(-1, 3), 1), Mass(near, 2)]
+        # equal values still merge, whatever their types
+        spec = charlier(masses=[Mass(Fraction(1, 2), 1), Mass(mp.mpf(1) / 2, 2)])
+        assert spec.merged_masses() == [Mass(Fraction(1, 2), 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +486,21 @@ def test_stieltjes_poles():
     assert isinstance(stieltjes_eval(symm, Fraction(3)), (int, Fraction))
 
 
+def test_stieltjes_mass_pole_is_by_exact_value():
+    # at dps 50 the mpf nearest to -1/3 is not -1/3; its gap to the mass is
+    # taken from the stored values (an mpf gap would round to 0)
+    tol = Fraction(1, 10**40)
+    with mp.workdps(50):
+        t = -mp.mpf(1) / 3
+        got = stieltjes_eval(charlier(masses=[Mass(Fraction(-1, 3), 1)]), t, tol)
+        weight_part = stieltjes_eval(charlier(), t, tol)
+    with mp.workdps(120):
+        want = 1 / to_mpf(exact_value(t) + Fraction(1, 3)) + weight_part
+        assert abs(got - want) <= to_mpf(tol) * abs(want)
+    with mp.workdps(50), pytest.raises(PoleAtSupportPoint):
+        stieltjes_eval(charlier(masses=[Mass(mp.mpf(1) / 2, 1)]), Fraction(1, 2))
+
+
 def test_stieltjes_exact_sum_with_masses():
     spec = FunctionalSpec(
         a=[Fraction(-2)],
@@ -811,7 +838,7 @@ def test_stieltjes_divergent_weight_raises_at_once(monkeypatch):
     def no_summation(*args):
         raise AssertionError("a divergent series reached the summation kernel")
 
-    monkeypatch.setattr(discsemi.hyper, "_sum_numeric", no_summation)
+    monkeypatch.setattr(discsemi.hyper, "sum_numeric", no_summation)
     divergent = [
         FunctionalSpec(a=[Fraction(1, 2), Fraction(1, 3)], b=[], z=Fraction(1, 2)),
         FunctionalSpec(a=[Fraction(1, 2)], b=[], z=2),
@@ -842,9 +869,11 @@ def test_mpf_integer_denominator_pole_is_typed():
 
 
 def direct_infinite_moments(spec, K, tol):
-    """nu_0..nu_K of an infinite weight with each prefactor
-    ``scale z^n (a)_n / (b+1)_n`` rebuilt from ``pochhammer_multi``: the
-    route the running products replaced, kept as the oracle."""
+    """nu_0..nu_K of an infinite weight, each the prefactor
+    ``scale z^n (a)_n / (b+1)_n`` rebuilt from ``pochhammer_multi`` times
+    one ``eval_hyper`` call: the per-moment route that the running products
+    and then the integer factors replaced, kept as the oracle.  A sum that
+    raises ``DivergentSeries`` gives ``(type, message, n)`` instead."""
     if not all(map(is_exact, (spec.z, spec.scale, *spec.a, *spec.b))):
         tol = to_mpf(tol)
     b1 = [bj + 1 for bj in spec.b]
@@ -853,7 +882,10 @@ def direct_infinite_moments(spec, K, tol):
         pref = spec.scale * spec.z**n * pochhammer_multi(spec.a, n)
         pref = exact_div(pref, pochhammer_multi(b1, n))
         series = HyperSeries([x + n for x in spec.a], [x + n for x in b1], spec.z)
-        value = pref * eval_hyper(series, tol / max(1, abs(pref)))
+        try:
+            value = pref * eval_hyper(series, tol / max(1, abs(pref)))
+        except DivergentSeries as exc:
+            return type(exc), str(exc), n
         value += sum(m.M * falling_factorial(m.omega, n) for m in spec.merged_masses())
         values.append(value)
     return values
@@ -878,6 +910,77 @@ def test_infinite_moments_match_the_per_moment_prefactors(case, K):
         want = direct_infinite_moments(numeric, K, tol / 10**30)
         for g, w in zip(got, want):
             assert agree(g, w, tol)[1], (numeric, K)
+
+
+def moments_outcome(spec, K, tol):
+    """``moments(spec, K, tol).values``, or ``(type, message, n)`` with n the
+    first order whose table raises ``DivergentSeries``."""
+    try:
+        return list(moments(spec, K, tol).values)
+    except DivergentSeries as exc:
+        error = type(exc), str(exc)
+    for n in range(K + 1):
+        try:
+            moments(spec, n, tol)
+        except DivergentSeries as exc:
+            assert (type(exc), str(exc)) == error
+            return error + (n,)
+    raise AssertionError("no shorter table raises")
+
+
+def dyadic(lo, hi):
+    return st.integers(min_value=8 * lo, max_value=8 * hi).map(lambda k: Fraction(k, 8))
+
+
+@st.composite
+def balanced_unit_circle_weights(draw):
+    """Weights with p = q + 1 on |z| = 1.  The sum of nu_n has balance
+    gamma - n, so the table raises ``DivergentSeries`` at n = gamma for
+    z = 1, and at n = 0 when gamma <= -1; K is cut where z = -1 would sum a
+    balance below 1, which converges too slowly to test.  The parameters are
+    dyadic, so an mpf copy has the same balance."""
+    q = draw(st.integers(min_value=1, max_value=2))
+    a = draw(st.lists(dyadic(0, 2).filter(bool), min_size=q, max_size=q))
+    b = draw(st.lists(dyadic(0, 2), min_size=q, max_size=q))
+    z = draw(st.sampled_from([1, -1]))
+    gamma = draw(st.sampled_from([-2, Fraction(-3, 2), -1] + ([0, 1, 2, 3] if z == 1 else [2, 3])))
+    last = sum(b) + q - sum(a) - gamma
+    assume(not (last.denominator == 1 and last <= 0))  # a finite weight
+    K = draw(st.integers(min_value=0, max_value=4))
+    if z == -1 and gamma > 0:
+        K = min(K, gamma - 1)
+    return FunctionalSpec(a + [last], b, z, scale=draw(dyadic(-4, 4).filter(bool))), K
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(infinite_weights().map(lambda case: case[0]),
+                  st.integers(min_value=0, max_value=12), st.just(Fraction(1, 10**30))),
+        balanced_unit_circle_weights().map(lambda case: case + (Fraction(1, 10**6),)),
+    )
+)
+def test_infinite_moments_match_the_per_moment_route(case):
+    # exact parameters: the same values and types, or the same error at the
+    # same n; an mpf copy: values within tol, errors at the same n
+    spec, K, tol = case
+    with mp.workdps(50):
+        want = direct_infinite_moments(spec, K, tol)
+        got = moments_outcome(spec, K, tol)
+        assert (typed(got) if isinstance(got, list) else got) == (
+            typed(want) if isinstance(want, list) else want
+        )
+        numeric = FunctionalSpec(
+            [to_mpf(x) for x in spec.a], [to_mpf(x) for x in spec.b], to_mpf(spec.z),
+            scale=to_mpf(spec.scale), masses=spec.masses,
+        )
+        want = direct_infinite_moments(numeric, K, tol)
+        got = moments_outcome(numeric, K, tol)
+        if not isinstance(want, list):
+            assert got == want
+            return
+        for g, w in zip(got, want, strict=True):
+            assert isinstance(g, mp.mpf) and agree(g, w, tol)[1], (numeric, K)
 
 
 def test_mpf_meixner_table_matches_the_rational_one():

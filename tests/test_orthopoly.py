@@ -22,13 +22,13 @@ from discsemi.functional import (
 from discsemi.orthopoly import (
     MAX_K,
     Recurrence,
-    _arithmetic,
-    _hankel_minors,
+    _clear_denominators,
+    _hankel_pivots,
     chebyshev_from_moments,
     orthogonality_check,
     recurrence_from_moments,
 )
-from discsemi.scalars import DEFAULT_TOL, agree, exact_div, to_mpf
+from discsemi.scalars import DEFAULT_TOL, agree, exact_div, exact_value, to_mpf
 from discsemi.transforms import (
     apply_christoffel,
     apply_geronimus,
@@ -230,6 +230,16 @@ def test_zero_total_mass_is_singular_at_level_zero():
     assert info.value.index == 0
     with pytest.raises(SingularHankel):
         chebyshev_from_moments(table, 1)
+
+
+def test_mpf_table_with_zero_mass_is_singular_at_level_zero():
+    # the division forms meet nu_0 = 0 as a zero pivot, as the integer loops do
+    with mp.workdps(60):
+        table = MomentTable([mp.mpf(0)] + [mp.mpf(n) / 3 for n in range(1, 7)])
+        for route in (recurrence_from_moments, chebyshev_from_moments):
+            with pytest.raises(SingularHankel) as info:
+                route(table, 3)
+            assert info.value.index == 0
 
 
 # -- invariance under equivalent constructions --------------------------------
@@ -611,13 +621,14 @@ def _hankel_fraction_route(nu: MomentTable, K: int) -> Recurrence:
     Fractions and their denominators cleared afterwards: the route the
     conversion on cleared integers replaced."""
     m = stirling_convert(nu)[: 2 * K + 1]
-    entries, divide, ratio = _arithmetic(m)
-    H, t = _hankel_minors(entries, K, divide)
+    _, entries = _clear_denominators(m)
+    H, t = _hankel_pivots(entries, K)
+    H, t = [1] + H, [0] + t
     alpha = tuple(
-        ratio(t[n + 1] * H[n] - t[n] * H[n + 1], H[n + 1] * H[n]) for n in range(K)
+        Fraction(t[n + 1] * H[n] - t[n] * H[n + 1], H[n + 1] * H[n]) for n in range(K)
     )
     beta = tuple(
-        m[0] if n == 0 else ratio(H[n + 1] * H[n - 1], H[n] * H[n]) for n in range(K)
+        m[0] if n == 0 else Fraction(H[n + 1] * H[n - 1], H[n] * H[n]) for n in range(K)
     )
     return Recurrence(alpha, beta)
 
@@ -679,3 +690,22 @@ def test_numeric_gram_matches_per_product_check(spec, K):
             assert isinstance(g, mp.mpf)
             assert agree(g, w, tol)[1]
         assert abs(got["max_offdiagonal"] - want["max_offdiagonal"]) <= to_mpf(tol) * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(numeric_weights(), st.integers(min_value=1, max_value=8))
+def test_mpf_routes_match_the_exact_recurrence_of_the_dyadic_table(spec, K):
+    # the division forms on an mpf table against the Fraction recurrence of
+    # the dyadic rationals that table stores
+    tol = DEFAULT_TOL
+    with mp.workdps(60):
+        nu = moments(spec, 2 * K, tol)
+        dyadic = MomentTable([exact_value(v) for v in nu.values], nu.basis_shift)
+        want = recurrence_from_moments(dyadic, K)
+        assert all(isinstance(c, Fraction) for c in want.alpha + want.beta[1:])
+        for route in (recurrence_from_moments, chebyshev_from_moments):
+            got = route(nu, K)
+            assert got.beta[0] is nu.values[0]
+            for g, w in zip(got.alpha + got.beta, want.alpha + want.beta, strict=True):
+                assert isinstance(g, mp.mpf) and agree(g, w, tol)[1], (route, spec, K)
+

@@ -25,7 +25,7 @@ from discsemi.functional import (
     stieltjes_eval,
     weight_at,
 )
-from discsemi.scalars import agree, to_mpf
+from discsemi.scalars import agree, exact_value, to_mpf
 from discsemi import transforms
 from discsemi.transforms import (
     apply_christoffel,
@@ -361,6 +361,21 @@ def test_geronimus_regularity_and_poles():
     massed = apply_uvarov(charlier(), Fraction(-1, 2), 1)
     with pytest.raises(PoleAtSupportPoint, match="mass point"):
         apply_geronimus(massed, Fraction(-1, 2), 1)
+
+
+def test_geronimus_at_an_mpf_point_keeps_rational_masses():
+    # an mpf omega against a Fraction mass: the gap came from Fraction - mpf
+    # (a TypeError), and at the mpf nearest -1/3 the mass at -1/3 counted as
+    # a pole; each mass is now divided by the gap between the stored values
+    with mp.workdps(50):
+        for point in (Fraction(-1, 5), Fraction(-1, 3)):
+            omega = -mp.mpf(1) / 3
+            spec = apply_uvarov(charlier(), point, 2)
+            out = apply_geronimus(spec, omega, 1)
+            kept, added = out.masses
+            assert kept.omega == point and added == Mass(omega, 1)
+            want = to_mpf(2 / (point - exact_value(omega)))
+            assert abs(kept.M - want) <= abs(want) * mp.mpf(10) ** -45
 
 
 # ---------------------------------------------------------------------------
