@@ -22,8 +22,9 @@ sums by binary splitting: the term ratio is cleared into integer linear
 factors, products over halves of the index range are combined as integers,
 and the result is reduced to a ``Fraction`` once at the end instead of
 after every term.  An ``mpf`` input enters as the dyadic rational it
-stores, and the exact sum is rounded to ``mpf`` once.  The same tree can
-carry ``sum_k t_k (1+t)^k`` up to ``t^top``: every moment of a finite weight.
+stores, and the exact sum ``T/Q`` is rounded to ``mpf`` once, unreduced.
+The same tree can carry ``sum_k t_k (1+t)^k`` up to ``t^top``: every
+moment of a finite weight.
 
 Nonterminating sums go through one fixed-point kernel, :func:`sum_numeric`,
 on the same integer factors of the term ratio: the term and the running sum
@@ -55,8 +56,8 @@ from .scalars import (
     integer_ratio,
     is_exact,
     is_nonpos_integer,
+    ratio_to_mpf,
     scalar_to_json,
-    to_mpf,
 )
 
 #: Hard cap on the number of terms summed on the numeric path.
@@ -213,7 +214,7 @@ def eval_hyper_finite_sum(h: HyperSeries, K: int, top: int | None = None) -> Sca
     terms are zero and summation stops there; a zero denominator factor
     reached before that point raises PoleInDenominator.  The sum is exact,
     by binary splitting: rational in, ``Fraction`` out; with an mpf input,
-    the exact sum over the dyadic rationals it stores, rounded to mpf.
+    the exact sum over the dyadic rationals it stores, rounded to mpf once.
     Given ``top``, the same tree returns the list of coefficients of
     ``t^0..t^top`` in ``sum_{k<=K} t_k (1+t)^k`` instead.
     """
@@ -228,9 +229,8 @@ def eval_hyper_finite_sum(h: HyperSeries, K: int, top: int | None = None) -> Sca
             f"while the numerator is still nonzero"
         )
     Q, T = _split_sum(h.a, h.b, h.z, stop, top or 0)
-    sums = [Fraction(Tn, Q) for Tn in T]
-    if not (is_exact(h.z) and all(map(is_exact, h.a + h.b))):
-        sums = [to_mpf(s) for s in sums]
+    exact = is_exact(h.z) and all(map(is_exact, h.a + h.b))
+    sums = [Fraction(Tn, Q) if exact else ratio_to_mpf(Tn, Q) for Tn in T]
     return sums[0] if top is None else sums
 
 

@@ -4,29 +4,22 @@ Two independent routes produce the three-term recurrence
 
     p_{n+1}(x) = (x - alpha_n) p_n(x) - beta_n p_{n-1}(x),  p_0 = 1,
 
-from a :class:`~discsemi.functional.MomentTable`:
+from a :class:`~discsemi.functional.MomentTable`: :func:`recurrence_from_moments`
+from the pivots of one elimination of the power-basis Hankel matrix, and
+:func:`chebyshev_from_moments` by the modified Chebyshev algorithm on the
+falling-factorial moments themselves (the falling factorials are a monic
+family with coefficients l - shift and 0).  They are cross-asserted in the
+test-suite, and :func:`orthogonality_check` (the Gram matrix of ``p_0..p_K``
+against the functional) is the final oracle.  Only the Hankel route converts
+moments to powers, and the Gram check forms mixed moments by the identity
+``y phi_n(y) = phi_{n+1}(y) + n phi_n(y)`` the Chebyshev route runs on, so a
+fault in one shows as a disagreement with another.
 
-* :func:`recurrence_from_moments` — quotients of the leading and shifted
-  minors of the power-basis Hankel moment matrix, read off the pivots of
-  one elimination.
-* :func:`chebyshev_from_moments` — the modified Chebyshev algorithm run
-  directly on the falling-factorial moments (the falling factorials are
-  themselves a monic family with recurrence coefficients â_l = l - shift,
-  b̂_l = 0, so the table serves as modified moments without conversion).
-
-The two are cross-asserted in the test-suite; orthogonality against the
-originating functional (:func:`orthogonality_check`, the Gram matrix of
-``p_0..p_K`` through the falling basis) is the final oracle.  Only the
-Hankel route converts moments to powers; the Gram check forms its mixed
-moments with the identity ``y phi_n(y) = phi_{n+1}(y) + n phi_n(y)`` that
-the Chebyshev route runs on, so a fault in the conversion shows as a
-disagreement between the recurrences, and one in the Chebyshev loop as a
-failed Gram check.  The linear maps (Stirling conversion, mixed moments,
-dot products) run on ints for every table, scaled by the lcm of its
-denominators (an mpf is the dyadic rational it stores); a numeric output is
-rounded to ``mpf`` once.  An exact table is eliminated fraction-free with
-exact division; an ``mpf`` one, where division is free, by the division
-forms (Gaussian pivots, the sigma form of the Chebyshev algorithm).
+Every loop runs on ints (an mpf is the dyadic rational it stores).  An exact
+table is eliminated fraction-free; an mpf one in fixed point with a running
+error bound, and fraction-free too where the bound cannot put an output
+within ``2^-prec (1 + |v|)`` of the exact one, so only exact arithmetic
+finds a table singular.
 """
 
 from __future__ import annotations
@@ -36,6 +29,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+
+import mpmath as mp
 
 from .combin import stirling_convert
 from .errors import InputError, MissingParameter, SingularHankel
@@ -51,15 +46,17 @@ from .scalars import (
     to_mpf,
 )
 
-#: Largest supported recurrence length.  The limit is accuracy, not speed:
-#: at dps 60 and K = 24 the numeric Hankel and Chebyshev routes disagree by
-#: up to 4e-15 (relative; 2e-34 at best) on the 65 infinite weights with one
-#: or two parameter pairs of the benchmark's recurrence pool, far beyond the
-#: default tol of 1e-30, while an exact K = 24 Hankel pass on a truncated
-#: weight with N in 30..64 and up to one parameter pair takes 0.01 to 0.2 s
-#: (Python 3.11, one core of a 2-vCPU host).  The regression families never
-#: need more.
+#: Largest supported recurrence length; the regression families never need
+#: more.  Both routes give a table's own recurrence to about ``2^-prec``: at
+#: dps 60 and K = 24 they are within 2.7e-33 (relative) of the recurrence of
+#: a table summed at dps 120 on the 65 infinite weights with one or two
+#: parameter pairs of the benchmark's recurrence pool, and an exact K = 24
+#: Hankel pass on its truncated weights takes 0.01 to 0.2 s (one core of a
+#: 2-vCPU host).
 MAX_K = 12
+
+#: Bits the fixed-point eliminations carry beyond the working precision.
+_GUARD_BITS = 160
 
 
 @dataclass(frozen=True)
@@ -123,21 +120,56 @@ def _clear_denominators(values) -> tuple[int, list[int]]:
     return D, [n * (D // d) for n, d in ratios]
 
 
-def _hankel_pivots(m: list, K: int) -> tuple[list, list]:
-    """The pivots ``A[k][k]`` (k <= K) and their right neighbours
-    ``A[k][k+1]`` (k < K) in one elimination of ``(m_{i+j})_{i,j<=K}``.
+def _eliminate(values, K: int, exact, fixed) -> tuple[list, list]:
+    """alpha_0..alpha_{K-1} and beta_1..beta_{K-1}: ``exact()``, or for an mpf
+    table ``fixed()`` (None where not certified), else ``exact()`` rounded."""
+    if all(map(is_exact, values)):
+        return exact()
+    coeffs = fixed()
+    if any(c is None for c in coeffs):
+        return [[ratio_to_mpf(*integer_ratio(c)) for c in part] for part in exact()]
+    return coeffs[:K], coeffs[K:]
 
-    With ``H_k`` its k x k leading minor and ``t_k`` that minor with its
-    last column advanced by one, Bareiss steps on ints give ``H_{k+1}`` and
-    ``t_{k+1}``; Gaussian steps on ``mpf`` (one division per row, one
-    product per entry) give ``d_k = H_{k+1}/H_k`` and ``e_k = t_{k+1}/H_k``.
-    Stages stay symmetric, so only the upper triangle is updated.  Raises
-    ``SingularHankel(k)`` at the first vanishing pivot.
-    """
+
+def _shifted(x: int, s: int) -> int:
+    """``floor(x 2^s)``."""
+    return x << s if s >= 0 else x >> -s
+
+
+def _quotient(a: int, b: int, ea: int, eb: int, s: int) -> tuple[int, int]:
+    """``floor(a 2^s / b)`` and a bound in its units on its distance from
+    ``x 2^s / y`` when ``|x - a| <= ea`` and ``|y - b| <= eb < |b|``."""
+    num, den = ea * abs(b) + eb * abs(a), abs(b) * (abs(b) - eb)
+    up, down = max(s, 0), max(-s, 0)
+    return (a << up) // (b << down), 1 - (-num << up) // (den << down)
+
+
+def _fixed_to_mpf(v: int, e: int, wp: int):
+    """The mpf ``v 2^-wp`` rounded once, or None when its error bound
+    ``e 2^-wp`` may exceed ``2^-prec (1 + |v 2^-wp|)``."""
+    if e << mp.mp.prec > (1 << wp) + abs(v):
+        return None
+    return mp.ldexp(mp.mpf(v), -wp)
+
+
+def _ratio_to_mpf(a: int, b: int, ea: int, eb: int, s: int):
+    """The mpf ``a 2^s / b`` rounded once, or None when ``x / y`` may be
+    ``2^-prec`` (relative) away for ``|x - a| <= ea`` and ``|y - b| <= eb``."""
+    if (ea * abs(b) + eb * abs(a)) << mp.mp.prec > abs(a) * (abs(b) - eb):
+        return None
+    return mp.ldexp(ratio_to_mpf(a, b), s)
+
+
+def _hankel_pivots(m: list, K: int) -> tuple[list, list]:
+    """The pivots ``H_{k+1}`` (k <= K) and their right neighbours ``t_{k+1}``
+    (k < K) in one Bareiss elimination of the ints ``(m_{i+j})_{i,j<=K}``:
+    ``H_k`` is its k x k leading minor and ``t_k`` that minor with its last
+    column advanced by one.  Only the (symmetric) upper triangle is updated.
+    Raises ``SingularHankel(k)`` at the first vanishing pivot."""
     n = K + 1
     A = [m[i : i + n] for i in range(n)]
     pivots, right = [], []
-    exact, prev = isinstance(m[0], int), 1
+    prev = 1
     for k in range(n):
         row = A[k]
         pivot = row[k]
@@ -148,15 +180,62 @@ def _hankel_pivots(m: list, K: int) -> tuple[list, list]:
             right.append(row[k + 1])
         for i in range(k + 1, n):
             lower, head = A[i], row[i]
-            if exact:  # Bareiss's division by the previous pivot is exact
-                for j in range(i, n):
-                    lower[j] = (pivot * lower[j] - head * row[j]) // prev
-            else:
-                factor = head / pivot
-                for j in range(i, n):
-                    lower[j] -= factor * row[j]
+            for j in range(i, n):  # the division by the previous pivot is exact
+                lower[j] = (pivot * lower[j] - head * row[j]) // prev
         prev = pivot
     return pivots, right
+
+
+def _hankel_exact(D: int, powers: list, K: int) -> tuple[list, list]:
+    """The coefficients as Fractions from the power moments ``powers / D``,
+    divided first by their gcd with ``D`` (the quotients cancel the rest)."""
+    g = math.gcd(D, *powers)
+    H, t = _hankel_pivots([p // g for p in powers], K)
+    H, t = [1] + H, [0] + t
+    r = [Fraction(t[k], H[k]) for k in range(K + 1)]  # t_k / H_k
+    q = [Fraction(H[k + 1], H[k]) for k in range(K)]  # H_{k+1} / H_k
+    return [r[n + 1] - r[n] for n in range(K)], [q[n] / q[n - 1] for n in range(1, K)]
+
+
+def _hankel_fixed(powers: list, K: int) -> list:
+    """The coefficients as mpf (None where not certified) by Gaussian
+    elimination of the int power moments in fixed point.
+
+    Row and column i are scaled by ``2^-f_i``, ``f_i`` half the bit length
+    of ``m_{2i}``, so entries are O(1) at ``wp`` fractional bits.  Updates
+    are ``x_ij -= x_ik x_kj // x_kk``; stage-k entries are within ``E_k``
+    units of the exact elimination, ``E_0 = 1`` and ``E_{k+1} = E_k (1 +
+    r/c)^2 + 1`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2002, ch. 9; second-order terms kept) with ``c = |x_kk|``, ``r =
+    max_{j>k} |x_kj|``.  ``alpha_n`` is a difference of ratios ``x_{n,n+1}
+    / x_nn``, ``beta_n`` is ``x_nn / x_{n-1,n-1}``.  A pivot within its
+    bound of zero, ``H_{K+1}``'s too, gives ``[None]``."""
+    wp = mp.mp.prec + _GUARD_BITS
+    n = K + 1
+    f = [abs(powers[2 * i]).bit_length() // 2 for i in range(n)]
+    A = [[_shifted(powers[i + j], wp - f[i] - f[j]) for j in range(n)] for i in range(n)]
+    err, pivots, errs, ratios = 1, [], [], [(0, 0)]
+    for k in range(n):
+        row = A[k]
+        pivot = row[k]
+        c = abs(pivot)
+        if c <= err:
+            return [None]
+        pivots.append(pivot)
+        errs.append(err)
+        if k < K:
+            ratios.append(_quotient(row[k + 1], pivot, err, err, wp + f[k + 1] - f[k]))
+        for i in range(k + 1, n):
+            lower, head = A[i], row[i]
+            for j in range(i, n):
+                lower[j] -= head * row[j] // pivot
+        r = max(map(abs, row[k + 1 :]), default=0)
+        err += 1 - (-err * ((2 * r + err) * c + r * r) // (c * (c - err)))
+    alpha = [_fixed_to_mpf(q - p, e + d, wp) for (p, d), (q, e) in zip(ratios, ratios[1:])]
+    return alpha + [
+        _ratio_to_mpf(pivots[k], pivots[k - 1], errs[k], errs[k - 1], 2 * (f[k] - f[k - 1]))
+        for k in range(1, K)
+    ]
 
 
 def recurrence_from_moments(nu: MomentTable, K: int) -> Recurrence:
@@ -164,13 +243,10 @@ def recurrence_from_moments(nu: MomentTable, K: int) -> Recurrence:
 
     With ``H_k`` and ``t_k`` as in :func:`_hankel_pivots` for the power
     moments, ``alpha_n = t_{n+1}/H_{n+1} - t_n/H_n`` and
-    ``beta_n = H_{n+1} H_{n-1} / H_n^2``; ``beta_0`` is ``nu_0``.  The table
-    is scaled by the lcm ``D`` of its denominators and converted to power
-    moments on those ints.  An exact table is divided by the gcd ``g`` of
-    ``D`` and them, leaving power moments scaled by ``D / g``, which the
-    quotients cancel.  Any other table rounds each power moment to ``mpf``
-    once and takes ``alpha_n = e_n/d_n - e_{n-1}/d_{n-1}`` and
-    ``beta_n = d_n / d_{n-1}`` from Gaussian pivots.  Raises
+    ``beta_n = (H_{n+1}/H_n) / (H_n/H_{n-1})``; ``beta_0`` is ``nu_0``.  The
+    table is scaled by the lcm ``D`` of its denominators and converted to
+    power moments on those ints, then eliminated by :func:`_hankel_exact`
+    or, for an mpf table, :func:`_hankel_fixed`.  Raises
     ``SingularHankel(n)`` at the first vanishing leading determinant.
     """
     _check_cap(K)
@@ -178,17 +254,9 @@ def recurrence_from_moments(nu: MomentTable, K: int) -> Recurrence:
     values = nu.values[: 2 * K + 1]
     D, scaled = _clear_denominators(values)
     powers = stirling_convert(MomentTable(scaled, nu.basis_shift))
-    if all(map(is_exact, values)):
-        g = math.gcd(D, *powers)
-        H, t = _hankel_pivots([p // g for p in powers], K)
-        H, t = [1] + H, [0] + t
-        alpha = [Fraction(t[n + 1] * H[n] - t[n] * H[n + 1], H[n + 1] * H[n]) for n in range(K)]
-        beta = [Fraction(H[n + 1] * H[n - 1], H[n] * H[n]) for n in range(1, K)]
-    else:
-        d, e = _hankel_pivots([ratio_to_mpf(p, D) for p in powers], K)
-        ratios = [0] + [e[n] / d[n] for n in range(K)]
-        alpha = [ratios[n + 1] - ratios[n] for n in range(K)]
-        beta = [d[n] / d[n - 1] for n in range(1, K)]
+    alpha, beta = _eliminate(
+        values, K, lambda: _hankel_exact(D, powers, K), lambda: _hankel_fixed(powers, K)
+    )
     return Recurrence(tuple(alpha), tuple([values[0]] + beta)[:K])
 
 
@@ -196,16 +264,17 @@ def chebyshev_from_moments(nu: MomentTable, K: int) -> Recurrence:
     """The same coefficients via the modified Chebyshev algorithm.
 
     The reference system is phi_l, with coefficients ``l - shift`` and 0.
-    An ``mpf`` table runs the sigma form (Gautschi, *Orthogonal Polynomials:
-    Computation and Approximation*, 2004, §2.1.7) on
-    ``sigma_k(l) = L[p_k phi_l]``: ``sigma_0(l) = nu_l``,
+    The sigma form (Gautschi, *Orthogonal Polynomials: Computation and
+    Approximation*, 2004, §2.1.7) runs on ``sigma_k(l) = L[p_k phi_l]``:
+    ``sigma_0(l) = nu_l``,
 
         sigma_{k+1}(l) = sigma_k(l+1) - (alpha_k - l + shift) sigma_k(l)
                          - beta_k sigma_{k-1}(l),
 
     ``alpha_k = k - shift + sigma_k(k+1)/sigma_k(k) - sigma_{k-1}(k)/sigma_{k-1}(k-1)``
     and ``beta_k = sigma_k(k)/sigma_{k-1}(k-1)``; ``beta_0`` is ``nu_0``.
-    An exact table, scaled by the lcm of its denominators, runs fraction-free
+    An mpf table runs it in fixed point (:func:`_chebyshev_fixed`).  An
+    exact one, scaled by the lcm of its denominators, runs fraction-free
     on ints, on ``T_k(l) = H_k sigma_k(l)`` with ``H_k`` the k x k Hankel
     minor: ``T_0(l) = nu_l``, ``T_k(k) = H_{k+1}``, and
 
@@ -221,9 +290,12 @@ def chebyshev_from_moments(nu: MomentTable, K: int) -> Recurrence:
         _check_length(nu, 1, K)
         return Recurrence((), ())
     _check_length(nu, 2 * K, K)
-    values = nu.values[: 2 * K]
-    loop = _chebyshev_integers if all(map(is_exact, values)) else _chebyshev_sigma
-    alpha, beta = loop(values, K, nu.basis_shift)
+    values, shift = nu.values[: 2 * K], nu.basis_shift
+    alpha, beta = _eliminate(
+        values, K,
+        lambda: _chebyshev_integers(values, K, shift),
+        lambda: _chebyshev_fixed(values, K, shift),
+    )
     return Recurrence(tuple(alpha), (values[0],) + tuple(beta))
 
 
@@ -233,15 +305,18 @@ def _chebyshev_integers(values, K: int, shift) -> tuple[list, list]:
     prev = [0] * (2 * K)  # T_{-1} = 0
     H = [1, curr[0]]
     alpha, beta = [], []
+    ratio, step = 0, None  # T_{k-1}(k) / H_k and H_k / H_{k-1}
     for k in range(K):
         h0, h1, right, above = H[k], H[k + 1], curr[k + 1], prev[k]
         if h1 == 0:
             raise SingularHankel(k)
-        alpha.append(k - shift + Fraction(right * h0 - above * h1, h1 * h0))
+        r, q = Fraction(right, h1), Fraction(h1, h0)
+        alpha.append(k - shift + r - ratio)
         if k:
-            beta.append(Fraction(h1 * H[k - 1], h0 * h0))
+            beta.append(q / step)
         if k == K - 1:
             break
+        ratio, step = r, q
         square, lead, mix, back = h0 * h0, h0 * h1, h1 * above - h0 * right, h1 * h1
         nxt = [0] * (2 * K)
         for l in range(k + 1, 2 * K - k - 1):
@@ -252,28 +327,92 @@ def _chebyshev_integers(values, K: int, shift) -> tuple[list, list]:
     return alpha, beta
 
 
-def _chebyshev_sigma(values, K: int, shift) -> tuple[list, list]:
-    """alpha_0..alpha_{K-1} and beta_1..beta_{K-1}, in the sigma form on ``mpf``."""
-    curr = [to_mpf(v) for v in values]
+def _chebyshev_fixed(values, K: int, shift) -> list:
+    """The coefficients as mpf (None where not certified) by the sigma form
+    in fixed point.
+
+    ``sigma_k(l)`` is ``S_k[l] 2^(c_l + r_k - wp)`` over the cleared table,
+    ``c_l`` the bit length of its nu_l and ``r_k`` such that row k's largest
+    entry has ``wp`` bits.  ``alpha_k`` is a difference of ratios, and
+    ``beta_k`` enters row k + 1 as ``S_k[k] / S_{k-1}[k-1]`` over the column
+    exponents.  Row k is within ``E_k`` units of the exact sigma form:
+    ``E_0 = 1``, and ``E_{k+1}`` adds up, at the row maxima (at most
+    ``2^wp``), the errors of each term and its floors, rescaled with the
+    row.  A diagonal within its bound of zero gives ``[None]``."""
+    wp = mp.mp.prec + _GUARD_BITS
+    _, nums = _clear_denominators(values)
+    col = [abs(v).bit_length() for v in nums]
+    curr = [_shifted(v, wp - c) for v, c in zip(nums, col)]
     prev = [0] * (2 * K)  # sigma_{-1} = 0
+    err, err_prev, rise = 1, 0, 0  # rise = r_k - r_{k-1}
+    ratio = spread = 0  # sigma_{k-1}(k)/sigma_{k-1}(k-1) and its bound
     alpha, beta = [], []
-    ratio = diagonal = 0  # sigma_{k-1}(k)/sigma_{k-1}(k-1) and sigma_{k-1}(k-1)
     for k in range(K):
-        if curr[k] == 0:
-            raise SingularHankel(k)
-        r = curr[k + 1] / curr[k]
-        a, b = k - shift + r - ratio, curr[k] / diagonal if k else 0
-        alpha.append(a)
+        diag = curr[k]
+        if abs(diag) <= err:
+            return [None]
+        r, u = _quotient(curr[k + 1], diag, err, err, wp + col[k + 1] - col[k])
+        a, da = r - ratio, u + spread
+        alpha.append(_fixed_to_mpf(((k - shift) << wp) + a, da, wp))
+        b = db = 0
         if k:
-            beta.append(b)
+            s = col[k] - col[k - 1]
+            beta.append(_ratio_to_mpf(diag, prev[k - 1], err, err_prev, s + rise))
+            b, db = _quotient(diag, prev[k - 1], err, err_prev, wp + s)
         if k == K - 1:
             break
-        ratio, diagonal = r, curr[k]
+        ratio, spread = r, u
+        cols = range(k + 1, 2 * K - k - 1)
         nxt = [0] * (2 * K)
-        for l in range(k + 1, 2 * K - k - 1):
-            nxt[l] = curr[l + 1] - (a - l + shift) * curr[l] - b * prev[l]
+        for l in cols:
+            t = curr[l]
+            nxt[l] = _shifted(curr[l + 1], col[l + 1] - col[l]) + (l - k) * t
+            nxt[l] -= (a * t >> wp) + (b * prev[l] >> wp)
+        grow = max(0, max(col[l + 1] - col[l] for l in cols))
+        bound = (err << grow) + (2 * K - k) * err + da + db + 5
+        bound += (abs(a) * err + abs(b) * err_prev) >> wp
+        rise = max(map(abs, nxt)).bit_length() - wp
+        nxt = [_shifted(x, -rise) for x in nxt]
+        err_prev, err = err, (bound >> rise) + 2 if rise > 0 else bound << -rise
         prev, curr = curr, nxt
-    return alpha, beta
+    return alpha + beta
+
+
+def _exact_polynomials(rec: Recurrence, K: int, shift: int) -> tuple[list, list, list]:
+    """p_0..p_K of an exact recurrence in ``y = x + shift``, on ints:
+    ``p_k = P_k / d_k``, ``d_k > 0``, ``gcd(d_k, content P_k) = 1``.
+
+    The flags say which ``p_k`` :meth:`Recurrence.polynomials` and
+    ``Poly.shift`` give a ``Fraction`` coefficient.  Poly arithmetic makes
+    Fractions of coefficients ``0..m_k-1``: ``m_{k+1}`` is the largest of
+    ``m_k + 1`` (if ``m_k``), ``k + 1`` if alpha_k is a Fraction, and, if
+    ``beta_k != 0`` (``Poly`` trims ``p_{k-1} * 0``), ``m_{k-1}`` and ``k``
+    if beta_k is a Fraction; a shift keeps the nonzero ones."""
+    dens, polys, marks = [1], [[1]], [0]
+    for k in range(K):
+        alpha, P = rec.alpha[k], polys[k]
+        a, b = integer_ratio(alpha)
+        num, den = [b * x - a * y for x, y in zip([0] + P, P + [0])], b * dens[k]
+        m = max(marks[k] + (marks[k] > 0), (k + 1) * isinstance(alpha, Fraction))
+        beta = rec.beta[k] if k else 0
+        if beta != 0:
+            c, e = integer_ratio(beta)
+            other = e * dens[k - 1]
+            g = math.gcd(den, other)
+            u, v = other // g, c * (den // g)
+            num = [x * u - v * y for x, y in zip(num, polys[k - 1] + [0, 0])]
+            den = den // g * other
+            m = max(m, marks[k - 1], k * isinstance(beta, Fraction))
+        h = math.gcd(den, *num)
+        dens.append(den // h)
+        polys.append([x // h for x in num])
+        marks.append(m)
+    fractional = [any(P[:m]) if shift else m > 0 for P, m in zip(polys, marks)]
+    for P in polys if shift else ():  # P(y - shift), by repeated synthetic division
+        for i in range(len(P) - 1):
+            for j in range(len(P) - 2, i - 1, -1):
+                P[j] -= shift * P[j + 1]
+    return dens, polys, fractional
 
 
 def orthogonality_check(
@@ -281,40 +420,37 @@ def orthogonality_check(
 ) -> dict:
     """Gram matrix L[p_i p_j] for i, j <= K against the spec's functional.
 
-    Each ``p_i`` is shifted to the table's basis ``phi_n(y)``, ``y = x +
-    shift``, and expanded in it once (:func:`~discsemi.polys.falling_coeffs`).
-    The mixed moments ``L[p_i phi_n]`` for n <= K come from the table by
-    Horner's rule on the shifted power coefficients of ``p_i``, with
-    ``y phi_n = phi_{n+1} + n phi_n`` (the identity the Chebyshev route
-    runs on); an entry ``L[p_i p_j]`` is then one dot product of the
-    falling coefficients of ``p_j`` with these.  The table is scaled by the
-    lcm ``D`` of its denominators and each shifted ``p_i`` by the lcm
-    ``d_i`` of its own (an mpf read as the dyadic rational it stores), so
-    the sums run on ints and each entry is one division by ``D d_i d_j``.
-    When the table and the recurrence are exact, an entry is an ``int``
+    Each ``p_i``, in the table's basis variable ``y = x + shift`` and scaled
+    by the lcm ``d_i`` of its denominators (:meth:`Recurrence.polynomials`
+    for an mpf recurrence, :func:`_exact_polynomials` for an exact one), is
+    expanded in the falling basis (:func:`~discsemi.polys.falling_coeffs`).
+    The mixed moments ``L[p_i phi_n]``, n <= K, come from the table scaled
+    by the lcm ``D`` of its denominators, by Horner's rule with ``y phi_n =
+    phi_{n+1} + n phi_n``; an entry is one dot product of ints divided by
+    ``D d_i d_j``.  With an exact table and recurrence it is an ``int``
     exactly when every shifted coefficient and moment it uses is one, else
-    a ``Fraction``; otherwise every entry is rounded to ``mpf`` once.
+    a ``Fraction``; otherwise it is rounded to ``mpf`` once.
 
     PASS iff no diagonal entry vanishes and every off-diagonal entry is
     exactly zero when the arithmetic is exact, or at most tol times the
-    largest diagonal entry otherwise.  The matrix is symmetric, so only the entries
-    with j > i are computed off the diagonal.
+    largest diagonal entry otherwise.  The matrix is symmetric, so only the
+    entries with j > i are computed off the diagonal.
     """
     table = moments(spec, 2 * K, tol)
-    polys = [p.shift(-table.basis_shift) for p in rec.polynomials(K)]
     values = table.values
-    exact = all(map(is_exact, values)) and all(
-        is_exact(c) for p in polys for c in p.coeffs
-    )
+    exact = K <= len(rec.alpha) and all(map(is_exact, (*rec.alpha[:K], *rec.beta[1:K])))
+    if exact:
+        dens, coeffs, fractional = _exact_polynomials(rec, K, table.basis_shift)
+        exact = all(map(is_exact, values))
+    else:  # mpf coefficients are prec-sized already: Poly arithmetic costs no more
+        polys = [p.shift(-table.basis_shift) for p in rec.polynomials(K)]
+        dens, coeffs = zip(*(_clear_denominators(p.coeffs) for p in polys))
     # entry (i, j) uses the coefficients of p_i, p_j and nu_0..nu_{i+j}
-    fractional = [any(isinstance(c, Fraction) for c in p.coeffs) for p in polys]
     prefix = list(itertools.accumulate(
         (isinstance(v, Fraction) for v in values), operator.or_
     ))
     D, m = _clear_denominators(values)
-    scaled = [_clear_denominators(p.coeffs) for p in polys]
-    dens = [den for den, _ in scaled]
-    polys = [Poly(coeffs) for _, coeffs in scaled]
+    polys = [Poly(c) for c in coeffs]
 
     def mixed(p: Poly) -> list:
         """``L[p phi_n]`` for n <= K (scaled as ``m`` and ``p`` are)."""

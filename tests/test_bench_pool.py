@@ -5,8 +5,11 @@ only part of a pool against ``bench/reference.json``.  This builds and runs
 every candidate of ``exact_finite`` and ``recurrence_deep``: exact outputs
 must match their recorded digests, and numeric ones must pass the
 workload's checks within its tolerance, ``mpmath.hyper``'s nu_0 included
-(and report their Gram entries as mpf).
-The benchmark files are only read.
+(and report their Gram entries as mpf).  The numeric ``recurrence_deep``
+tables must also stay on the fixed-point eliminations: a count of entries
+into the exact fallback, not a time, so a bound loosened or tightened later
+cannot move them onto the exact route unseen.  The benchmark files are only
+read.
 """
 
 import json
@@ -20,6 +23,8 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 if str(BENCH) not in sys.path:
     sys.path.insert(0, str(BENCH))
 
+import workloads  # noqa: E402
+from discsemi import moments, orthopoly  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 REFERENCE = json.loads((BENCH / "reference.json").read_text())
@@ -46,3 +51,29 @@ def test_every_pool_candidate_passes_its_check(name):
                 count += 1
     assert count == 169
     assert failures == []
+
+
+def test_numeric_recurrence_tables_need_no_exact_fallback(monkeypatch):
+    entries = []
+    for name in ("_hankel_pivots", "_chebyshev_integers"):
+        inner = getattr(orthopoly, name)
+
+        def counted(*args, inner=inner, name=name):
+            entries.append(name)
+            return inner(*args)
+
+        monkeypatch.setattr(orthopoly, name, counted)
+    workload = WORKLOADS["recurrence_deep"]
+    count = 0
+    with mp.workdps(workload.dps):
+        for stratum in workload.strata():
+            for recipe in stratum:
+                item = workload.build(recipe)
+                if item.exact:
+                    continue
+                table = moments(item.spec, workloads.MOMENT_K)
+                orthopoly.recurrence_from_moments(table, workloads.RECURRENCE_K)
+                orthopoly.chebyshev_from_moments(table, workloads.RECURRENCE_K)
+                count += 1
+    assert count == 78
+    assert entries == []

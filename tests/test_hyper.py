@@ -19,7 +19,7 @@ from discsemi.hyper import (
     eval_hyper_finite_sum,
     termination_degree,
 )
-from discsemi.scalars import to_mpf
+from discsemi.scalars import exact_value, ratio_to_mpf, to_mpf
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +313,32 @@ def test_finite_sum_numeric_inputs():
         eval_hyper_finite_sum(HyperSeries([1], [-2], mp.mpf(1)), 5)
 
 
+def _truncated(w: Fraction, prec: int) -> Fraction:
+    """``w`` rounded toward zero to ``prec`` significant bits, as mpmath
+    rounds a Fraction."""
+    n, d = abs(w.numerator), w.denominator
+    e = n.bit_length() - d.bit_length()  # now 2^(e-1) < |w| < 2^(e+1)
+    if Fraction(n, d) < Fraction(2) ** e:
+        e -= 1
+    s = prec - 1 - e
+    q = (n << s) // d if s >= 0 else n // (d << -s)
+    return (1 if w > 0 else -1) * Fraction(q) / Fraction(2) ** s
+
+
+def test_mpf_finite_sum_rounds_each_coefficient_once():
+    # each coefficient T_n/Q of a table with mpf parameters is the exact sum
+    # over the dyadic parameters, rounded once (Q has about 42,000 bits)
+    with mp.workdps(50):
+        a, b, z = mp.mpf(1) / 3, mp.mpf(2) / 5 + 1, mp.mpf(1) / 2
+        got = eval_hyper_finite_sum(HyperSeries([a], [b], z), 120, 24)
+        want = eval_hyper_finite_sum(
+            HyperSeries([exact_value(a)], [exact_value(b)], exact_value(z)), 120, 24
+        )
+        for g, w in zip(got, want, strict=True):
+            assert isinstance(g, mp.mpf) and isinstance(w, Fraction)
+            assert exact_value(g) == _truncated(w, mp.mp.prec)
+
+
 def test_reversed_matches_direct_large_n():
     a, b, z = [Fraction(1, 3)], [Fraction(1, 2)], Fraction(2, 5)
     assert weight_partial_sum(a, b, z, 500) == weight_partial_sum_reversed(a, b, z, 500)
@@ -436,5 +462,5 @@ def test_mpf_integer_parameters_terminate_like_exact_ones():
     # an mpf numerator parameter -5 ends the sum before the pole of -10
     got = eval_hyper(HyperSeries([mp.mpf(-5)], [mp.mpf(-10)], 1))
     assert isinstance(got, mp.mpf)
-    assert got == to_mpf(Fraction(49171, 30240))
+    assert got == ratio_to_mpf(49171, 30240)  # the exact sum, rounded once
     assert eval_hyper(HyperSeries([-5], [-10], 1)) == Fraction(49171, 30240)

@@ -3,6 +3,7 @@ coefficient checks, orthogonality against the originating functional, and
 degenerate-table behavior."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +20,7 @@ from discsemi.functional import (
     moments,
     stieltjes_eval,
 )
+from discsemi import orthopoly
 from discsemi.orthopoly import (
     MAX_K,
     Recurrence,
@@ -28,7 +30,7 @@ from discsemi.orthopoly import (
     orthogonality_check,
     recurrence_from_moments,
 )
-from discsemi.scalars import DEFAULT_TOL, agree, exact_div, exact_value, to_mpf
+from discsemi.scalars import DEFAULT_TOL, agree, exact_div, exact_value, ratio_to_mpf, to_mpf
 from discsemi.transforms import (
     apply_christoffel,
     apply_geronimus,
@@ -598,6 +600,10 @@ def _window_1(*masses):
                           support=Support.symmetrized_shift(1), masses=masses)
 
 
+def _truncated_4():
+    return FunctionalSpec(a=(), b=(), z=Fraction(1, 2), support=Support.truncated(4))
+
+
 @settings(max_examples=200, deadline=None)
 @given(exact_specs(), st.integers(min_value=0, max_value=4), st.booleans(),
        exact_recurrences(4))
@@ -605,6 +611,13 @@ def _window_1(*masses):
 # coefficients, so its Gram entries are ints
 @example(_window_1(), 1, True, Recurrence((Fraction(0),) * 4, (0,) * 4))
 @example(_window_1(Mass(0, 1)), 1, False, Recurrence((0,) * 4, (1,) * 4))
+# an integral Fraction alpha keeps p_1 = x - Fraction(3) Fractional on both
+# bases; a zero Fraction beta adds nothing, so p_2 stays int; and p_2 =
+# (x - 1)(x - Fraction(0)) holds a Fraction(-1) at x, above its zero Fraction
+@example(_window_1(), 2, True, Recurrence((Fraction(3),) * 4, (1,) * 4))
+@example(_truncated_4(), 2, True, Recurrence((Fraction(3),) * 4, (1,) * 4))
+@example(_truncated_4(), 3, True, Recurrence((1,) * 4, (1, Fraction(0), 2, 3)))
+@example(_window_1(), 2, True, Recurrence((Fraction(0), 1, 1, 1), (0,) * 4))
 def test_integer_gram_matches_per_product_check(spec, K, use_drawn, drawn):
     rec = _outcome(chebyshev_from_moments, moments(spec, max(2 * K, 1)), K)
     if isinstance(rec, tuple) or use_drawn:
@@ -647,8 +660,9 @@ def test_integer_stirling_matches_fraction_route(measure, K):
 
 
 @st.composite
-def numeric_weights(draw):
-    """Infinite weights (numeric moments): positive parameters, z > 0, and
+def numeric_weights(draw, signed=False):
+    """Infinite weights (numeric moments): positive parameters, z > 0 (or
+    of either sign when ``signed``, a weight that changes sign), and
     |z| <= 1/2 on the unit disk, optionally with a point mass."""
     q = draw(st.integers(min_value=0, max_value=2))
     p = draw(st.integers(min_value=0, max_value=q + 1))
@@ -656,6 +670,8 @@ def numeric_weights(draw):
     b = draw(st.lists(_positive, min_size=q, max_size=q))
     bound = Fraction(1, 2) if p == q + 1 else 4
     z = draw(st.fractions(min_value=Fraction(1, 20), max_value=bound, max_denominator=20))
+    if signed and draw(st.booleans()):
+        z = -z
     masses = draw(st.lists(st.builds(Mass, _off_lattice, _positive), max_size=1))
     return FunctionalSpec(a, b, z, masses=masses)
 
@@ -692,20 +708,92 @@ def test_numeric_gram_matches_per_product_check(spec, K):
         assert abs(got["max_offdiagonal"] - want["max_offdiagonal"]) <= to_mpf(tol) * scale
 
 
+def _units(got, want) -> Fraction:
+    """|got - want| in units of ``2^-prec (1 + |want|)``."""
+    want = Fraction(want)
+    return abs(exact_value(got) - want) * 2**mp.prec / (1 + abs(want))
+
+
+def _dyadic_recurrence(nu: MomentTable, K: int):
+    """The exact recurrence of the dyadic rationals an mpf table stores, or
+    ("singular", k)."""
+    dyadic = MomentTable([exact_value(v) for v in nu.values], nu.basis_shift)
+    return _outcome(recurrence_from_moments, dyadic, K)
+
+
 @settings(max_examples=60, deadline=None)
-@given(numeric_weights(), st.integers(min_value=1, max_value=8))
-def test_mpf_routes_match_the_exact_recurrence_of_the_dyadic_table(spec, K):
-    # the division forms on an mpf table against the Fraction recurrence of
-    # the dyadic rationals that table stores
-    tol = DEFAULT_TOL
-    with mp.workdps(60):
-        nu = moments(spec, 2 * K, tol)
-        dyadic = MomentTable([exact_value(v) for v in nu.values], nu.basis_shift)
-        want = recurrence_from_moments(dyadic, K)
-        assert all(isinstance(c, Fraction) for c in want.alpha + want.beta[1:])
+@given(numeric_weights(signed=True), st.integers(min_value=1, max_value=MAX_K),
+       st.sampled_from((None, 8, 100)))
+# tables whose certified outputs drift past 4 units when the Hankel bound
+# stops growing, or the sigma bound stops following its row's rescaling
+@example(FunctionalSpec((Fraction(7, 2),), (), Fraction(-17, 40)), 11, 8)
+@example(FunctionalSpec((), (Fraction(16, 7), Fraction(25, 4)), Fraction(4, 5),
+                        masses=(Mass(Fraction(-13, 8), 18),)), 11, 100)
+def test_mpf_routes_match_the_exact_recurrence_of_the_dyadic_table(spec, K, guard):
+    # the fixed-point eliminations on an mpf table against the Fraction
+    # recurrence of the dyadic rationals that table stores; with fewer guard
+    # bits more tables fail their bound, and what it certifies must still hold
+    guard = orthopoly._GUARD_BITS if guard is None else guard
+    with mp.workdps(60), mock.patch.object(orthopoly, "_GUARD_BITS", guard):
+        nu = moments(spec, 2 * K)
+        want = _dyadic_recurrence(nu, K)
         for route in (recurrence_from_moments, chebyshev_from_moments):
-            got = route(nu, K)
+            got = _outcome(route, nu, K)
+            if isinstance(want, tuple):
+                assert got == want, (route, spec, K)
+                continue
             assert got.beta[0] is nu.values[0]
             for g, w in zip(got.alpha + got.beta, want.alpha + want.beta, strict=True):
-                assert isinstance(g, mp.mpf) and agree(g, w, tol)[1], (route, spec, K)
+                assert isinstance(g, mp.mpf) and _units(g, w) <= 4, (route, spec, K)
 
+
+def _counting(monkeypatch) -> list:
+    """Record each entry into the fraction-free loops of both routes."""
+    entries = []
+    for name in ("_hankel_pivots", "_chebyshev_integers"):
+        inner = getattr(orthopoly, name)
+
+        def counted(*args, inner=inner, name=name):
+            entries.append(name)
+            return inner(*args)
+
+        monkeypatch.setattr(orthopoly, name, counted)
+    return entries
+
+
+def _lattice_table(weights, size):
+    """nu_0..nu_{size-1} of masses ``weights[x]`` at x = 0, 1, ..."""
+    return MomentTable([
+        sum(w * falling_factorial(x, n) for x, w in enumerate(weights)) for n in range(size)
+    ])
+
+
+def test_mpf_routes_fall_back_to_the_exact_recurrence_rounded_once(monkeypatch):
+    # masses 1 at 2 and 3 and 2^-400 at 4 and 5: H_3 is 2^-393 of its
+    # scale, past what the guard bits resolve, so the pivot of level 2 is
+    # within its bound of zero in both routes
+    entries = _counting(monkeypatch)
+    with mp.workdps(60):
+        tiny = mp.ldexp(1, -400)
+        nu = _lattice_table([0, 0, mp.mpf(1), mp.mpf(1), tiny, tiny], 7)
+        want = _dyadic_recurrence(nu, 3)
+        entries.clear()
+        for route, loop in ((recurrence_from_moments, "_hankel_pivots"),
+                            (chebyshev_from_moments, "_chebyshev_integers")):
+            got = route(nu, 3)
+            assert entries.pop() == loop and not entries
+            for g, w in zip(got.alpha + got.beta[1:], want.alpha + want.beta[1:], strict=True):
+                assert isinstance(g, mp.mpf) and g == ratio_to_mpf(w.numerator, w.denominator)
+            assert got.beta[2] < 1e-117
+
+
+def test_mpf_table_singular_past_level_zero_raises_at_the_same_level():
+    # masses at 0 and 1 alone: H_3 vanishes in the dyadic table, and only
+    # the exact loops may say so
+    with mp.workdps(60):
+        nu = _lattice_table([mp.mpf(1) / 3, mp.mpf(2) / 7], 7)
+        assert _dyadic_recurrence(nu, 3) == ("singular", 2)
+        for route in (recurrence_from_moments, chebyshev_from_moments):
+            with pytest.raises(SingularHankel) as info:
+                route(nu, 3)
+            assert info.value.index == 2
