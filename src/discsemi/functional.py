@@ -17,6 +17,9 @@ The degree excess of the pair over the classical case is the *class* of the
 functional, computed here both from the (p, q, z) case table and from the
 direct degree formula as a cross-check.
 
+Every parameter, mass and point is an exact rational; an mpf, a float or
+a bool raises ``InputError`` where it enters.
+
 Moments are taken against the falling-factorial basis
 ``phi_n(x) = x (x-1) ... (x-n+1)`` (shifted by ``m`` for symmetric
 windows).  A finite weight gets them all from one finite-sum tree, and
@@ -57,14 +60,13 @@ from .polys import Poly, falling_coeffs, poly_from_root_offsets
 from .scalars import (
     DEFAULT_TOL,
     Scalar,
-    difference,
     exact_div,
     exact_value,
-    integer_ratio,
     is_exact,
-    is_integer,
+    is_nonpos_integer,
     parse_rational,
     ratio_to_mpf,
+    require_rational,
     scalar_to_json,
 )
 
@@ -155,6 +157,10 @@ class Mass:
     omega: Scalar
     M: Scalar
 
+    def __post_init__(self):
+        require_rational(self.omega, "a mass point omega")
+        require_rational(self.M, "a mass M")
+
     def to_json(self) -> dict:
         return {"omega": scalar_to_json(self.omega), "M": scalar_to_json(self.M)}
 
@@ -185,10 +191,10 @@ class FunctionalSpec:
         support: Support | None = None,
         masses: Sequence[Mass] = (),
     ):
-        object.__setattr__(self, "a", tuple(a))
-        object.__setattr__(self, "b", tuple(b))
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "a", tuple(require_rational(x, "a parameter") for x in a))
+        object.__setattr__(self, "b", tuple(require_rational(x, "a parameter") for x in b))
+        object.__setattr__(self, "z", require_rational(z, "the argument z"))
+        object.__setattr__(self, "scale", require_rational(scale, "the scale"))
         object.__setattr__(self, "support", support or Support.infinite())
         object.__setattr__(self, "masses", tuple(masses))
         if self.z == 0:
@@ -220,12 +226,11 @@ class FunctionalSpec:
         return self.support.shift
 
     def merged_masses(self) -> list[Mass]:
-        """Masses at the same point (equal :func:`integer_ratio`) combined
-        and zero masses dropped."""
+        """Masses at the same point combined and zero masses dropped."""
         merged: list[Mass] = []
         for mass in self.masses:
             for i, seen in enumerate(merged):
-                if integer_ratio(seen.omega) == integer_ratio(mass.omega):
+                if seen.omega == mass.omega:
                     merged[i] = Mass(seen.omega, seen.M + mass.M)
                     break
             else:
@@ -249,11 +254,12 @@ class FunctionalSpec:
         """The stored index ``u = x + basis_shift`` of a point of the
         weight's lattice, or ``None`` when ``x`` is not one.
 
-        ``x`` is a lattice point when it has an integer value (an mpf counts
-        by value) and ``0 <= u <= weight_upper_bound()``.  This is the one
-        test of support membership; point masses do not enter it.
+        ``x`` must be rational (``InputError`` otherwise); it is a lattice
+        point when it is an integer and ``0 <= u <= weight_upper_bound()``.
+        This is the one test of support membership; point masses do not
+        enter it.
         """
-        if not is_integer(x):
+        if require_rational(x, "a point x").denominator != 1:
             return None
         u = int(x) + self.basis_shift
         upper = self.weight_upper_bound()
@@ -369,8 +375,7 @@ def _validate_weight(spec: FunctionalSpec) -> None:
     """Reject denominator parameters that put a pole inside the support."""
     upper = spec.weight_upper_bound()
     for bj in spec.b:
-        shifted = bj + 1
-        if is_integer(shifted) and shifted <= 0:
+        if is_nonpos_integer(bj + 1):
             pole_at = int(-bj)  # first index with a vanishing denominator
             if upper is None or pole_at <= upper:
                 raise PoleInDenominator(
@@ -480,12 +485,10 @@ def moments(spec: FunctionalSpec, K: int, tol: Scalar = DEFAULT_TOL) -> MomentTa
 
     As ``phi_n(u) = n! C(u, n)``, a finite weight with terms ``t_u`` takes
     all of them from one kernel call, ``nu_n = scale n! [t^n] sum_u t_u
-    (1+t)^u``: exact on rational inputs; mpf parameters are summed as the
-    dyadic rationals they store, each coefficient rounded to mpf.  An infinite
-    weight's nu_n is the prefactor ``scale z^n (a)_n / (b+1)_n`` times a sum
-    with every parameter raised by n, taken to ``tol / max(1, |prefactor|)``
-    to meet ``tol (1 + |nu_n|)``.  The term ratio is cleared into integer
-    linear factors once (an mpf as the dyadic rational it stores); each n
+    (1+t)^u``, exactly.  An infinite weight's nu_n is the prefactor
+    ``scale z^n (a)_n / (b+1)_n`` times a sum with every parameter raised by
+    n, taken to ``tol / max(1, |prefactor|)`` to meet ``tol (1 + |nu_n|)``.
+    The term ratio is cleared into integer linear factors once; each n
     shifts them for the fixed-point kernel, and the prefactor is their
     running product.  A balanced series on ``|z| = 1`` loses one unit of
     balance per n.
@@ -506,17 +509,14 @@ def moments(spec: FunctionalSpec, K: int, tol: Scalar = DEFAULT_TOL) -> MomentTa
         series = HyperSeries(spec.a, b1, spec.z)
         cls = classify_convergence(series)
         p_const, p_lin, q_const, (factorial, *q_lin) = linear_factors(spec.a, b1, spec.z)
-        num, den = integer_ratio(spec.scale)
+        num, den = spec.scale.as_integer_ratio()
         tol = exact_value(tol)
-        exact = all(map(is_exact, (spec.z, spec.scale, *spec.a, *spec.b)))
         for n in range(K + 1):
             check_summable(series, cls, n)
             if n:
                 num *= p_const * math.prod(c + d * (n - 1) for c, d in p_lin)
                 den *= q_const * math.prod(c + d * (n - 1) for c, d in q_lin)
-            tol_n = (tol.numerator * abs(den), tol.denominator * max(abs(num), abs(den)))
-            # the kernel reads tol at every term; a dyadic prefactor's ratio is long
-            tol_n = Fraction(*tol_n) if exact else exact_value(ratio_to_mpf(*tol_n))
+            tol_n = Fraction(tol.numerator * abs(den), tol.denominator * max(abs(num), abs(den)))
             p_n, q_n = ([(c + d * n, d) for c, d in lin] for lin in (p_lin, q_lin))
             factors = (p_const, p_n, q_const, [factorial] + q_n)
             values[n] = ratio_to_mpf(num, den) * sum_numeric(factors, tol_n.as_integer_ratio())
@@ -557,22 +557,23 @@ def stieltjes_eval(spec: FunctionalSpec, t: Scalar, tol: Scalar = DEFAULT_TOL) -
     (truncated, symmetric-window, or self-terminating) weight sums it with
     :func:`eval_hyper_finite_sum`, exactly on rational inputs; an infinite
     weight with :func:`eval_hyper`, under its convergence policy and to
-    ``tol``.  Point masses add ``M / (t - omega)``.  ``PoleAtSupportPoint``
-    is raised at a mass point, and at a support point of a nonzero weight.
+    ``tol``.  Point masses add ``M / (t - omega)``.  ``t`` must be rational
+    (``InputError`` otherwise).  ``PoleAtSupportPoint`` is raised at a mass
+    point, and at a support point of a nonzero weight.
     """
     _validate_weight(spec)
     shift = spec.basis_shift
     upper = spec.weight_upper_bound()
+    index = spec.support_index(t)
     total: Scalar = 0
     for mass in spec.merged_masses():
-        gap = difference(t, mass.omega)
-        if gap == 0:
+        if t == mass.omega:
             raise PoleAtSupportPoint(f"t = {t} is a mass point of the functional")
-        total = total + exact_div(mass.M, gap)
+        total = total + exact_div(mass.M, t - mass.omega)
     if spec.scale == 0:
         return total
     # with a nonzero scale the weight is nonzero at every support index
-    if spec.support_index(t) is not None:
+    if index is not None:
         raise PoleAtSupportPoint(f"t = {t} is a support point of the weight")
     # support indices raised above, so c != u for every summed u, c != 0
     c = t + shift

@@ -21,17 +21,18 @@ Finite sums go through one kernel, :func:`eval_hyper_finite_sum`, which
 sums by binary splitting: the term ratio is cleared into integer linear
 factors, products over halves of the index range are combined as integers,
 and the result is reduced to a ``Fraction`` once at the end instead of
-after every term.  An ``mpf`` input enters as the dyadic rational it
-stores, and the exact sum ``T/Q`` is rounded to ``mpf`` once, unreduced.
-The same tree can carry ``sum_k t_k (1+t)^k`` up to ``t^top``: every
-moment of a finite weight.
+after every term.  Parameters and argument are exact rationals (an mpf, a
+float or a bool raises ``InputError``).  The same tree can carry
+``sum_k t_k (1+t)^k`` up to ``t^top``: every moment of a finite weight.
 
 Nonterminating sums go through one fixed-point kernel, :func:`sum_numeric`,
 on the same integer factors of the term ratio: the term and the running sum
 are Python integers scaled by ``2^wp``, with ``wp`` the working precision
 (or ``log2(1/tol)``, if larger) plus guard bits, and one ``mpf`` is made at
-the end.  Summation stops when two consecutive terms fall below ``tol``
-times ``1 + |sum|``, which protects against accidental zero terms in
+the end, rounded once to the working precision (or to 4 bits past
+``log2(1/tol)``, if larger, so the rounding costs at most ``tol / 16``).
+Summation stops when two consecutive terms fall below ``tol`` times
+``1 + |sum|``, which protects against accidental zero terms in
 alternating series.  When the largest term shows that rounding could have
 cancelled more than the tolerance allows, the sum is redone once with the
 lost bits added (as ``mpmath``'s ``hypsum`` does), and a term that rounded
@@ -47,16 +48,15 @@ from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import ComputationError, DivergentSeries, PoleInDenominator
 from .scalars import (
     DEFAULT_TOL,
     Scalar,
-    exact_value,
     integer_ratio,
-    is_exact,
     is_nonpos_integer,
-    ratio_to_mpf,
+    require_rational,
     scalar_to_json,
 )
 
@@ -66,16 +66,16 @@ MAX_TERMS = 10**6
 
 @dataclass(frozen=True)
 class HyperSeries:
-    """Parameters of a generalized hypergeometric series."""
+    """Parameters of a generalized hypergeometric series, all rational."""
 
     a: tuple
     b: tuple
     z: Scalar
 
     def __init__(self, a: Sequence, b: Sequence, z: Scalar):
-        object.__setattr__(self, "a", tuple(a))
-        object.__setattr__(self, "b", tuple(b))
-        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "a", tuple(require_rational(x, "a parameter") for x in a))
+        object.__setattr__(self, "b", tuple(require_rational(x, "a parameter") for x in b))
+        object.__setattr__(self, "z", require_rational(z, "the argument z"))
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,7 @@ def classify_convergence(h: HyperSeries) -> ConvergenceClass:
     """Classify a series into Terminating/Entire/UnitDisk/Divergent.
 
     Termination takes precedence regardless of p and q.  For the balanced
-    case p = q+1 the class carries gamma = sum(b) - sum(a), exact: an mpf
-    parameter enters as the dyadic rational it stores.
+    case p = q+1 the class carries the Fraction gamma = sum(b) - sum(a).
     """
     deg = termination_degree(h.a)
     if deg is not None:
@@ -123,7 +122,7 @@ def classify_convergence(h: HyperSeries) -> ConvergenceClass:
     if p < q + 1:
         return ConvergenceClass("Entire")
     if p == q + 1:
-        gamma = sum(map(exact_value, h.b)) - sum(map(exact_value, h.a))
+        gamma = sum(h.b, Fraction(0)) - sum(h.a)
         return ConvergenceClass("UnitDisk", gamma=gamma)
     return ConvergenceClass("Divergent")
 
@@ -212,11 +211,10 @@ def eval_hyper_finite_sum(h: HyperSeries, K: int, top: int | None = None) -> Sca
 
     If a numerator parameter terminates the series before K, the remaining
     terms are zero and summation stops there; a zero denominator factor
-    reached before that point raises PoleInDenominator.  The sum is exact,
-    by binary splitting: rational in, ``Fraction`` out; with an mpf input,
-    the exact sum over the dyadic rationals it stores, rounded to mpf once.
-    Given ``top``, the same tree returns the list of coefficients of
-    ``t^0..t^top`` in ``sum_{k<=K} t_k (1+t)^k`` instead.
+    reached before that point raises PoleInDenominator.  The sum is an
+    exact ``Fraction``, by binary splitting.  Given ``top``, the same tree
+    returns the list of coefficients of ``t^0..t^top`` in
+    ``sum_{k<=K} t_k (1+t)^k`` instead.
     """
     if K < 0:
         raise ValueError("partial-sum length must be nonnegative")
@@ -229,8 +227,7 @@ def eval_hyper_finite_sum(h: HyperSeries, K: int, top: int | None = None) -> Sca
             f"while the numerator is still nonzero"
         )
     Q, T = _split_sum(h.a, h.b, h.z, stop, top or 0)
-    exact = is_exact(h.z) and all(map(is_exact, h.a + h.b))
-    sums = [Fraction(Tn, Q) if exact else ratio_to_mpf(Tn, Q) for Tn in T]
+    sums = [Fraction(Tn, Q) for Tn in T]
     return sums[0] if top is None else sums
 
 
@@ -296,7 +293,9 @@ def sum_numeric(factors: tuple, tol: tuple) -> mp.mpf:
     ``2^(r+1)`` for one below 1, r the largest number of bits a term has
     grown over a smaller earlier one.  Over n terms that is taken as
     ``n^2 max(M + 1, 2^(r+1))`` units; if that exceeds ``tol (1 + |sum|)``,
-    the sum is redone once with ``wp`` raised by the bits it lacks.
+    the sum is redone once with ``wp`` raised by the bits it lacks.  The
+    sum is returned rounded once, to the working precision or, if larger,
+    4 bits past what tol needs.
 
     Summation stops at two consecutive terms below ``tol (1 + |sum|)``, but
     not before every factor ``b_j + k`` of q is positive: below a negative
@@ -361,7 +360,8 @@ def sum_numeric(factors: tuple, tol: tuple) -> mp.mpf:
         error = (k + 1) ** 2 * max((big >> wp) + 1, 2 << rise) * tol_den
         allowed = tol_num * (one + abs(total))
         if error <= allowed or retried:
-            return mp.ldexp(total, -wp)
+            bits = max(mp.mp.prec, tol_bits + 4)
+            return mp.mp.make_mpf(from_man_exp(total, -wp, bits, round_nearest))
         retried = True
         wp += error.bit_length() - allowed.bit_length() + _GUARD_BITS
 

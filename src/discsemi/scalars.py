@@ -1,12 +1,12 @@
 """Scalar utilities shared across the package.
 
 Exact scalars are ``fractions.Fraction`` (or plain ``int``); floating
-scalars are ``mpmath.mpf`` at a configurable working precision.  All
-user-facing parameters are exact rationals, so floating values only appear
-when an infinite series has to be summed numerically.  mpmath interoperates
-natively with ``Fraction`` (products and sums promote to ``mpf`` at the
-current precision), which lets the same code paths run exactly on rational
-data and numerically otherwise.
+scalars are ``mpmath.mpf`` at a configurable working precision.  Every
+parameter and point of a functional is an exact rational, and
+:func:`require_rational` rejects anything else (an mpf, a float, a bool)
+where a spec or a point enters; so floating values only appear when an
+infinite series has to be summed numerically.  :func:`to_mpf` and
+:func:`ratio_to_mpf` round an exact value once, to nearest.
 
 Every verdict on scalars is made one way.  A value is zero when ``x == 0``
 and two values are equal when ``a == b``; :func:`agree` decides whether a
@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Union
 
 import mpmath as mp
-from mpmath.libmp import from_rational
+from mpmath.libmp import from_rational, round_nearest
 
 from .errors import InputError
 
@@ -89,17 +89,18 @@ def scalar_to_json(x: Scalar) -> object:
 def to_mpf(x: Scalar) -> mp.mpf:
     """Convert an exact or floating scalar to ``mpf`` at current precision."""
     if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
+        return ratio_to_mpf(x.numerator, x.denominator)
     return mp.mpf(x)
 
 
 def ratio_to_mpf(num: int, den: int) -> mp.mpf:
-    """``num / den`` rounded once, as mpmath rounds ``Fraction(num, den)``;
-    factors of two go to the exponent first (mpmath strips them bytewise)."""
+    """``num / den`` rounded once, to nearest; factors of two go to the
+    exponent first (mpmath strips them bytewise)."""
     if not num:
         return mp.mpf(0)
     a, b = (num & -num).bit_length() - 1, (den & -den).bit_length() - 1
-    return mp.ldexp(mp.mpf(from_rational(num >> a, den >> b, mp.mp.prec)), a - b)
+    man = from_rational(num >> a, den >> b, mp.mp.prec, round_nearest)
+    return mp.ldexp(mp.mpf(man), a - b)
 
 
 def is_exact(x: Scalar) -> bool:
@@ -107,9 +108,16 @@ def is_exact(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def require_rational(x, what: str):
+    """``x``, or ``InputError`` when it is not an exact rational: a spec's
+    parameters and the points it is asked at are ints or Fractions."""
+    if not is_exact(x):
+        raise InputError(f"{what} must be a rational (int or Fraction), got {x!r}")
+    return x
+
+
 def integer_ratio(x: Scalar) -> tuple[int, int]:
-    """``x`` in lowest terms (an mpf: the dyadic rational it stores); equal
-    ratios are equal values, where ``Fraction == mpf`` rounds first."""
+    """``x`` in lowest terms (an mpf: the dyadic rational it stores)."""
     if isinstance(x, mp.mpf):
         man, exp = x.man_exp
         man = -man if x < 0 else man
@@ -122,41 +130,21 @@ def exact_value(x: Scalar) -> Fraction:
     return Fraction(*integer_ratio(x))
 
 
-def difference(x: Scalar, y: Scalar) -> Scalar:
-    """``x - y``; with an mpf operand, the exact gap made an mpf: never 0
-    for distinct values, and defined for a Fraction minus an mpf."""
-    if is_exact(x) and is_exact(y):
-        return x - y
-    return to_mpf(exact_value(x) - exact_value(y))
-
-
-def is_integer(x: object) -> bool:
-    """True when ``x`` is a scalar (int, Fraction or mpf) of integer value."""
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction, mp.mpf)):
-        return False
-    return integer_ratio(x)[1] == 1
-
-
 def is_nonpos_integer(x: Scalar) -> bool:
-    """True when ``x`` is a scalar of integer value <= 0."""
-    return is_integer(x) and x <= 0
+    """True when ``x`` is an exact rational of integer value <= 0."""
+    return is_exact(x) and x.denominator == 1 and x <= 0
 
 
 def exact_div(x, y):
     """Division that keeps exact operands exact.
 
     Plain ``/`` between two ints produces a float; this routes exact inputs
-    through Fraction arithmetic instead, and leaves mpf operands to mpf
-    division.  A Fraction numerator over an mpf
-    denominator needs an explicit promotion (Fraction refuses the mpf and
-    mpf has no reflected division for Fraction).
+    through Fraction arithmetic instead, and leaves an mpf numerator to mpf
+    division.
     """
     if is_exact(x) and is_exact(y):
         return Fraction(x) / Fraction(y)
-    try:
-        return x / y
-    except TypeError:
-        return to_mpf(x) / y
+    return x / y
 
 
 def agree(got: Scalar, want: Scalar, tol: Scalar) -> tuple:

@@ -47,10 +47,7 @@ from .scalars import (
     DEFAULT_TOL,
     Scalar,
     agree,
-    difference,
     exact_div,
-    integer_ratio,
-    is_exact,
     max_error,
     parse_rational,
 )
@@ -75,7 +72,7 @@ def canonicalize(spec: FunctionalSpec) -> FunctionalSpec:
         changed = False
         for i, ai in enumerate(a_left):
             for j, bj in enumerate(b_left):
-                if is_exact(ai) and is_exact(bj) and ai == bj + 1:
+                if ai == bj + 1:
                     del a_left[i]
                     del b_left[j]
                     changed = True
@@ -119,6 +116,7 @@ def apply_uvarov(
 
 def _uvarov(spec, omega, M, table, tol) -> FunctionalSpec:
     """:func:`apply_uvarov`, with nu_0 read from ``table``, the spec's own."""
+    mass = Mass(omega, M)
     if agree(M, -table[0], tol)[1]:
         raise RegularityViolation(
             "adding this mass makes the total mass nu_0 + M vanish"
@@ -129,7 +127,7 @@ def _uvarov(spec, omega, M, table, tol) -> FunctionalSpec:
         z=spec.z,
         scale=spec.scale,
         support=spec.support,
-        masses=spec.masses + (Mass(omega, M),),
+        masses=spec.masses + (mass,),
     )
 
 
@@ -200,6 +198,7 @@ def apply_geronimus(
             f"the division point must lie off the support lattice "
             f"(omega = {omega} is a support point)"
         )
+    added = Mass(omega, M)
     S_omega = stieltjes_eval(spec, omega, tol)
     if agree(M, S_omega, tol)[1]:
         raise RegularityViolation(
@@ -207,11 +206,11 @@ def apply_geronimus(
         )
     # masses at omega itself sum to zero, or S(omega) had a pole there
     masses = [
-        Mass(mass.omega, exact_div(mass.M, difference(mass.omega, omega)))
+        Mass(mass.omega, exact_div(mass.M, mass.omega - omega))
         for mass in spec.masses
-        if integer_ratio(mass.omega) != integer_ratio(omega)
+        if mass.omega != omega
     ]
-    masses.append(Mass(omega, M))
+    masses.append(added)
     return canonicalize(
         FunctionalSpec(
             a=spec.a + (-omega,),

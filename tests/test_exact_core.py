@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -24,9 +25,11 @@ from discsemi.polys import (
 )
 from discsemi.scalars import (
     agree,
+    exact_value,
     format_rational,
     is_nonpos_integer,
     parse_rational,
+    ratio_to_mpf,
     scalar_to_json,
     to_mpf,
 )
@@ -74,6 +77,30 @@ def test_integer_predicates():
 def test_to_mpf_is_correctly_rounded():
     x = to_mpf(Fraction(1, 3))
     assert abs(x - mp.mpf(1) / 3) == 0
+
+
+def _half_ulp(q: Fraction, prec: int) -> Fraction:
+    """Half a unit in the last of ``prec`` bits, in the binade of ``q``."""
+    n, d = abs(q.numerator), q.denominator
+    k = n.bit_length() - d.bit_length()  # now 2^(k-1) < |q| < 2^(k+1)
+    if Fraction(n, d) < Fraction(2) ** k:
+        k -= 1
+    return Fraction(2) ** (k - prec)
+
+
+@pytest.mark.parametrize("dps", [15, 60])
+def test_exact_ratios_round_to_nearest(dps):
+    # ratio_to_mpf and to_mpf round an exact ratio once, to nearest: within
+    # half an ulp (rounding toward zero, or a numerator longer than prec
+    # bits rounded before the division, can miss by more)
+    rng = random.Random(dps)
+    with mp.workdps(dps):
+        for _ in range(3000):
+            num = rng.getrandbits(rng.randrange(1, 400)) * rng.choice((1, -1)) or 1
+            q = Fraction(num, rng.getrandbits(rng.randrange(1, 400)) or 1)
+            half = _half_ulp(q, mp.mp.prec)
+            for got in (ratio_to_mpf(q.numerator, q.denominator), to_mpf(q)):
+                assert abs(exact_value(got) - q) <= half, q
 
 
 with mp.workdps(50):

@@ -36,8 +36,14 @@ from discsemi.functional import (
 )
 from discsemi.hyper import HyperSeries, eval_hyper, eval_hyper_finite_sum
 from discsemi.polys import Poly
-from discsemi.scalars import agree, exact_div, exact_value, is_exact, to_mpf
-from discsemi.transforms import apply_truncation
+from discsemi.scalars import exact_div, to_mpf
+from discsemi.stieltjeseq import derive_equation, verify_equation
+from discsemi.transforms import (
+    apply_christoffel,
+    apply_geronimus,
+    apply_truncation,
+    apply_uvarov,
+)
 
 
 def charlier(z=Fraction(1, 2), masses=()) -> FunctionalSpec:
@@ -119,15 +125,12 @@ def test_merged_masses():
 
 
 def test_masses_merge_by_exact_value():
-    # Fraction == mpf compares after rounding the Fraction: -1/3 and the
-    # mpf nearest to it once merged into one mass at dps 50
-    with mp.workdps(50):
-        near = -mp.mpf(1) / 3
-        spec = charlier(masses=[Mass(Fraction(-1, 3), 1), Mass(near, 2)])
-        assert spec.merged_masses() == [Mass(Fraction(-1, 3), 1), Mass(near, 2)]
-        # equal values still merge, whatever their types
-        spec = charlier(masses=[Mass(Fraction(1, 2), 1), Mass(mp.mpf(1) / 2, 2)])
-        assert spec.merged_masses() == [Mass(Fraction(1, 2), 3)]
+    # points 10^-60 apart stay two masses; equal values merge, int or Fraction
+    near = Fraction(-1, 3) + Fraction(1, 10**60)
+    spec = charlier(masses=[Mass(Fraction(-1, 3), 1), Mass(near, 2)])
+    assert spec.merged_masses() == [Mass(Fraction(-1, 3), 1), Mass(near, 2)]
+    spec = charlier(masses=[Mass(Fraction(2), 1), Mass(2, 2)])
+    assert spec.merged_masses() == [Mass(Fraction(2), 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +161,7 @@ def test_weight_out_of_support():
     with pytest.raises(OutOfSupport):
         weight_at(symm, 3)
     # past the weight's own termination: Krawtchouk with N = 2 stops at 2
-    assert weight_at(krawtchouk(N=2), mp.mpf(2)) == Fraction(1, 4)
+    assert weight_at(krawtchouk(N=2), Fraction(2)) == Fraction(1, 4)
     with pytest.raises(OutOfSupport):
         weight_at(krawtchouk(N=2), 3)
 
@@ -168,7 +171,7 @@ def test_support_index_is_the_one_lattice_rule():
         a=[Fraction(-4)], b=[], z=-1, support=Support.symmetrized_shift(2)
     )
     cases = [
-        (charlier(), {0: 0, 7: 7, mp.mpf(3): 3}, [-1, Fraction(1, 2), mp.mpf(2.5)]),
+        (charlier(), {0: 0, 7: 7, Fraction(3): 3}, [-1, Fraction(1, 2), Fraction(5, 2)]),
         (krawtchouk(N=2), {0: 0, 2: 2}, [-1, 3]),
         (
             FunctionalSpec(a=[], b=[], z=2, support=Support.truncated(3)),
@@ -487,18 +490,50 @@ def test_stieltjes_poles():
 
 
 def test_stieltjes_mass_pole_is_by_exact_value():
-    # at dps 50 the mpf nearest to -1/3 is not -1/3; its gap to the mass is
-    # taken from the stored values (an mpf gap would round to 0)
+    # the mpf nearest to -1/3 once raised a pole at a mass at -1/3 (its
+    # rounded gap was 0); a point is rational, so an mpf t is refused, and a
+    # rational t 10^-60 from the mass gives the exact gap
+    spec = charlier(masses=[Mass(Fraction(-1, 3), 1)])
+    with mp.workdps(50), pytest.raises(InputError, match="rational"):
+        stieltjes_eval(spec, -mp.mpf(1) / 3)
     tol = Fraction(1, 10**40)
+    t = Fraction(-1, 3) + Fraction(1, 10**60)
     with mp.workdps(50):
-        t = -mp.mpf(1) / 3
-        got = stieltjes_eval(charlier(masses=[Mass(Fraction(-1, 3), 1)]), t, tol)
+        got = stieltjes_eval(spec, t, tol)
         weight_part = stieltjes_eval(charlier(), t, tol)
     with mp.workdps(120):
-        want = 1 / to_mpf(exact_value(t) + Fraction(1, 3)) + weight_part
+        want = 10**60 + weight_part
         assert abs(got - want) <= to_mpf(tol) * abs(want)
-    with mp.workdps(50), pytest.raises(PoleAtSupportPoint):
-        stieltjes_eval(charlier(masses=[Mass(mp.mpf(1) / 2, 1)]), Fraction(1, 2))
+    with pytest.raises(PoleAtSupportPoint):
+        stieltjes_eval(spec, Fraction(-1, 3))
+
+
+REFUSED = {
+    "FunctionalSpec.a": lambda x: FunctionalSpec(a=[x], b=[], z=Fraction(1, 2)),
+    "FunctionalSpec.b": lambda x: FunctionalSpec(a=[], b=[x], z=Fraction(1, 2)),
+    "FunctionalSpec.z": lambda x: FunctionalSpec(a=[], b=[], z=x),
+    "FunctionalSpec.scale": lambda x: FunctionalSpec(a=[], b=[], z=1, scale=x),
+    "Mass.omega": lambda x: Mass(x, 1),
+    "Mass.M": lambda x: Mass(Fraction(-1, 2), x),
+    "HyperSeries": lambda x: HyperSeries([x], [], Fraction(1, 2)),
+    "stieltjes_eval": lambda x: stieltjes_eval(charlier(), x),
+    "weight_at": lambda x: weight_at(charlier(), x),
+    "apply_uvarov.omega": lambda x: apply_uvarov(charlier(), x, 1),
+    "apply_uvarov.M": lambda x: apply_uvarov(charlier(), Fraction(-1, 2), x),
+    "apply_christoffel": lambda x: apply_christoffel(charlier(), x),
+    "apply_geronimus.omega": lambda x: apply_geronimus(charlier(), x, 1),
+    "apply_geronimus.M": lambda x: apply_geronimus(charlier(), Fraction(-1, 2), x),
+    "verify_equation": lambda x: verify_equation(
+        krawtchouk(), derive_equation(krawtchouk()), [x]
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [mp.mpf(5) / 2, 2.5, True], ids=["mpf", "float", "bool"])
+@pytest.mark.parametrize("where", REFUSED)
+def test_parameters_and_points_must_be_rational(where, bad):
+    with pytest.raises(InputError, match="rational"):
+        REFUSED[where](bad)
 
 
 def test_stieltjes_exact_sum_with_masses():
@@ -653,24 +688,6 @@ def test_finite_moments_match_the_per_moment_route(spec, K):
     assert got.basis_shift == spec.basis_shift
 
 
-@settings(max_examples=60, deadline=None)
-@given(finite_weights(), st.integers(min_value=0, max_value=14))
-def test_numeric_finite_moments_match_a_higher_precision_oracle(spec, K):
-    # the same weight with mpf parameters, summed at dps 50 as the dyadic
-    # rationals they store; the oracle sums those rationals at dps 120
-    tol = Fraction(1, 10**45)
-    with mp.workdps(50):
-        spec = FunctionalSpec(
-            [to_mpf(x) for x in spec.a], [to_mpf(x) for x in spec.b], to_mpf(spec.z),
-            scale=to_mpf(spec.scale), support=spec.support, masses=spec.masses,
-        )
-        got = moments(spec, K).values
-    with mp.workdps(120):
-        want = direct_finite_moments(spec, K)
-        for g, w in zip(got, want):
-            assert agree(g, w, tol)[1], (spec, K)
-
-
 def test_truncation_at_zero_keeps_one_point():
     spec = apply_truncation(charlier(), 0)
     got = moments(spec, 3).values
@@ -746,11 +763,11 @@ def test_moments_survive_cancellation(z, dps):
         assert abs(nu0 - want) <= to_mpf(tol) * (1 + want)
 
 
-@pytest.mark.parametrize("z", [Fraction(-80), mp.mpf(-80)])
+@pytest.mark.parametrize("z", [Fraction(-80), -80])
 def test_each_moment_meets_tol_despite_its_prefactor(z):
     # nu_n = z^n e^z is the prefactor z^n times the sum e^z, so the sum must
-    # be taken to tol / |z|^n for nu_n to meet tol (1 + |nu_n|); an mpf z
-    # makes the prefactor an mpf as well
+    # be taken to tol / |z|^n for nu_n to meet tol (1 + |nu_n|); an int z
+    # as well as a Fraction
     spec = FunctionalSpec(a=(), b=(), z=z)
     tol = Fraction(1, 10**30)
     with mp.workdps(50):
@@ -851,17 +868,23 @@ def test_stieltjes_divergent_weight_raises_at_once(monkeypatch):
 
 
 def test_mpf_integer_stieltjes_point_is_a_support_point():
+    # an integer point is one, int or Fraction; an mpf one is refused
     spec = FunctionalSpec(a=[], b=[], z=Fraction(1, 2))
-    for t in (Fraction(3), mp.mpf(3)):
+    for t in (Fraction(3), 3):
         with pytest.raises(PoleAtSupportPoint):
             stieltjes_eval(spec, t)
+    with pytest.raises(InputError):
+        stieltjes_eval(spec, mp.mpf(3))
 
 
 def test_mpf_integer_denominator_pole_is_typed():
-    for b in (Fraction(-3), mp.mpf(-3)):
+    # an integer parameter is one, int or Fraction; an mpf one is refused
+    for b in (Fraction(-3), -3):
         spec = FunctionalSpec(a=[Fraction(1, 3)], b=[b], z=Fraction(1, 2))
         with pytest.raises(PoleInDenominator, match="singular at x = 3"):
             moments(spec, 3)
+    with pytest.raises(InputError):
+        FunctionalSpec(a=[Fraction(1, 3)], b=[mp.mpf(-3)], z=Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -872,10 +895,10 @@ def direct_infinite_moments(spec, K, tol):
     """nu_0..nu_K of an infinite weight, each the prefactor
     ``scale z^n (a)_n / (b+1)_n`` rebuilt from ``pochhammer_multi`` times
     one ``eval_hyper`` call: the per-moment route that the running products
-    and then the integer factors replaced, kept as the oracle.  A sum that
-    raises ``DivergentSeries`` gives ``(type, message, n)`` instead."""
-    if not all(map(is_exact, (spec.z, spec.scale, *spec.a, *spec.b))):
-        tol = to_mpf(tol)
+    and then the integer factors replaced, kept as the oracle.  The
+    prefactor is rounded to mpf once, to nearest, as ``moments`` rounds it.
+    A sum that raises ``DivergentSeries`` gives ``(type, message, n)``
+    instead."""
     b1 = [bj + 1 for bj in spec.b]
     values = []
     for n in range(K + 1):
@@ -883,7 +906,7 @@ def direct_infinite_moments(spec, K, tol):
         pref = exact_div(pref, pochhammer_multi(b1, n))
         series = HyperSeries([x + n for x in spec.a], [x + n for x in b1], spec.z)
         try:
-            value = pref * eval_hyper(series, tol / max(1, abs(pref)))
+            value = to_mpf(pref) * eval_hyper(series, tol / max(1, abs(pref)))
         except DivergentSeries as exc:
             return type(exc), str(exc), n
         value += sum(m.M * falling_factorial(m.omega, n) for m in spec.merged_masses())
@@ -900,16 +923,6 @@ def test_infinite_moments_match_the_per_moment_prefactors(case, K):
         assert typed(moments(spec, K, tol).values) == typed(
             direct_infinite_moments(spec, K, tol)
         )
-        numeric = FunctionalSpec(
-            [to_mpf(x) for x in spec.a], [to_mpf(x) for x in spec.b], to_mpf(spec.z),
-            scale=to_mpf(spec.scale), masses=spec.masses,
-        )
-        got = moments(numeric, K, tol).values
-    # the oracle sums the same dyadic parameters at a higher precision
-    with mp.workdps(120):
-        want = direct_infinite_moments(numeric, K, tol / 10**30)
-        for g, w in zip(got, want):
-            assert agree(g, w, tol)[1], (numeric, K)
 
 
 def moments_outcome(spec, K, tol):
@@ -937,8 +950,7 @@ def balanced_unit_circle_weights(draw):
     """Weights with p = q + 1 on |z| = 1.  The sum of nu_n has balance
     gamma - n, so the table raises ``DivergentSeries`` at n = gamma for
     z = 1, and at n = 0 when gamma <= -1; K is cut where z = -1 would sum a
-    balance below 1, which converges too slowly to test.  The parameters are
-    dyadic, so an mpf copy has the same balance."""
+    balance below 1, which converges too slowly to test."""
     q = draw(st.integers(min_value=1, max_value=2))
     a = draw(st.lists(dyadic(0, 2).filter(bool), min_size=q, max_size=q))
     b = draw(st.lists(dyadic(0, 2), min_size=q, max_size=q))
@@ -961,8 +973,7 @@ def balanced_unit_circle_weights(draw):
     )
 )
 def test_infinite_moments_match_the_per_moment_route(case):
-    # exact parameters: the same values and types, or the same error at the
-    # same n; an mpf copy: values within tol, errors at the same n
+    # the same values and types, or the same error at the same n
     spec, K, tol = case
     with mp.workdps(50):
         want = direct_infinite_moments(spec, K, tol)
@@ -970,26 +981,3 @@ def test_infinite_moments_match_the_per_moment_route(case):
         assert (typed(got) if isinstance(got, list) else got) == (
             typed(want) if isinstance(want, list) else want
         )
-        numeric = FunctionalSpec(
-            [to_mpf(x) for x in spec.a], [to_mpf(x) for x in spec.b], to_mpf(spec.z),
-            scale=to_mpf(spec.scale), masses=spec.masses,
-        )
-        want = direct_infinite_moments(numeric, K, tol)
-        got = moments_outcome(numeric, K, tol)
-        if not isinstance(want, list):
-            assert got == want
-            return
-        for g, w in zip(got, want, strict=True):
-            assert isinstance(g, mp.mpf) and agree(g, w, tol)[1], (numeric, K)
-
-
-def test_mpf_meixner_table_matches_the_rational_one():
-    # a balanced series (p = q + 1) with an mpf parameter: its convergence
-    # class once mixed Fraction and mpf and raised a TypeError
-    tol = Fraction(1, 10**30)
-    with mp.workdps(50):
-        got = moments(meixner(mp.mpf(1) / 3, mp.mpf(1) / 2), 8, tol)
-        want = moments(meixner(), 8, tol)
-        assert all(isinstance(v, mp.mpf) for v in got.values)
-        for g, w in zip(got.values, want.values):
-            assert agree(g, w, tol)[1]

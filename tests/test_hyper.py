@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import discsemi.hyper
 from discsemi.combin import pochhammer
-from discsemi.errors import ComputationError, DivergentSeries, PoleInDenominator
+from discsemi.errors import ComputationError, DivergentSeries, InputError, PoleInDenominator
 from discsemi.hyper import (
     HyperSeries,
     classify_convergence,
@@ -19,7 +19,7 @@ from discsemi.hyper import (
     eval_hyper_finite_sum,
     termination_degree,
 )
-from discsemi.scalars import exact_value, ratio_to_mpf, to_mpf
+from discsemi.scalars import to_mpf
 
 
 # ---------------------------------------------------------------------------
@@ -301,42 +301,15 @@ def test_finite_sum_termination_and_pole_order():
 
 
 def test_finite_sum_numeric_inputs():
+    # the parameters and argument are rational: an mpf one is refused, and a
+    # rational series sums to the Fraction of the term-by-term loop
     a, b, z = [Fraction(1, 3), Fraction(-7)], [Fraction(1, 2)], Fraction(-2, 5)
     exact = eval_hyper_finite_sum(HyperSeries(a, b, z), 30)
-    with mp.workdps(40):
-        z_f = mp.mpf(z.numerator) / z.denominator
-        numeric = eval_hyper_finite_sum(HyperSeries(a, b, z_f), 30)
-        assert isinstance(numeric, mp.mpf)
-        want = mp.mpf(exact.numerator) / exact.denominator
-        assert abs(numeric - want) < mp.mpf("1e-35") * abs(want)
+    assert isinstance(exact, Fraction) and exact == reference_finite_sum(a, b, z, 30)
+    with mp.workdps(40), pytest.raises(InputError, match="rational"):
+        HyperSeries(a, b, mp.mpf(z.numerator) / z.denominator)
     with pytest.raises(PoleInDenominator, match="at term 3 "):
-        eval_hyper_finite_sum(HyperSeries([1], [-2], mp.mpf(1)), 5)
-
-
-def _truncated(w: Fraction, prec: int) -> Fraction:
-    """``w`` rounded toward zero to ``prec`` significant bits, as mpmath
-    rounds a Fraction."""
-    n, d = abs(w.numerator), w.denominator
-    e = n.bit_length() - d.bit_length()  # now 2^(e-1) < |w| < 2^(e+1)
-    if Fraction(n, d) < Fraction(2) ** e:
-        e -= 1
-    s = prec - 1 - e
-    q = (n << s) // d if s >= 0 else n // (d << -s)
-    return (1 if w > 0 else -1) * Fraction(q) / Fraction(2) ** s
-
-
-def test_mpf_finite_sum_rounds_each_coefficient_once():
-    # each coefficient T_n/Q of a table with mpf parameters is the exact sum
-    # over the dyadic parameters, rounded once (Q has about 42,000 bits)
-    with mp.workdps(50):
-        a, b, z = mp.mpf(1) / 3, mp.mpf(2) / 5 + 1, mp.mpf(1) / 2
-        got = eval_hyper_finite_sum(HyperSeries([a], [b], z), 120, 24)
-        want = eval_hyper_finite_sum(
-            HyperSeries([exact_value(a)], [exact_value(b)], exact_value(z)), 120, 24
-        )
-        for g, w in zip(got, want, strict=True):
-            assert isinstance(g, mp.mpf) and isinstance(w, Fraction)
-            assert exact_value(g) == _truncated(w, mp.mp.prec)
+        eval_hyper_finite_sum(HyperSeries([1], [-2], Fraction(1)), 5)
 
 
 def test_reversed_matches_direct_large_n():
@@ -459,8 +432,24 @@ def test_term_still_lost_after_the_dip_retry_raises(monkeypatch):
 
 
 def test_mpf_integer_parameters_terminate_like_exact_ones():
-    # an mpf numerator parameter -5 ends the sum before the pole of -10
-    got = eval_hyper(HyperSeries([mp.mpf(-5)], [mp.mpf(-10)], 1))
-    assert isinstance(got, mp.mpf)
-    assert got == ratio_to_mpf(49171, 30240)  # the exact sum, rounded once
-    assert eval_hyper(HyperSeries([-5], [-10], 1)) == Fraction(49171, 30240)
+    # a numerator parameter -5 ends the sum before the pole of -10, an int
+    # or a Fraction; an mpf parameter is refused
+    for five, ten in ((-5, -10), (Fraction(-5), Fraction(-10))):
+        assert eval_hyper(HyperSeries([five], [ten], 1)) == Fraction(49171, 30240)
+    for a, b in (([mp.mpf(-5)], [-10]), ([-5], [mp.mpf(-10)])):
+        with pytest.raises(InputError, match="rational"):
+            HyperSeries(a, b, 1)
+
+
+@pytest.mark.parametrize("dps", [15, 50])
+def test_numeric_sum_is_rounded_once_to_what_tol_needs(dps):
+    # the kernel sums at prec or log2(1/tol) bits plus guard bits; it returns
+    # the sum rounded to prec, or to 4 bits past log2(1/tol) when that is
+    # more (at dps 15, tol 1e-30 needs 100 bits): not every working bit
+    tol = Fraction(1, 10**30)
+    with mp.workdps(dps):
+        got = eval_hyper(HyperSeries([], [], Fraction(1, 2)), tol)
+        bound = max(mp.mp.prec, 104)
+        assert abs(got.man).bit_length() <= bound
+    with mp.workdps(120):
+        assert abs(got - mp.exp(mp.mpf(1) / 2)) <= to_mpf(tol) * mp.exp(mp.mpf(1) / 2)

@@ -1,0 +1,39 @@
+"""Every module of the package uses each name it imports.
+
+No linter runs on the package, so a helper that is deleted or stops being
+called can leave its import behind.  The package's ``__init__.py`` is
+exempt: its imports are the public re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "discsemi"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import of ``source`` that nothing else reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_the_check_sees_an_unused_import():
+    source = "from x import used, unused\nimport os.path\nused()\n"
+    assert unused_imports(source) == ["unused (line 1)", "os (line 2)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []

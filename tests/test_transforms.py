@@ -25,7 +25,7 @@ from discsemi.functional import (
     stieltjes_eval,
     weight_at,
 )
-from discsemi.scalars import agree, exact_value, to_mpf
+from discsemi.scalars import agree, to_mpf
 from discsemi import transforms
 from discsemi.transforms import (
     apply_christoffel,
@@ -304,8 +304,8 @@ def test_christoffel_constraints():
     # reject the same points on it and accept the same points off it
     mass = (Mass(HALF, 1),)
     for spec, on, off in (
-        (FunctionalSpec(a=(), b=(), z=1, scale=0, masses=mass), (0, mp.mpf(1), 5), (-1,)),
-        (FunctionalSpec(a=(-3,), b=(), z=HALF, scale=0, masses=mass), (0, mp.mpf(1), 3), (5, -1)),
+        (FunctionalSpec(a=(), b=(), z=1, scale=0, masses=mass), (0, Fraction(1), 5), (-1,)),
+        (FunctionalSpec(a=(-3,), b=(), z=HALF, scale=0, masses=mass), (0, Fraction(1), 3), (5, -1)),
     ):
         for omega in on:
             with pytest.raises(ConstraintViolated, match="support"):
@@ -364,18 +364,17 @@ def test_geronimus_regularity_and_poles():
 
 
 def test_geronimus_at_an_mpf_point_keeps_rational_masses():
-    # an mpf omega against a Fraction mass: the gap came from Fraction - mpf
-    # (a TypeError), and at the mpf nearest -1/3 the mass at -1/3 counted as
-    # a pole; each mass is now divided by the gap between the stored values
-    with mp.workdps(50):
-        for point in (Fraction(-1, 5), Fraction(-1, 3)):
-            omega = -mp.mpf(1) / 3
-            spec = apply_uvarov(charlier(), point, 2)
-            out = apply_geronimus(spec, omega, 1)
-            kept, added = out.masses
-            assert kept.omega == point and added == Mass(omega, 1)
-            want = to_mpf(2 / (point - exact_value(omega)))
-            assert abs(kept.M - want) <= abs(want) * mp.mpf(10) ** -45
+    # an mpf omega against a Fraction mass once took the gap from Fraction -
+    # mpf (a TypeError), and at the mpf nearest -1/3 the mass at -1/3
+    # counted as a pole; omega is now rational (an mpf one is refused), and
+    # each mass is divided by its exact gap, next to -1/3 as well
+    omega = Fraction(-1, 3) + Fraction(1, 10**60)
+    for point in (Fraction(-1, 5), Fraction(-1, 3)):
+        spec = apply_uvarov(charlier(), point, 2)
+        with mp.workdps(50), pytest.raises(InputError, match="rational"):
+            apply_geronimus(spec, -mp.mpf(1) / 3, 1)
+        kept, added = apply_geronimus(spec, omega, 1).masses
+        assert kept == Mass(point, 2 / (point - omega)) and added == Mass(omega, 1)
 
 
 # ---------------------------------------------------------------------------
