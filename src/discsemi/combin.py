@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Sequence
 
 
 def pochhammer(x, n: int):
@@ -53,14 +52,6 @@ def stirling2(k: int, n: int) -> int:
     if k == 0 or n == 0:
         return 0
     return n * stirling2(k - 1, n) + stirling2(k - 1, n - 1)
-
-
-def pochhammer_multi(params: Sequence, n: int):
-    """Product of rising factorials ``prod_i (p_i)_n`` over a parameter list."""
-    result = 1
-    for p in params:
-        result = result * pochhammer(p, n)
-    return result
 
 
 def stirling_convert(nu) -> list:

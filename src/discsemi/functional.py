@@ -27,6 +27,14 @@ an infinite one gets each as one hypergeometric value.  The Stieltjes
 transform ``S(t) = L[1/(t-x)]`` is one more such value: the finite-sum
 kernel of :mod:`discsemi.hyper` sums it exactly for a finite weight, and
 its fixed-point kernel sums it numerically for an infinite one.
+
+A spec derives its own facts once, on first use, and keeps them outside
+equality and hashing: the weight's upper bound, its pole verdict (raised
+again on every call that needs it), its merged masses, and its series with
+that series' convergence class and integer linear factors.  Weights are
+products of those factors; moments and Stieltjes values start from them.
+Nothing whose cost grows with a moment order, a sum length or a tolerance
+is kept, so a repeated call repeats the work it measures.
 """
 
 from __future__ import annotations
@@ -34,9 +42,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .combin import falling_factorial, pochhammer_multi
 from .errors import (
     ConstraintViolated,
     DegreeMismatch,
@@ -47,10 +55,10 @@ from .errors import (
     TruncationAtEtaRoot,
 )
 from .hyper import (
+    ConvergenceClass,
     HyperSeries,
     check_summable,
     classify_convergence,
-    eval_hyper,
     eval_hyper_finite_sum,
     linear_factors,
     sum_numeric,
@@ -62,6 +70,7 @@ from .scalars import (
     Scalar,
     exact_div,
     exact_value,
+    integer_ratio,
     is_exact,
     is_nonpos_integer,
     parse_rational,
@@ -219,14 +228,14 @@ class FunctionalSpec:
                     f"vanishes beyond N (eta(N) = 0)"
                 )
 
-    # -- bookkeeping ---------------------------------------------------------
+    # -- bookkeeping (the cached facts: see the module docstring) -------------
 
     @property
     def basis_shift(self) -> int:
         return self.support.shift
 
-    def merged_masses(self) -> list[Mass]:
-        """Masses at the same point combined and zero masses dropped."""
+    @cached_property
+    def _merged(self) -> tuple:
         merged: list[Mass] = []
         for mass in self.masses:
             for i, seen in enumerate(merged):
@@ -235,7 +244,18 @@ class FunctionalSpec:
                     break
             else:
                 merged.append(mass)
-        return [mass for mass in merged if mass.M != 0]
+        return tuple(mass for mass in merged if mass.M != 0)
+
+    def merged_masses(self) -> list[Mass]:
+        """Masses at the same point combined and zero masses dropped."""
+        return list(self._merged)
+
+    @cached_property
+    def _upper(self) -> Optional[int]:
+        term = termination_degree(self.a)
+        if self.support.kind == "truncated":
+            return self.support.N if term is None else min(self.support.N, term)
+        return term
 
     def weight_upper_bound(self) -> Optional[int]:
         """Largest index of the stored N_0 weight that can be nonzero.
@@ -245,10 +265,30 @@ class FunctionalSpec:
         ``N`` on truncated support; a symmetric window's required
         numerator ``-2m`` stops its weight by ``2m``.
         """
-        term = termination_degree(self.a)
-        if self.support.kind == "truncated":
-            return self.support.N if term is None else min(self.support.N, term)
-        return term
+        return self._upper
+
+    @cached_property
+    def _pole(self) -> Optional[str]:
+        """Why the weight is singular inside its support, or ``None``."""
+        for bj in self.b:  # -bj is the first index with a vanishing denominator
+            if is_nonpos_integer(bj + 1) and (self._upper is None or -bj <= self._upper):
+                return (
+                    f"denominator parameter {bj} makes the weight singular at "
+                    f"x = {int(-bj)} inside the support"
+                )
+        return None
+
+    @cached_property
+    def _series(self) -> HyperSeries:  # its terms are rho(u) / scale
+        return HyperSeries(self.a, tuple(bj + 1 for bj in self.b), self.z)
+
+    @cached_property
+    def _convergence(self) -> ConvergenceClass:
+        return classify_convergence(self._series)
+
+    @cached_property
+    def _factors(self) -> tuple:  # the series' term ratio, integer linear factors
+        return linear_factors(self._series.a, self._series.b, self.z)
 
     def support_index(self, x) -> Optional[int]:
         """The stored index ``u = x + basis_shift`` of a point of the
@@ -320,7 +360,7 @@ class PearsonPair:
     sigma: Poly
     class_s: int
 
-    @property
+    @cached_property
     def sigma_shift(self) -> Poly:
         """``sigma(x+1)`` -- the form in which sigma enters most formulas."""
         return self.sigma.shift(1)
@@ -373,29 +413,27 @@ class MomentTable:
 
 def _validate_weight(spec: FunctionalSpec) -> None:
     """Reject denominator parameters that put a pole inside the support."""
-    upper = spec.weight_upper_bound()
-    for bj in spec.b:
-        if is_nonpos_integer(bj + 1):
-            pole_at = int(-bj)  # first index with a vanishing denominator
-            if upper is None or pole_at <= upper:
-                raise PoleInDenominator(
-                    f"denominator parameter {bj} makes the weight singular at "
-                    f"x = {pole_at} inside the support"
-                )
+    if spec._pole is not None:
+        raise PoleInDenominator(spec._pole)
 
 
-def weight_at(spec: FunctionalSpec, x) -> Scalar:
+def weight_at(spec: FunctionalSpec, x) -> Fraction:
     """The weight at a support point (point masses are NOT included).
 
     Any other ``x`` raises :class:`OutOfSupport`, a point past the weight's
     own termination included (see :meth:`FunctionalSpec.support_index`).
+    The value is ``scale prod_{j<u} p(j)/q(j)`` over the spec's integer
+    factors, one ``Fraction`` made from two integer products.
     """
     _validate_weight(spec)
     u = spec.support_index(x)
     if u is None:
         raise OutOfSupport(f"x = {x} is not a support point of the weight")
-    den = pochhammer_multi([bj + 1 for bj in spec.b], u) * math.factorial(u)
-    return exact_div(spec.scale * pochhammer_multi(spec.a, u) * spec.z**u, den)
+    p_const, p_lin, q_const, q_lin = spec._factors
+    num, den = spec.scale.as_integer_ratio()
+    num *= p_const**u * math.prod(math.prod(range(n, n + d * u, d)) for n, d in p_lin)
+    den *= q_const**u * math.prod(math.prod(range(n, n + d * u, d)) for n, d in q_lin)
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -488,31 +526,29 @@ def moments(spec: FunctionalSpec, K: int, tol: Scalar = DEFAULT_TOL) -> MomentTa
     (1+t)^u``, exactly.  An infinite weight's nu_n is the prefactor
     ``scale z^n (a)_n / (b+1)_n`` times a sum with every parameter raised by
     n, taken to ``tol / max(1, |prefactor|)`` to meet ``tol (1 + |nu_n|)``.
-    The term ratio is cleared into integer linear factors once; each n
+    The term ratio's integer linear factors are the spec's own; each n
     shifts them for the fixed-point kernel, and the prefactor is their
     running product.  A balanced series on ``|z| = 1`` loses one unit of
-    balance per n.
-    Point masses add ``M phi_n(omega + shift)``.
+    balance per n.  Point masses add ``M phi_n(omega + shift)``, each
+    ``phi_n`` one more factor of a running product.
     """
     if K < 0:
         raise InputError("moment count K must be nonnegative")
     _validate_weight(spec)
     shift = spec.basis_shift
     upper = spec.weight_upper_bound()
-    b1 = tuple(bj + 1 for bj in spec.b)
     values: list = [0] * (K + 1)  # stays 0 past the support and for a zero scale
     if spec.scale != 0 and upper is not None:
-        sums = eval_hyper_finite_sum(HyperSeries(spec.a, b1, spec.z), upper, min(K, upper))
+        sums = eval_hyper_finite_sum(spec._series, upper, min(K, upper))
         for n, s in enumerate(sums):
             values[n] = spec.scale * math.factorial(n) * s
     elif spec.scale != 0:
-        series = HyperSeries(spec.a, b1, spec.z)
-        cls = classify_convergence(series)
-        p_const, p_lin, q_const, (factorial, *q_lin) = linear_factors(spec.a, b1, spec.z)
+        cls = spec._convergence
+        p_const, p_lin, q_const, (factorial, *q_lin) = spec._factors
         num, den = spec.scale.as_integer_ratio()
         tol = exact_value(tol)
         for n in range(K + 1):
-            check_summable(series, cls, n)
+            check_summable(spec._series, cls, n)
             if n:
                 num *= p_const * math.prod(c + d * (n - 1) for c, d in p_lin)
                 den *= q_const * math.prod(c + d * (n - 1) for c, d in q_lin)
@@ -520,9 +556,11 @@ def moments(spec: FunctionalSpec, K: int, tol: Scalar = DEFAULT_TOL) -> MomentTa
             p_n, q_n = ([(c + d * n, d) for c, d in lin] for lin in (p_lin, q_lin))
             factors = (p_const, p_n, q_const, [factorial] + q_n)
             values[n] = ratio_to_mpf(num, den) * sum_numeric(factors, tol_n.as_integer_ratio())
-    masses = spec.merged_masses()
+    masses = spec._merged
+    falling = [1] * len(masses)  # phi_n(omega + shift), one running product per mass
     for n in range(K + 1):
-        values[n] += sum(m.M * falling_factorial(m.omega + shift, n) for m in masses)
+        values[n] += sum(m.M * f for m, f in zip(masses, falling))
+        falling = [f * (m.omega + shift - n) for m, f in zip(masses, falling)]
     return MomentTable(values, basis_shift=shift)
 
 
@@ -556,17 +594,19 @@ def stieltjes_eval(spec: FunctionalSpec, t: Scalar, tol: Scalar = DEFAULT_TOL) -
     ``1/(c - u) = (1/c) (-c)_u / (1-c)_u`` with ``c = t + shift``: a finite
     (truncated, symmetric-window, or self-terminating) weight sums it with
     :func:`eval_hyper_finite_sum`, exactly on rational inputs; an infinite
-    weight with :func:`eval_hyper`, under its convergence policy and to
-    ``tol``.  Point masses add ``M / (t - omega)``.  ``t`` must be rational
-    (``InputError`` otherwise).  ``PoleAtSupportPoint`` is raised at a mass
-    point, and at a support point of a nonzero weight.
+    weight with :func:`sum_numeric`, on the spec's integer factors with
+    those of ``-c`` and ``1-c`` appended, under the convergence policy of
+    :func:`eval_hyper` and to ``tol``.  Point masses add
+    ``M / (t - omega)``.  ``t`` must be rational (``InputError``
+    otherwise).  ``PoleAtSupportPoint`` is raised at a mass point, and at a
+    support point of a nonzero weight.
     """
     _validate_weight(spec)
     shift = spec.basis_shift
     upper = spec.weight_upper_bound()
     index = spec.support_index(t)
     total: Scalar = 0
-    for mass in spec.merged_masses():
+    for mass in spec._merged:
         if t == mass.omega:
             raise PoleAtSupportPoint(f"t = {t} is a mass point of the functional")
         total = total + exact_div(mass.M, t - mass.omega)
@@ -577,11 +617,18 @@ def stieltjes_eval(spec: FunctionalSpec, t: Scalar, tol: Scalar = DEFAULT_TOL) -
         raise PoleAtSupportPoint(f"t = {t} is a support point of the weight")
     # support indices raised above, so c != u for every summed u, c != 0
     c = t + shift
-    series = HyperSeries(
-        spec.a + (-c,), tuple(bj + 1 for bj in spec.b) + (1 - c,), spec.z
-    )
     if upper is None:
-        body = eval_hyper(series, tol)
+        # -c over 1-c adds one parameter on each side: the weight's regime,
+        # a balance one higher, and no new pole as c is off the support
+        cls = spec._convergence
+        if cls.gamma is not None:
+            cls = ConvergenceClass(cls.tag, gamma=cls.gamma + 1)
+        check_summable(spec._series, cls)
+        p_const, p_lin, q_const, q_lin = spec._factors
+        cn, cd = c.as_integer_ratio()
+        factors = (p_const * cd, [*p_lin, (-cn, cd)], q_const * cd, [*q_lin, (cd - cn, cd)])
+        body = sum_numeric(factors, integer_ratio(tol))
     else:
+        series = HyperSeries(spec.a + (-c,), spec._series.b + (1 - c,), spec.z)
         body = eval_hyper_finite_sum(series, upper)
     return total + exact_div(spec.scale * body, c)

@@ -39,6 +39,7 @@ from .polys import Poly, falling_coeffs
 from .scalars import (
     DEFAULT_TOL,
     Scalar,
+    clear_denominators,
     exact_value,
     integer_ratio,
     is_exact,
@@ -111,14 +112,6 @@ def _check_cap(K: int):
         raise InputError("the recurrence length K must be a nonnegative integer")
     if K > MAX_K:
         raise InputError(f"the recurrence length K is capped at {MAX_K}")
-
-
-def _clear_denominators(values) -> tuple[int, list[int]]:
-    """The lcm ``D`` of the denominators of ``values`` (an mpf read as the
-    dyadic rational it stores), and the integers ``D * v``."""
-    ratios = [integer_ratio(v) for v in values]
-    D = math.lcm(*(d for _, d in ratios))
-    return D, [n * (D // d) for n, d in ratios]
 
 
 def _eliminate(values, K: int, exact, fixed) -> tuple[list, list]:
@@ -253,7 +246,7 @@ def recurrence_from_moments(nu: MomentTable, K: int) -> Recurrence:
     _check_cap(K)
     _check_length(nu, 2 * K + 1, K)
     values = nu.values[: 2 * K + 1]
-    D, scaled = _clear_denominators(values)
+    D, scaled = clear_denominators(values)
     powers = stirling_convert(MomentTable(scaled, nu.basis_shift))
     alpha, beta = _eliminate(
         values, K, lambda: _hankel_exact(D, powers, K), lambda: _hankel_fixed(powers, K)
@@ -302,7 +295,7 @@ def chebyshev_from_moments(nu: MomentTable, K: int) -> Recurrence:
 
 def _chebyshev_integers(values, K: int, shift) -> tuple[list, list]:
     """alpha_0..alpha_{K-1} and beta_1..beta_{K-1}, fraction-free on ints."""
-    _, curr = _clear_denominators(values)
+    _, curr = clear_denominators(values)
     prev = [0] * (2 * K)  # T_{-1} = 0
     H = [1, curr[0]]
     alpha, beta = [], []
@@ -341,7 +334,7 @@ def _chebyshev_fixed(values, K: int, shift) -> list:
     ``2^wp``), the errors of each term and its floors, rescaled with the
     row.  A diagonal within its bound of zero gives ``[None]``."""
     wp = mp.mp.prec + _GUARD_BITS
-    _, nums = _clear_denominators(values)
+    _, nums = clear_denominators(values)
     col = [abs(v).bit_length() for v in nums]
     curr = [_shifted(v, wp - c) for v, c in zip(nums, col)]
     prev = [0] * (2 * K)  # sigma_{-1} = 0
@@ -455,7 +448,7 @@ def orthogonality_check(
         exact = all(map(is_exact, table.values))
     else:  # mpf coefficients are prec-sized already: Poly arithmetic costs no more
         polys = [p.shift(-table.basis_shift) for p in rec.polynomials(K)]
-        dens, coeffs = zip(*(_clear_denominators(p.coeffs) for p in polys))
+        dens, coeffs = zip(*(clear_denominators(p.coeffs) for p in polys))
     # entry (i, j) uses the coefficients of p_i, p_j and nu_0..nu_{i+j}
     prefix = list(itertools.accumulate(
         (isinstance(v, Fraction) for v in table.values), operator.or_
@@ -488,7 +481,7 @@ def orthogonality_check(
         return total // (D * dens[i] * dens[j])
 
     while True:
-        D, m = _clear_denominators(table.values)
+        D, m = clear_denominators(table.values)
         rows = dots(polys, falling, m)
         diagonal = [entry(i, i) for i in range(K + 1)]
         scale = max(abs(to_mpf(d)) for d in diagonal)

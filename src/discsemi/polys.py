@@ -6,13 +6,22 @@ Coefficients are ints, Fractions or mpmath floats, so the same polynomial
 code runs exactly on rational data and numerically on floats.
 
 Evaluation uses Horner's scheme and accepts either a scalar or another
-Poly, so composition (in particular the argument shift ``p(x + h)``) needs
-no separate implementation.
+Poly (composition).  On exact data (int and Fraction coefficients, an
+exact point or shift) evaluation and the shift ``p(x + h)`` clear every
+denominator, run on integers and make each ``Fraction`` once, with the
+types the Fraction arithmetic would give: a value is a ``Fraction`` when
+the point or a coefficient is one, and a shifted coefficient as
+:meth:`Poly.shift` states.  An mpf anywhere takes the generic loop.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Sequence
+
+from .scalars import clear_denominators
+
+_EXACT = frozenset((int, Fraction))  # the types evaluated and shifted on integers
 
 
 class Poly:
@@ -123,18 +132,48 @@ class Poly:
     # -- evaluation and composition --------------------------------------------
 
     def __call__(self, value):
-        """Evaluate at a scalar, or compose when ``value`` is a Poly."""
+        """Evaluate at a scalar, or compose when ``value`` is a Poly.
+
+        On exact data Horner's rule runs on cleared integers; the value is a
+        ``Fraction`` exactly when the point or some coefficient is one.
+        """
+        coeffs = self.coeffs
+        kinds = {type(value), *map(type, coeffs)}
+        if coeffs and Fraction in kinds and kinds <= _EXACT:  # all ints: the loop below
+            (vn, vd), (D, ints) = value.as_integer_ratio(), clear_denominators(coeffs)
+            acc, w = 0, 1
+            for n in reversed(ints):
+                acc, w = acc * vn + n * w, w * vd
+            return Fraction(acc, D * vd ** (len(coeffs) - 1))
         result = Poly.zero() if isinstance(value, Poly) else 0
-        for c in reversed(self.coeffs):
+        for c in reversed(coeffs):
             result = result * value + c
         return result
 
     def shift(self, h) -> "Poly":
         """The polynomial ``p(x + h)``; ``p`` itself, coefficients and all,
-        when ``h == 0``."""
+        when ``h == 0``.
+
+        On exact data this is a Taylor shift by ``hn`` of the integers
+        ``D c_i hd^(k-i)``, ``h = hn/hd``, ``D`` the common denominator and
+        k the degree.  Coefficient j is a ``Fraction`` when ``h`` is one and
+        j < k, or a nonzero ``Fraction`` sits at degree >= j: the types that
+        composition with ``x + h`` gives, as it trims a zero constant.
+        """
         if h == 0:
             return self
-        return self(Poly((h, 1)))
+        coeffs, k = self.coeffs, self.degree
+        if not {type(h), *map(type, coeffs)} <= _EXACT:
+            return self(Poly((h, 1)))
+        (hn, hd), (D, a) = h.as_integer_ratio(), clear_denominators(coeffs)
+        a = [ai * hd ** (k - i) for i, ai in enumerate(a)]
+        for i in range(k):
+            for j in range(k - 1, i - 1, -1):
+                a[j] += hn * a[j + 1]
+        top = max([i for i, c in enumerate(coeffs) if type(c) is Fraction and c], default=-1)
+        top = max(top, k - 1) if type(h) is Fraction else top
+        dens = [D * hd ** (k - j) for j in range(k + 1)]
+        return Poly(Fraction(n, d) if j <= top else n // d for j, (n, d) in enumerate(zip(a, dens)))
 
     def deflate(self, root) -> "Poly":
         """Exact division by ``(x - root)``.

@@ -20,6 +20,7 @@ tables; floats are rendered with the full working precision.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -123,6 +124,14 @@ def integer_ratio(x: Scalar) -> tuple[int, int]:
         man = -man if x < 0 else man
         return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
     return x.as_integer_ratio()
+
+
+def clear_denominators(values) -> tuple[int, list[int]]:
+    """The lcm ``D`` of the denominators of ``values`` (an mpf read as the
+    dyadic rational it stores), and the integers ``D * v``."""
+    ratios = [integer_ratio(v) for v in values]
+    D = math.lcm(*(d for _, d in ratios))
+    return D, [n * (D // d) for n, d in ratios]
 
 
 def exact_value(x: Scalar) -> Fraction:

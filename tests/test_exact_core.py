@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 
 from discsemi.combin import (
     binomial,
-    pochhammer_multi,
     falling_factorial,
     pochhammer,
     stirling2,
@@ -159,15 +158,6 @@ def test_stirling2_changes_basis(x, k):
     assert x**k == sum(
         stirling2(k, n) * falling_factorial(x, n) for n in range(k + 1)
     )
-
-
-def test_pochhammer_multi_is_product_of_pochhammers():
-    params = [Fraction(1, 2), Fraction(-3), 2]
-    assert pochhammer_multi(params, 3) == (
-        pochhammer(Fraction(1, 2), 3) * pochhammer(Fraction(-3), 3) * pochhammer(2, 3)
-    )
-    assert pochhammer_multi([], 5) == 1
-    assert pochhammer_multi(params, 0) == 1
 
 
 def test_binomial_edges():

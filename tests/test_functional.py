@@ -3,6 +3,7 @@ class computation, moments, and Stieltjes evaluation."""
 
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import discsemi.hyper
-from discsemi.combin import falling_factorial, pochhammer_multi, stirling_convert
+from discsemi.combin import falling_factorial, pochhammer, stirling_convert
 from discsemi.errors import (
     ConstraintViolated,
     DegreeMismatch,
@@ -203,6 +204,49 @@ def test_weight_pole_in_denominator():
     assert weight_at(ok, 3) == Fraction(1, 2) ** 3 / (
         Fraction(-6) * Fraction(-5) * Fraction(-4) * 6
     )
+
+
+def test_cached_facts_belong_to_their_spec():
+    """A spec derives its facts once: a cached pole still raises on every
+    call, equal specs compare and hash alike whatever either has cached,
+    and a transformed spec derives its own facts, not its input's."""
+    for support in (Support.infinite(), Support.truncated(5)):
+        bad = FunctionalSpec(a=[Fraction(1, 2)], b=[-3], z=Fraction(1, 2), support=support)
+        for _ in range(2):
+            with pytest.raises(PoleInDenominator):
+                weight_at(bad, 0)
+            with pytest.raises(PoleInDenominator):
+                moments(bad, 2)
+            with pytest.raises(PoleInDenominator):
+                stieltjes_eval(bad, Fraction(-1, 2))
+
+    def build():
+        return FunctionalSpec(
+            a=[Fraction(1, 3)], b=[Fraction(1, 2)], z=Fraction(1, 2),
+            masses=[Mass(Fraction(-1, 2), 1)],
+        )
+
+    spec, fresh = build(), build()
+    weight_at(spec, 2), moments(spec, 3), stieltjes_eval(spec, Fraction(21, 2))
+    spec.merged_masses()
+    assert set(vars(spec)) > set(vars(fresh))  # the facts sit on spec alone
+    assert spec == fresh and hash(spec) == hash(fresh) and {spec: 1}[fresh] == 1
+
+    base = FunctionalSpec(a=[-2], z=Fraction(1, 2))
+    moments(base, 3), base.merged_masses()
+    outs = [
+        apply_uvarov(base, Fraction(-1, 2), 1),
+        apply_christoffel(base, Fraction(-1, 2)),
+        apply_geronimus(base, 3, 1),
+    ]
+    for out in outs:
+        rebuilt = FunctionalSpec.from_json(out.to_json())
+        assert out.merged_masses() == rebuilt.merged_masses()
+        assert out.weight_upper_bound() == rebuilt.weight_upper_bound()
+        assert moments(out, 4).values == moments(rebuilt, 4).values
+    assert outs[0].merged_masses() == [Mass(Fraction(-1, 2), 1)] != base.merged_masses()
+    assert outs[2].merged_masses() == [Mass(3, 1)]
+    assert (outs[2].weight_upper_bound(), base.weight_upper_bound()) == (3, 2)
 
 
 def test_pearson_residual_property():
@@ -631,8 +675,8 @@ def direct_finite_moments(spec, K):
     for n in range(K + 1):
         part = 0
         if n <= upper and spec.scale != 0:
-            pref = spec.scale * spec.z**n * pochhammer_multi(spec.a, n)
-            pref = exact_div(pref, pochhammer_multi(b1, n))
+            pref = spec.scale * spec.z**n * math.prod(pochhammer(x, n) for x in spec.a)
+            pref = exact_div(pref, math.prod(pochhammer(x, n) for x in b1))
             series = HyperSeries([x + n for x in spec.a], [x + n for x in b1], spec.z)
             part = pref * eval_hyper_finite_sum(series, upper - n)
         mass_part = 0
@@ -893,7 +937,7 @@ def test_mpf_integer_denominator_pole_is_typed():
 
 def direct_infinite_moments(spec, K, tol):
     """nu_0..nu_K of an infinite weight, each the prefactor
-    ``scale z^n (a)_n / (b+1)_n`` rebuilt from ``pochhammer_multi`` times
+    ``scale z^n (a)_n / (b+1)_n`` rebuilt from ``pochhammer`` products times
     one ``eval_hyper`` call: the per-moment route that the running products
     and then the integer factors replaced, kept as the oracle.  The
     prefactor is rounded to mpf once, to nearest, as ``moments`` rounds it.
@@ -902,8 +946,8 @@ def direct_infinite_moments(spec, K, tol):
     b1 = [bj + 1 for bj in spec.b]
     values = []
     for n in range(K + 1):
-        pref = spec.scale * spec.z**n * pochhammer_multi(spec.a, n)
-        pref = exact_div(pref, pochhammer_multi(b1, n))
+        pref = spec.scale * spec.z**n * math.prod(pochhammer(x, n) for x in spec.a)
+        pref = exact_div(pref, math.prod(pochhammer(x, n) for x in b1))
         series = HyperSeries([x + n for x in spec.a], [x + n for x in b1], spec.z)
         try:
             value = to_mpf(pref) * eval_hyper(series, tol / max(1, abs(pref)))

@@ -24,13 +24,20 @@ from discsemi import orthopoly
 from discsemi.orthopoly import (
     MAX_K,
     Recurrence,
-    _clear_denominators,
     _hankel_pivots,
     chebyshev_from_moments,
     orthogonality_check,
     recurrence_from_moments,
 )
-from discsemi.scalars import DEFAULT_TOL, agree, exact_div, exact_value, ratio_to_mpf, to_mpf
+from discsemi.scalars import (
+    DEFAULT_TOL,
+    agree,
+    clear_denominators,
+    exact_div,
+    exact_value,
+    ratio_to_mpf,
+    to_mpf,
+)
 from discsemi.transforms import (
     apply_christoffel,
     apply_geronimus,
@@ -634,7 +641,7 @@ def _hankel_fraction_route(nu: MomentTable, K: int) -> Recurrence:
     Fractions and their denominators cleared afterwards: the route the
     conversion on cleared integers replaced."""
     m = stirling_convert(nu)[: 2 * K + 1]
-    _, entries = _clear_denominators(m)
+    _, entries = clear_denominators(m)
     H, t = _hankel_pivots(entries, K)
     H, t = [1] + H, [0] + t
     alpha = tuple(
