@@ -23,10 +23,11 @@ a bool raises ``InputError`` where it enters.
 Moments are taken against the falling-factorial basis
 ``phi_n(x) = x (x-1) ... (x-n+1)`` (shifted by ``m`` for symmetric
 windows).  A finite weight gets them all from one finite-sum tree, and
-an infinite one gets each as one hypergeometric value.  The Stieltjes
-transform ``S(t) = L[1/(t-x)]`` is one more such value: the finite-sum
-kernel of :mod:`discsemi.hyper` sums it exactly for a finite weight, and
-its fixed-point kernel sums it numerically for an infinite one.
+an infinite one from one fixed-point pass over its terms.  The Stieltjes
+transform ``S(t) = L[1/(t-x)]`` is one hypergeometric value on the same
+factors: the finite-sum tree of :mod:`discsemi.hyper` sums it exactly for
+a finite weight, and its fixed-point kernel numerically for an infinite
+one, each value rounded once.
 
 A spec derives its own facts once, on first use, and keeps them outside
 equality and hashing: the weight's upper bound, its pole verdict (raised
@@ -61,15 +62,17 @@ from .hyper import (
     classify_convergence,
     eval_hyper_finite_sum,
     linear_factors,
-    sum_numeric,
+    output_bits,
+    split_sum,
+    sum_fixed,
     termination_degree,
+    unsummable_shift,
 )
 from .polys import Poly, falling_coeffs, poly_from_root_offsets
 from .scalars import (
     DEFAULT_TOL,
     Scalar,
     exact_div,
-    exact_value,
     integer_ratio,
     is_exact,
     is_nonpos_integer,
@@ -521,16 +524,21 @@ def pearson_pair(spec: FunctionalSpec) -> PearsonPair:
 def moments(spec: FunctionalSpec, K: int, tol: Scalar = DEFAULT_TOL) -> MomentTable:
     """Moments nu_0..nu_K against the (possibly shifted) falling basis.
 
-    As ``phi_n(u) = n! C(u, n)``, a finite weight with terms ``t_u`` takes
-    all of them from one kernel call, ``nu_n = scale n! [t^n] sum_u t_u
-    (1+t)^u``, exactly.  An infinite weight's nu_n is the prefactor
-    ``scale z^n (a)_n / (b+1)_n`` times a sum with every parameter raised by
-    n, taken to ``tol / max(1, |prefactor|)`` to meet ``tol (1 + |nu_n|)``.
-    The term ratio's integer linear factors are the spec's own; each n
-    shifts them for the fixed-point kernel, and the prefactor is their
-    running product.  A balanced series on ``|z| = 1`` loses one unit of
-    balance per n.  Point masses add ``M phi_n(omega + shift)``, each
-    ``phi_n`` one more factor of a running product.
+    As ``phi_n(u) = n! C(u, n)``, every moment is ``nu_n = scale n! sum_u
+    t_u C(u, n)`` over the weight's terms ``t_u``, and one kernel call
+    gives them all.  A finite weight's come from one finite-sum tree,
+    exactly.  An infinite weight's come from one fixed-point pass over its
+    terms (:func:`~discsemi.hyper.sum_fixed` on the spec's integer factors):
+    sum n stops as the series ``nu_n / prefactor`` with every parameter
+    raised by n would, taken to ``tol / max(1, |prefactor|)`` for the
+    prefactor ``scale z^n (a)_n / (b+1)_n``, so that ``nu_n`` meets ``tol
+    (1 + |nu_n|)`` and a small ``nu_n`` is summed relative to its size; each
+    ``nu_n``, point masses included, is rounded to mpf once, to nearest.  Which
+    orders are summable is decided once: a balanced series on ``|z| = 1``
+    loses one unit of balance per n, and the first order it cannot sum
+    raises after the orders below it are summed.  Point masses add ``M
+    phi_n(omega + shift)``, each ``phi_n`` one more factor of a running
+    product.
     """
     if K < 0:
         raise InputError("moment count K must be nonnegative")
@@ -538,29 +546,34 @@ def moments(spec: FunctionalSpec, K: int, tol: Scalar = DEFAULT_TOL) -> MomentTa
     shift = spec.basis_shift
     upper = spec.weight_upper_bound()
     values: list = [0] * (K + 1)  # stays 0 past the support and for a zero scale
+    fixed = spec.scale != 0 and upper is None  # the fixed-point table
     if spec.scale != 0 and upper is not None:
         sums = eval_hyper_finite_sum(spec._series, upper, min(K, upper))
         for n, s in enumerate(sums):
             values[n] = spec.scale * math.factorial(n) * s
-    elif spec.scale != 0:
-        cls = spec._convergence
-        p_const, p_lin, q_const, (factorial, *q_lin) = spec._factors
-        num, den = spec.scale.as_integer_ratio()
-        tol = exact_value(tol)
-        for n in range(K + 1):
-            check_summable(spec._series, cls, n)
-            if n:
-                num *= p_const * math.prod(c + d * (n - 1) for c, d in p_lin)
-                den *= q_const * math.prod(c + d * (n - 1) for c, d in q_lin)
-            tol_n = Fraction(tol.numerator * abs(den), tol.denominator * max(abs(num), abs(den)))
-            p_n, q_n = ([(c + d * n, d) for c, d in lin] for lin in (p_lin, q_lin))
-            factors = (p_const, p_n, q_const, [factorial] + q_n)
-            values[n] = ratio_to_mpf(num, den) * sum_numeric(factors, tol_n.as_integer_ratio())
+    elif fixed:
+        series, cls = spec._series, spec._convergence
+        fail = unsummable_shift(series, cls)
+        last = K if fail is None else min(K, fail - 1)
+        tol = integer_ratio(tol)
+        s_num, s_den = spec.scale.as_integer_ratio()
+        if last >= 0:
+            acc, wp = sum_fixed(spec._factors, tol, last, (s_num, s_den))
+        if last < K:
+            check_summable(series, cls, last + 1)  # raises, as nu_{last+1}'s sum did
+        bits, weight = output_bits(tol), s_num  # weight: scale n!, over s_den
     masses = spec._merged
     falling = [1] * len(masses)  # phi_n(omega + shift), one running product per mass
     for n in range(K + 1):
-        values[n] += sum(m.M * f for m, f in zip(masses, falling))
+        mass = sum(m.M * f for m, f in zip(masses, falling))
         falling = [f * (m.omega + shift - n) for m, f in zip(masses, falling)]
+        if not fixed:
+            values[n] += mass
+            continue
+        weight *= n or 1
+        m_num, m_den = mass.as_integer_ratio()
+        num = weight * acc[n] * m_den + (m_num * s_den << wp)
+        values[n] = ratio_to_mpf(num, s_den * m_den, -wp, bits)
     return MomentTable(values, basis_shift=shift)
 
 
@@ -591,12 +604,15 @@ def stieltjes_eval(spec: FunctionalSpec, t: Scalar, tol: Scalar = DEFAULT_TOL) -
     """Pointwise value of S(t) = L[1/(t - x)].
 
     The weight's part is one hypergeometric value, through
-    ``1/(c - u) = (1/c) (-c)_u / (1-c)_u`` with ``c = t + shift``: a finite
-    (truncated, symmetric-window, or self-terminating) weight sums it with
-    :func:`eval_hyper_finite_sum`, exactly on rational inputs; an infinite
-    weight with :func:`sum_numeric`, on the spec's integer factors with
-    those of ``-c`` and ``1-c`` appended, under the convergence policy of
-    :func:`eval_hyper` and to ``tol``.  Point masses add
+    ``1/(c - u) = (1/c) (-c)_u / (1-c)_u`` with ``c = t + shift``, summed on
+    the spec's integer factors with those of ``-c`` and ``1-c`` appended: a
+    finite (truncated, symmetric-window, or self-terminating) weight by the
+    binary-splitting tree of :func:`~discsemi.hyper.split_sum`, exactly, and
+    the value is one ``Fraction``; an infinite weight by the fixed-point
+    kernel :func:`~discsemi.hyper.sum_fixed`, under the convergence policy
+    of :func:`~discsemi.hyper.eval_hyper` and to ``tol``, and the scale, the
+    fixed-point sum, ``1/c`` and the point masses are combined exactly and
+    rounded to mpf once, to nearest.  Point masses add
     ``M / (t - omega)``.  ``t`` must be rational (``InputError``
     otherwise).  ``PoleAtSupportPoint`` is raised at a mass point, and at a
     support point of a nonzero weight.
@@ -615,20 +631,24 @@ def stieltjes_eval(spec: FunctionalSpec, t: Scalar, tol: Scalar = DEFAULT_TOL) -
     # with a nonzero scale the weight is nonzero at every support index
     if index is not None:
         raise PoleAtSupportPoint(f"t = {t} is a support point of the weight")
-    # support indices raised above, so c != u for every summed u, c != 0
+    # support indices raised above, so c != u for every summed u, c != 0;
+    # -c over 1-c adds one factor to each side of the term ratio
     c = t + shift
-    if upper is None:
-        # -c over 1-c adds one parameter on each side: the weight's regime,
-        # a balance one higher, and no new pole as c is off the support
-        cls = spec._convergence
-        if cls.gamma is not None:
-            cls = ConvergenceClass(cls.tag, gamma=cls.gamma + 1)
-        check_summable(spec._series, cls)
-        p_const, p_lin, q_const, q_lin = spec._factors
-        cn, cd = c.as_integer_ratio()
-        factors = (p_const * cd, [*p_lin, (-cn, cd)], q_const * cd, [*q_lin, (cd - cn, cd)])
-        body = sum_numeric(factors, integer_ratio(tol))
-    else:
-        series = HyperSeries(spec.a + (-c,), spec._series.b + (1 - c,), spec.z)
-        body = eval_hyper_finite_sum(series, upper)
-    return total + exact_div(spec.scale * body, c)
+    cn, cd = c.as_integer_ratio()
+    p_const, p_lin, q_const, q_lin = spec._factors
+    factors = (p_const * cd, [*p_lin, (-cn, cd)], q_const * cd, [*q_lin, (cd - cn, cd)])
+    (s_num, s_den), (m_num, m_den) = spec.scale.as_integer_ratio(), total.as_integer_ratio()
+    # the value is s_num body cd / (s_den cn) + m_num / m_den
+    if upper is not None:
+        Q, (T,) = split_sum(factors, upper)
+        return Fraction(s_num * T * cd * m_den + m_num * s_den * cn * Q, s_den * cn * m_den * Q)
+    # the weight's regime, a balance one higher, and no new pole as c is
+    # off the support
+    cls = spec._convergence
+    if cls.gamma is not None:
+        cls = ConvergenceClass(cls.tag, gamma=cls.gamma + 1)
+    check_summable(spec._series, cls)
+    tol = integer_ratio(tol)
+    (body,), wp = sum_fixed(factors, tol)
+    num = s_num * body * cd * m_den + (m_num * s_den * cn << wp)
+    return ratio_to_mpf(num, s_den * cn * m_den, -wp, output_bits(tol))

@@ -25,30 +25,33 @@ after every term.  Parameters and argument are exact rationals (an mpf, a
 float or a bool raises ``InputError``).  The same tree can carry
 ``sum_k t_k (1+t)^k`` up to ``t^top``: every moment of a finite weight.
 
-Nonterminating sums go through one fixed-point kernel, :func:`sum_numeric`,
-on the same integer factors of the term ratio: the term and the running sum
-are Python integers scaled by ``2^wp``, with ``wp`` the working precision
-(or ``log2(1/tol)``, if larger) plus guard bits, and one ``mpf`` is made at
-the end, rounded once to the working precision (or to 4 bits past
-``log2(1/tol)``, if larger, so the rounding costs at most ``tol / 16``).
-Summation stops when two consecutive terms fall below ``tol`` times
-``1 + |sum|``, which protects against accidental zero terms in
-alternating series.  When the largest term shows that rounding could have
-cancelled more than the tolerance allows, the sum is redone once with the
-lost bits added (as ``mpmath``'s ``hypsum`` does), and a term that rounded
-to zero in a dip before a negative denominator parameter sends the sum to
-a pass whose precision covers the dip.
+Nonterminating sums go through one fixed-point kernel, :func:`sum_fixed`,
+on the same integer factors of the term ratio: the term and the running
+sums are Python integers scaled by ``2^wp``, with ``wp`` sized once from
+the working precision and ``log2(1/tol)`` plus guard bits.  One pass over
+the terms ``t_u`` gives every ``sum_u t_u C(u, n)`` for ``n <= top`` (the
+moments of an infinite weight, up to ``scale n!``), each sum stopped as
+the series raised by n would be: when two consecutive terms fall below its
+tolerance times ``1 + |sum|``, which protects against accidental zero
+terms in alternating series; ``top = 0``
+is the plain sum, which :func:`eval_hyper` rounds to one ``mpf`` (to the
+working precision, or to 4 bits past ``log2(1/tol)`` if larger, so the
+rounding costs at most ``tol / 16``).  When the largest term shows that
+rounding could have cancelled more than the tolerance allows, the pass is
+redone once with the lost bits added (as ``mpmath``'s ``hypsum`` does),
+and a term that rounded to zero in a dip before a negative denominator
+parameter sends the sum to a pass whose precision covers the dip.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import ComputationError, DivergentSeries, PoleInDenominator
 from .scalars import (
@@ -56,6 +59,7 @@ from .scalars import (
     Scalar,
     integer_ratio,
     is_nonpos_integer,
+    ratio_to_mpf,
     require_rational,
     scalar_to_json,
 )
@@ -152,12 +156,13 @@ def linear_factors(a: Sequence, b: Sequence, z):
     return p_const, p_lin, q_const, q_lin
 
 
-def _split_sum(a: Sequence, b: Sequence, z, K: int, top: int = 0) -> tuple:
+def split_sum(factors: tuple, K: int, top: int = 0) -> tuple:
     """Integers Q and T[0..top] with ``T[n]/Q = [t^n] sum_{k<=K} t_k (1+t)^k``.
 
-    The terms ``t_k = prod_{j<k} p(j)/q(j)`` come from :func:`linear_factors`,
-    and q(j) != 0 for j < K; ``top = 0`` gives the partial sum.  A range
-    [lo, hi) holds P = prod p, Q = prod q and T, cut after ``t^top``, with
+    The terms ``t_k = prod_{j<k} p(j)/q(j)`` come from ``factors``, the term
+    ratio as :func:`linear_factors` gives it, and q(j) != 0 for j < K;
+    ``top = 0`` gives the partial sum.  A range [lo, hi) holds P = prod p,
+    Q = prod q and T, cut after ``t^top``, with
     ``T/Q = sum_{lo<=k<hi} prod_{lo<=j<=k} p(j)/q(j) (1+t)^(k-lo+1)``.
     A leaf takes backward Horner steps ``T <- p(j) (1+t) (T + Q)``; halves
     combine as ``T1 Q2 + P1 (1+t)^L1 T2``, L1 the length of the left half.
@@ -171,7 +176,7 @@ def _split_sum(a: Sequence, b: Sequence, z, K: int, top: int = 0) -> tuple:
             out = [x * y for x, y in zip(out, range(n, n + d * K, d))]
         return out
 
-    p_const, p_lin, q_const, q_lin = linear_factors(a, b, z)
+    p_const, p_lin, q_const, q_lin = factors
     ps, qs = values(p_const, p_lin), values(q_const, q_lin)
 
     def pqt(lo: int, hi: int) -> tuple:
@@ -226,7 +231,7 @@ def eval_hyper_finite_sum(h: HyperSeries, K: int, top: int | None = None) -> Sca
             f"denominator factor vanishes at term {pole + 1} "
             f"while the numerator is still nonzero"
         )
-    Q, T = _split_sum(h.a, h.b, h.z, stop, top or 0)
+    Q, T = split_sum(linear_factors(h.a, h.b, h.z), stop, top or 0)
     sums = [Fraction(Tn, Q) for Tn in T]
     return sums[0] if top is None else sums
 
@@ -236,15 +241,17 @@ def eval_hyper(h: HyperSeries, tol: Scalar = DEFAULT_TOL) -> Scalar:
 
     Terminating series are summed exactly (rational in, rational out).
     Entire series and unit-disk series inside the admissible region are
-    summed by the fixed-point kernel :func:`sum_numeric` until two
+    summed by the fixed-point kernel :func:`sum_fixed` until two
     consecutive terms drop below ``tol`` times ``1 + |sum|``; the result is
-    an mpf at the current precision.
+    an mpf rounded once, to :func:`output_bits`.
     """
     cls = classify_convergence(h)
     if cls.tag == "Terminating":
         return eval_hyper_finite_sum(h, cls.degree)
     check_summable(h, cls)
-    return sum_numeric(linear_factors(h.a, h.b, h.z), integer_ratio(tol))
+    tol = integer_ratio(tol)
+    (total,), wp = sum_fixed(linear_factors(h.a, h.b, h.z), tol)
+    return ratio_to_mpf(total, 1, -wp, output_bits(tol))
 
 
 def check_summable(h: HyperSeries, cls: ConvergenceClass, shift: int = 0) -> None:
@@ -280,90 +287,178 @@ def check_summable(h: HyperSeries, cls: ConvergenceClass, shift: int = 0) -> Non
                 )
 
 
-def sum_numeric(factors: tuple, tol: tuple) -> mp.mpf:
-    """Nonterminating sum on one fixed-point integer.
+def unsummable_shift(h: HyperSeries, cls: ConvergenceClass) -> int | None:
+    """The smallest n >= 0 at which :func:`check_summable` refuses ``h``
+    with every parameter raised by n, or None when it refuses none: only
+    the balance of a series on ``|z| = 1`` depends on n."""
+    try:
+        check_summable(h, cls)
+    except (PoleInDenominator, DivergentSeries):
+        return 0
+    if cls.tag == "UnitDisk" and abs(h.z) == 1:
+        return math.ceil(cls.gamma if h.z == 1 else cls.gamma + 1)
+    return None
+
+
+def output_bits(tol: tuple) -> int:
+    """Bits a value summed to ``tol`` is rounded to: the working precision,
+    or 4 bits past ``log2(1/tol)`` when that is more (a rounding of at most
+    ``tol / 16``)."""
+    tol_num, tol_den = tol
+    return max(mp.mp.prec, tol_den.bit_length() - abs(tol_num).bit_length() + 5)
+
+
+def sum_fixed(factors: tuple, tol: tuple, top: int = 0, scale: tuple = (1, 1)) -> tuple:
+    """``(acc, wp)``: ``acc[n] 2^-wp`` is ``sum_u t_u C(u, n)`` for
+    every ``n <= top``, over the terms ``t_u`` of one nonterminating series.
 
     ``factors`` is the term ratio from :func:`linear_factors` and ``tol``
-    an integer ratio in lowest terms (its bit lengths set ``wp``).  The
-    term and the running sum are integers scaled by ``2^wp``; each step is
-    ``term = term * p(k) // q(k)`` rounded toward zero, so a vanished term
-    stays 0.  Each step rounds by at most one unit of ``2^-wp``, which
-    every later term carries, scaled by the growth of the terms since that
-    step: at most M for a step whose term was at least 1, and at most
-    ``2^(r+1)`` for one below 1, r the largest number of bits a term has
-    grown over a smaller earlier one.  Over n terms that is taken as
-    ``n^2 max(M + 1, 2^(r+1))`` units; if that exceeds ``tol (1 + |sum|)``,
-    the sum is redone once with ``wp`` raised by the bits it lacks.  The
-    sum is returned rounded once, to the working precision or, if larger,
-    4 bits past what tol needs.
+    an integer ratio in lowest terms (its bit lengths set ``wp``); ``scale``
+    (an integer ratio) makes value n ``nu_n = scale n! acc[n] 2^-wp``.  The
+    term and the sums are integers scaled by ``2^wp``; each step is ``term =
+    term * p(k) // q(k)`` rounded toward zero, so a vanished term stays 0,
+    and adds ``term C(u, n)`` to each sum, the binomials exact by Pascal's
+    rule.  At ``top = 0`` with unit scale this is the plain partial sum.
 
-    Summation stops at two consecutive terms below ``tol (1 + |sum|)``, but
-    not before every factor ``b_j + k`` of q is positive: below a negative
-    ``-b_j`` the terms can dip under the tolerance and grow again.  A dip
-    deeper than ``wp`` rounds the term to 0, and the terms after it would
-    be lost; so a zero term when k reaches that point restarts the sum once
-    with ``wp`` raised by the depth of the dip, taken from the exact
-    products of p and q.  Only ``z = 0`` makes a term of a nonterminating
-    series exactly 0, so otherwise a term still 0 after that raises
-    ComputationError.
+    Sum n is the series raised by n, ``sum_k t_{n+k} C(n+k, n) / t_n``,
+    times ``t_n``, and it follows that series' rule: it stops at two
+    consecutive terms below ``tol_n (|t_n| + |sum|)``, ``tol_n = tol /
+    max(1, |pref_n|)`` with the prefactor ``pref_n = scale n! t_n``, so that
+    ``nu_n`` meets ``tol (1 + |nu_n|)`` and a small ``nu_n`` is still summed
+    relative to ``t_n``.  It does not stop before every factor ``b_j + k`` of
+    q is positive: below a negative ``-b_j`` the terms can dip under the
+    tolerance and grow again.  ``wp`` is sized once, from the tightest n:
+    the working precision, or ``log2(max(1, |pref_n|) / tol)`` if larger,
+    below ``|t_n|`` (exact products of p and q), plus guard bits.
+
+    Each step rounds the term by at most one unit of ``2^-wp``, which every
+    later term carries, scaled by the growth of the terms since that step:
+    at most M for a step whose term was at least 1, and at most
+    ``2^(r+1)`` for one below 1, r the largest number of bits a term has
+    grown over a smaller earlier one.  So after U steps a term is off by at
+    most ``U max(M + 1, 2^(r+1))`` units and sum n, through
+    ``sum_{1<=u<=U} C(u, n) = C(U+1, n+1) - [n = 0]``, by that times
+    ``C(U+1, n+1) - [n = 0]``.  If that exceeds the tolerance of some n,
+    the table is redone once with ``wp`` raised by the bits it lacks.
+
+    A dip deeper than ``wp`` rounds the term to 0, and the terms after it
+    would be lost; so a zero term when k reaches the dip's end restarts the
+    table once with ``wp`` raised by the depth of the dip, taken from the
+    exact products of p and q.  Only ``z = 0`` makes a term of a
+    nonterminating series exactly 0, so otherwise a term still 0 after that
+    raises ComputationError.  The table stops when every sum has; a sum that
+    has not met its tolerance within ``MAX_TERMS`` terms of its own raises
+    DivergentSeries.
     """
     p_const, p_lin, q_const, q_lin = factors
     start = max([0] + [-n // d + 1 for n, d in q_lin if n < 0])
     tol_num, tol_den = tol
     tol_bits = tol_den.bit_length() - abs(tol_num).bit_length() + 1
-    wp = max(mp.mp.prec, tol_bits) + _GUARD_BITS
+    s_num, s_den = abs(scale[0]), scale[1]
+    # sum n is done at |part| A[n] <= B[n] 2^wp + C[n] |acc[n]|, for part its
+    # term's share: times s_den |Q|, for t_n = P / Q, that is the rule above
+    A, B, C, wp = [], [], [], 0
+    P = Q = factorial = 1
+    for n in range(top + 1):
+        if n:
+            factorial *= n
+            P *= p_const * math.prod(c + d * (n - 1) for c, d in p_lin)
+            Q *= q_const * math.prod(c + d * (n - 1) for c, d in q_lin)
+        unit = s_den * abs(Q)
+        pref = max(unit, s_num * factorial * abs(P))  # max(1, |pref_n|) unit
+        A.append(tol_den * pref)
+        B.append(tol_num * s_den * abs(P))
+        C.append(tol_num * unit)
+        bits = max(mp.mp.prec, tol_bits + pref.bit_length() - unit.bit_length())
+        wp = max(wp, bits + abs(Q).bit_length() - abs(P).bit_length())
+    wp += _GUARD_BITS
     retried = dipped = False
     while True:
-        one = 1 << wp
-        term = total = big = low = one
-        streak = rise = 0
-        lost = False
-        for k in range(MAX_TERMS):
-            pk, qk = p_const, q_const
-            for n, d in p_lin:
-                pk *= n + d * k
-            for n, d in q_lin:
-                qk *= n + d * k
-            if qk < 0:
-                pk, qk = -pk, -qk
-            term *= pk
-            term = term // qk if term >= 0 else -(-term // qk)
-            total += term
-            size = abs(term)
-            if size > big:
-                big = size
-            if size < low:
-                low = size
-            elif low < one:
-                rise = max(rise, size.bit_length() - low.bit_length())
-            if k >= start and size * tol_den <= tol_num * (one + abs(total)):
-                if not size and k == start and p_const:
-                    lost = True  # the term underflowed in the dip
-                    break
-                streak += 1
-                if streak == 2:
-                    break
-            else:
-                streak = 0
-        else:
-            raise DivergentSeries(
-                f"series did not meet tolerance within {MAX_TERMS} terms"
-            )
-        if lost:
+        ones = [b << wp for b in B]
+        acc, stop, growth, lost = _table_pass(factors, start, 1 << wp, A, ones, C)
+        if lost is not None:
             if dipped:
                 raise ComputationError(
                     f"a term of the series underflowed at {wp} working bits"
                 )
             dipped = True
-            wp += _dip_depth(p_const, p_lin, q_const, q_lin, start) + _GUARD_BITS
+            wp += _dip_depth(p_const, p_lin, q_const, q_lin, lost) + _GUARD_BITS
             continue
-        error = (k + 1) ** 2 * max((big >> wp) + 1, 2 << rise) * tol_den
-        allowed = tol_num * (one + abs(total))
-        if error <= allowed or retried:
-            bits = max(mp.mp.prec, tol_bits + 4)
-            return mp.mp.make_mpf(from_man_exp(total, -wp, bits, round_nearest))
+        short = missing = 0
+        for n, k in enumerate(stop):
+            error = (k + 1) * growth * (math.comb(k + 2, n + 1) - (n == 0)) * A[n]
+            allowed = ones[n] + C[n] * abs(acc[n])
+            if error > allowed:
+                short = True
+                missing = max(missing, error.bit_length() - allowed.bit_length())
+        if not short or retried:
+            return acc, wp
         retried = True
-        wp += error.bit_length() - allowed.bit_length() + _GUARD_BITS
+        wp += missing + _GUARD_BITS
+
+
+def _table_pass(factors: tuple, start: int, one: int, A: list, B: list, C: list) -> tuple:
+    """One pass of :func:`sum_fixed` at ``2^wp = one``: ``(acc, stop,
+    growth, lost)``, with ``stop[n]`` the step at which sum n stopped,
+    ``growth`` the factor ``max(M + 1, 2^(r+1))`` of the error bound, and
+    ``lost`` the step at which a term vanished in the dip (else None)."""
+    p_const, p_lin, q_const, q_lin = factors
+    top = len(A) - 1
+    term = big = low = one
+    acc = [one] + [0] * top
+    binom = [1] + [0] * top  # C(k+1, n) at step k
+    streak = [0] * (top + 1)
+    stop = [0] * (top + 1)
+    live = [0]  # the sums still running, in order; sum n starts at step n-1
+    rise = 0
+    # |part| A <= B + C |total| needs bits(part) <= near or <= bits(total) + rel
+    near = [b.bit_length() - a.bit_length() + 2 for a, b in zip(A, B)]
+    rel = [c.bit_length() - a.bit_length() + 2 for a, c in zip(A, C)]
+    for k in itertools.count():
+        pk, qk = p_const, q_const
+        for n, d in p_lin:
+            pk *= n + d * k
+        for n, d in q_lin:
+            qk *= n + d * k
+        if qk < 0:
+            pk, qk = -pk, -qk
+        term *= pk
+        term = term // qk if term >= 0 else -(-term // qk)
+        size = abs(term)
+        if size > big:
+            big = size
+        if size < low:
+            low = size
+        elif low < one:
+            rise = max(rise, size.bit_length() - low.bit_length())
+        if k < top:
+            live.append(k + 1)
+        for n in range(min(k + 1, top), 0, -1):
+            binom[n] += binom[n - 1]
+        started, done = k >= start, False
+        for n in live:
+            part = term * binom[n]
+            total = acc[n] = acc[n] + part
+            bits = part.bit_length()  # too many bits to be small: skip the products
+            if (
+                started
+                and k >= n
+                and (bits <= near[n] or bits <= total.bit_length() + rel[n])
+                and abs(part) * A[n] <= B[n] + C[n] * abs(total)
+            ):
+                if not part and k == max(n, start) and p_const:
+                    return acc, stop, 0, k  # the term underflowed in the dip
+                streak[n] += 1
+                if streak[n] == 2:
+                    stop[n], done = k, True
+            else:
+                streak[n] = 0
+        if done:
+            live = [n for n in live if streak[n] < 2]
+        if not live:
+            return acc, stop, max((big // one) + 1, 2 << rise), None
+        if k + 1 - live[0] >= MAX_TERMS:
+            raise DivergentSeries(f"series did not meet tolerance within {MAX_TERMS} terms")
 
 
 def _dip_depth(p_const, p_lin, q_const, q_lin, last: int) -> int:

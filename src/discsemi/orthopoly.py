@@ -143,7 +143,7 @@ def _fixed_to_mpf(v: int, e: int, wp: int):
     ``e 2^-wp`` may exceed ``2^-prec (1 + |v 2^-wp|)``."""
     if e << mp.mp.prec > (1 << wp) + abs(v):
         return None
-    return mp.ldexp(mp.mpf(v), -wp)
+    return ratio_to_mpf(v, 1, -wp)
 
 
 def _ratio_to_mpf(a: int, b: int, ea: int, eb: int, s: int):
@@ -151,7 +151,7 @@ def _ratio_to_mpf(a: int, b: int, ea: int, eb: int, s: int):
     ``2^-prec`` (relative) away for ``|x - a| <= ea`` and ``|y - b| <= eb``."""
     if (ea * abs(b) + eb * abs(a)) << mp.mp.prec > abs(a) * (abs(b) - eb):
         return None
-    return mp.ldexp(ratio_to_mpf(a, b), s)
+    return ratio_to_mpf(a, b, s)
 
 
 def _hankel_pivots(m: list, K: int) -> tuple[list, list]:
@@ -409,6 +409,16 @@ def _exact_polynomials(rec: Recurrence, K: int, shift: int) -> tuple[list, list,
     return dens, polys, fractional
 
 
+def _largest(cells: list) -> int:
+    """The index of the largest ``|t| / d`` over pairs ``(t, d)``, ``d > 0``,
+    compared on integers (the first, on a tie)."""
+    best, (top, den) = 0, cells[0]
+    for i, (t, d) in enumerate(cells):
+        if abs(t) * den > abs(top) * d:
+            best, top, den = i, t, d
+    return best
+
+
 def orthogonality_check(
     spec: FunctionalSpec, rec: Recurrence, K: int, tol: Scalar = DEFAULT_TOL
 ) -> dict:
@@ -484,7 +494,8 @@ def orthogonality_check(
         D, m = clear_denominators(table.values)
         rows = dots(polys, falling, m)
         diagonal = [entry(i, i) for i in range(K + 1)]
-        scale = max(abs(to_mpf(d)) for d in diagonal)
+        k = _largest([(rows[i][0], dens[i] ** 2) for i in range(K + 1)])
+        scale = ratio_to_mpf(abs(rows[k][0]), D * dens[k] ** 2)
         if not infinite or not scale:
             break
         slack = dots(
@@ -495,7 +506,6 @@ def orthogonality_check(
         # each bound over its yardstick in ints, tol cancelled: S_ii / (D d_i^2
         # + |T_ii|) on the diagonal, S_ij d_k^2 / (d_i d_j |T_kk|) off it, for
         # T the entries, S their bounds and h_k = T_kk / (D d_k^2) the largest
-        k = max(range(K + 1), key=lambda i: abs(diagonal[i]))
         bits = 0
         for i in range(K + 1):
             yardstick = D * dens[i] ** 2 + abs(rows[i][0])
@@ -508,10 +518,12 @@ def orthogonality_check(
             break
         moment_tol = needed
         table = moments(spec, 2 * K, moment_tol)
+    off = [(i, j) for i in range(K + 1) for j in range(i + 1, K + 1)]
     max_off = 0
-    for i in range(K + 1):
-        for j in range(i + 1, K + 1):
-            max_off = max(max_off, abs(to_mpf(entry(i, j))))
+    if off:
+        i, j = off[_largest([(rows[i][j - i], dens[i] * dens[j]) for i, j in off])]
+        if rows[i][j - i]:
+            max_off = ratio_to_mpf(abs(rows[i][j - i]), D * dens[i] * dens[j])
     ok = all(d != 0 for d in diagonal) and (
         max_off == 0 if exact else max_off <= to_mpf(tol) * scale
     )

@@ -7,11 +7,14 @@ code runs exactly on rational data and numerically on floats.
 
 Evaluation uses Horner's scheme and accepts either a scalar or another
 Poly (composition).  On exact data (int and Fraction coefficients, an
-exact point or shift) evaluation and the shift ``p(x + h)`` clear every
-denominator, run on integers and make each ``Fraction`` once, with the
-types the Fraction arithmetic would give: a value is a ``Fraction`` when
-the point or a coefficient is one, and a shifted coefficient as
-:meth:`Poly.shift` states.  An mpf anywhere takes the generic loop.
+exact point or shift) evaluation, products and the shift ``p(x + h)``
+clear every denominator, run on integers and make each ``Fraction`` once,
+with the types the Fraction arithmetic would give: a value is a
+``Fraction`` when the point or a coefficient is one, a coefficient of a
+product when a ``Fraction`` entered it, and a shifted coefficient as
+:meth:`Poly.shift` states.  Sums stay coefficientwise (a cleared-integer
+sum makes as many ``Fraction`` objects as it saves).  An mpf anywhere
+takes the generic loops.
 """
 
 from __future__ import annotations
@@ -103,14 +106,29 @@ class Poly:
         return o + (-self)
 
     def __mul__(self, other):
+        """Product; on exact data with a ``Fraction`` in it, on cleared
+        integers, coefficient k a ``Fraction`` when a product into it had a
+        ``Fraction`` operand."""
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
+            a, b = self.coeffs, other.coeffs
+            if not a or not b:
                 return Poly()
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return Poly(out)
+            out = [0] * (len(a) + len(b) - 1)
+            exact = _fraction_data(a, b)
+            if exact:
+                fed = [False] * len(out)
+                for cs, width in ((a, len(b)), (b, len(a))):
+                    for i, c in enumerate(cs):
+                        if type(c) is Fraction:
+                            fed[i : i + width] = [True] * width
+                (D1, a), (D2, b) = clear_denominators(a), clear_denominators(b)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] = out[i + j] + x * y
+            if not exact:
+                return Poly(out)
+            D = D1 * D2
+            return Poly(Fraction(n, D) if f else n // D for n, f in zip(out, fed))
         if isinstance(other, bool):
             return NotImplemented
         return Poly([c * other for c in self.coeffs])
@@ -138,8 +156,7 @@ class Poly:
         ``Fraction`` exactly when the point or some coefficient is one.
         """
         coeffs = self.coeffs
-        kinds = {type(value), *map(type, coeffs)}
-        if coeffs and Fraction in kinds and kinds <= _EXACT:  # all ints: the loop below
+        if coeffs and _fraction_data(coeffs, (value,)):  # all ints: the loop below
             (vn, vd), (D, ints) = value.as_integer_ratio(), clear_denominators(coeffs)
             acc, w = 0, 1
             for n in reversed(ints):
@@ -222,6 +239,12 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def _fraction_data(a: tuple, b: tuple) -> bool:
+    """Both coefficient tuples exact, with a ``Fraction`` among them."""
+    kinds = {*map(type, a), *map(type, b)}
+    return Fraction in kinds and kinds <= _EXACT
 
 
 def _needs_parens(c) -> bool:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Union
 
 import mpmath as mp
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 from .errors import InputError
 
@@ -94,14 +94,18 @@ def to_mpf(x: Scalar) -> mp.mpf:
     return mp.mpf(x)
 
 
-def ratio_to_mpf(num: int, den: int) -> mp.mpf:
-    """``num / den`` rounded once, to nearest; factors of two go to the
-    exponent first (mpmath strips them bytewise)."""
+def ratio_to_mpf(num: int, den: int, shift: int = 0, prec: int | None = None) -> mp.mpf:
+    """``num / den * 2^shift`` rounded once, to nearest, to ``prec`` bits
+    (the working precision by default); factors of two go to the exponent
+    (mpmath strips them bytewise)."""
     if not num:
         return mp.mpf(0)
     a, b = (num & -num).bit_length() - 1, (den & -den).bit_length() - 1
-    man = from_rational(num >> a, den >> b, mp.mp.prec, round_nearest)
-    return mp.ldexp(mp.mpf(man), a - b)
+    num, den, prec = num >> a, den >> b, prec or mp.mp.prec
+    if den == 1:  # a dyadic value: no division
+        return mp.mp.make_mpf(from_man_exp(num, a - b + shift, prec, round_nearest))
+    sign, man, exp, bc = from_rational(num, den, prec, round_nearest)
+    return mp.mp.make_mpf((sign, man, exp + a - b + shift, bc))
 
 
 def is_exact(x: Scalar) -> bool:

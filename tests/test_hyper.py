@@ -11,12 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 import discsemi.hyper
 from discsemi.combin import pochhammer
+from discsemi.functional import FunctionalSpec, moments
 from discsemi.errors import ComputationError, DivergentSeries, InputError, PoleInDenominator
 from discsemi.hyper import (
     HyperSeries,
     classify_convergence,
     eval_hyper,
     eval_hyper_finite_sum,
+    linear_factors,
+    sum_fixed,
     termination_degree,
 )
 from discsemi.scalars import to_mpf
@@ -453,3 +456,71 @@ def test_numeric_sum_is_rounded_once_to_what_tol_needs(dps):
         assert abs(got.man).bit_length() <= bound
     with mp.workdps(120):
         assert abs(got - mp.exp(mp.mpf(1) / 2)) <= to_mpf(tol) * mp.exp(mp.mpf(1) / 2)
+
+
+# ---------------------------------------------------------------------------
+# moment tables: every sum_u t_u C(u, n) from one pass over the terms
+
+#: the four numeric shapes of the recurrence benchmark, one argument each
+DEEP_SPECS = [
+    FunctionalSpec(a=[], b=[], z=Fraction(5, 2)),
+    FunctionalSpec(a=[Fraction(1, 3)], b=[Fraction(2, 7)], z=Fraction(3, 2)),
+    FunctionalSpec(a=[Fraction(4, 3)], b=[Fraction(5, 7), Fraction(3, 5)], z=Fraction(3, 2)),
+    FunctionalSpec(
+        a=[Fraction(2, 3), Fraction(-7, 5)], b=[Fraction(-3, 7), Fraction(8, 5)],
+        z=Fraction(1, 2),
+    ),
+]
+
+
+def hyper_table(spec, K):
+    """``scale z^n (a)_n / (b+1)_n pFq(a+n; b+1+n; z)`` for n <= K, at the
+    current precision."""
+    a = [to_mpf(x) for x in spec.a]
+    b = [to_mpf(x) + 1 for x in spec.b]
+    z = to_mpf(spec.z)
+    return [
+        to_mpf(spec.scale) * z**n * mp.fprod(mp.rf(x, n) for x in a)
+        / mp.fprod(mp.rf(x, n) for x in b) * mp.hyper([x + n for x in a], [x + n for x in b], z)
+        for n in range(K + 1)
+    ]
+
+
+@pytest.mark.parametrize("spec", DEEP_SPECS)
+def test_recurrence_tables_match_mpmath(spec):
+    # the K = 24 table and the Gram check's K = 12 table at tol / 2^24
+    tol = Fraction(1, 10**30)
+    for K, tol_K in ((24, tol), (12, tol / 2**24)):
+        with mp.workdps(60):
+            got = moments(spec, K, tol_K).values
+        with mp.workdps(120):
+            for g, w in zip(got, hyper_table(spec, K), strict=True):
+                assert abs(g - w) <= to_mpf(tol_K) * (1 + abs(w))
+
+
+def test_one_table_is_one_pass_over_the_terms(monkeypatch):
+    # the table runs the terms once, U steps, where the per-moment route
+    # ran one sum per n, sum U_n steps in all (each pass's steps are the
+    # last step at which one of its sums stopped, plus one)
+    passes = []
+    table_pass = discsemi.hyper._table_pass
+
+    def counting(*args):
+        out = table_pass(*args)
+        passes.append(max(out[1]) + 1)
+        return out
+
+    monkeypatch.setattr(discsemi.hyper, "_table_pass", counting)
+    spec, K, tol = DEEP_SPECS[1], 24, Fraction(1, 10**30)
+    with mp.workdps(60):
+        moments(spec, K, tol)
+        (U,) = passes
+        for n in range(K + 1):  # sum n to tol / max(1, |prefactor|), as that route did
+            a = [x + n for x in spec.a]
+            b = [x + 1 + n for x in spec.b]
+            pref = spec.z**n * pochhammer(spec.a[0], n) / pochhammer(spec.b[0] + 1, n)
+            sum_fixed(linear_factors(a, b, spec.z), (tol / max(1, abs(pref))).as_integer_ratio())
+    per_moment = passes[1:]
+    assert len(per_moment) == K + 1
+    assert U <= max(n + U_n for n, U_n in enumerate(per_moment))
+    assert 10 * U < sum(per_moment)

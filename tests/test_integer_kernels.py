@@ -1,7 +1,7 @@
 """The integer kernels of exact evaluation against the code they replaced.
 
-``Poly.__call__``, ``Poly.shift`` and ``weight_at`` clear denominators and
-work on integers.  Each is compared here with the ``Fraction`` arithmetic
+``Poly.__call__``, ``Poly.shift``, the ``Poly`` ring operations and
+``weight_at`` clear denominators and work on integers.  Each is compared here with the ``Fraction`` arithmetic
 it replaced, kept below as the reference: values must be equal and every
 value or coefficient must have the same type (an ``int`` stays an ``int``,
 a ``Fraction(n, 1)`` stays a ``Fraction``).
@@ -34,6 +34,22 @@ def horner(p: Poly, x):
     for c in reversed(p.coeffs):
         result = result * x + c
     return result
+
+
+def loop_product(p: Poly, q: Poly) -> Poly:
+    """``p q`` by the schoolbook loop in plain scalar arithmetic."""
+    if not p.coeffs or not q.coeffs:
+        return Poly()
+    out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return Poly(out)
+
+
+def loop_sum(p: Poly, q: Poly) -> Poly:
+    """``p + q`` coefficient by coefficient in plain scalar arithmetic."""
+    return Poly([p.coeff(i) + q.coeff(i) for i in range(max(len(p.coeffs), len(q.coeffs)))])
 
 
 def composed_shift(p: Poly, h) -> Poly:
@@ -75,6 +91,13 @@ def test_evaluation_matches_horner_in_value_and_type(p, x):
 @given(polys, exact)
 def test_shift_matches_composition_in_value_and_type(p, h):
     assert typed(p.shift(h).coeffs) == typed(composed_shift(p, h).coeffs)
+
+
+@given(polys, polys)
+def test_ring_matches_the_scalar_loops_in_value_and_type(p, q):
+    assert typed((p * q).coeffs) == typed(loop_product(p, q).coeffs)
+    assert typed((p + q).coeffs) == typed(loop_sum(p, q).coeffs)
+    assert typed((p - q).coeffs) == typed(loop_sum(p, -q).coeffs)
 
 
 @st.composite
