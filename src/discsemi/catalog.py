@@ -54,7 +54,8 @@ from .polys import Poly, poly_from_root_offsets
 from .scalars import (
     DEFAULT_TOL,
     Scalar,
-    exact_div,
+    dot,
+    exact_value,
     max_error,
     parse_rational,
     to_mpf,
@@ -346,8 +347,8 @@ def _chu_vandermonde(N: Fraction, A: Fraction, B: Fraction, n: int):
     N = int(N)
     if n > N:
         return Fraction(0)
-    head = exact_div(pochhammer(-N, n) * pochhammer(A, n), pochhammer(B + 1, n))
-    tail = exact_div(pochhammer(B + 1 - A, N - n), pochhammer(B + 1 + n, N - n))
+    head = Fraction(pochhammer(-N, n) * pochhammer(A, n), pochhammer(B + 1, n))
+    tail = Fraction(pochhammer(B + 1 - A, N - n), pochhammer(B + 1 + n, N - n))
     return head * tail
 
 
@@ -397,12 +398,10 @@ def _eval_form(form: dict, values: dict, n: int):
     if kind == "with-mass":
         base = _eval_form(form["base"], values, n)
         omega, M = _eval_expr(args["omega"], values), _eval_expr(args["M"], values)
-        return base + M * falling_factorial(omega, n)
+        return dot((1, M), (base, falling_factorial(omega, n)))
     if kind == "christoffel-shift":
-        omega = _eval_expr(args["omega"], values)
-        return _eval_form(form["base"], values, n + 1) + (n - omega) * _eval_form(
-            form["base"], values, n
-        )
+        omega, base = _eval_expr(args["omega"], values), form["base"]
+        return dot((1, n - omega), (_eval_form(base, values, n + 1), _eval_form(base, values, n)))
     if kind == "truncated-reversed":
         a_list = [_eval_expr(e, values) for e in args["a"]]
         b_list = [_eval_expr(e, values) for e in args["b"]]
@@ -413,13 +412,13 @@ def _eval_form(form: dict, values: dict, n: int):
         for ai in a_list:
             pref = pref * pochhammer(ai, N)
         for bj in b_list:
-            pref = exact_div(pref, pochhammer(bj + 1, N))
-        pref = exact_div(pref, math.factorial(N - n))
+            pref = Fraction(pref, pochhammer(bj + 1, N))
+        pref = Fraction(pref, math.factorial(N - n))
         sign = (-1) ** (1 + len(a_list) + len(b_list))
         series = HyperSeries(
             tuple([Fraction(n - N), Fraction(1)] + [-N - bj for bj in b_list]),
             tuple(1 - N - ai for ai in a_list),
-            exact_div(sign, z),
+            Fraction(sign, z),
         )
         return pref * eval_hyper_finite_sum(series, N - n)
     raise InputError(f"unknown moment formula kind {kind!r}")
@@ -431,11 +430,9 @@ def _eval_form(form: dict, values: dict, n: int):
 
 def _assemble_rows(rows: Sequence[Sequence[str]], values: dict, nu) -> Poly:
     """The polynomial sum_n (sum_j rows[n][j] t^j) * nu[n]."""
-    total = Poly()
-    for n, row in enumerate(rows):
-        coeffs = [_eval_expr(text, values) for text in row]
-        total = total + Poly(coeffs) * nu[n]
-    return total
+    polys = [Poly(_eval_expr(text, values) for text in row) for row in rows]
+    width = max((len(p.coeffs) for p in polys), default=0)
+    return Poly(dot([p.coeff(j) for p in polys], nu.values) for j in range(width))
 
 
 def _pearson_residual(spec: FunctionalSpec, pair: PearsonPair, tol: Scalar) -> tuple:
@@ -474,7 +471,7 @@ def _check_instance(
     # Quantities being *compared at* ``tol`` are *computed at* a tighter
     # tolerance so truncation error in the moment series cannot eat the
     # whole comparison budget.
-    inner = exact_div(tol, 10**8)
+    inner = exact_value(tol) / 10**8
     spec = _build_spec(entry, values, inner)
     pair = pearson_pair(spec)
 

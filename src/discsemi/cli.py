@@ -24,7 +24,7 @@ from mpmath import mp
 from . import catalog as catalog_mod
 from .errors import DiscsemiError, InputError
 from .functional import FunctionalSpec, moments, pearson_pair
-from .hyper import ConvergenceClass, HyperSeries, classify_convergence
+from .hyper import ConvergenceClass
 from .orthopoly import chebyshev_from_moments, recurrence_from_moments
 from .scalars import max_error, parse_rational, scalar_to_json
 from .stieltjeseq import StieltjesEquation, derive_equation, verify_equation
@@ -141,12 +141,9 @@ def _cmd_classify(args, tol) -> tuple:
     spec = _spec_from(_read_input(args.input))
     pair = pearson_pair(spec)
     upper = spec.weight_upper_bound()
+    convergence = spec._convergence
     if upper is not None:
         convergence = ConvergenceClass("Terminating", degree=upper)
-    else:
-        convergence = classify_convergence(
-            HyperSeries(spec.a, tuple(b + 1 for b in spec.b), spec.z)
-        )
     payload = {
         "eta": [scalar_to_json(c) for c in pair.eta.coeffs],
         "sigma": [scalar_to_json(c) for c in pair.sigma.coeffs],

@@ -72,12 +72,13 @@ from .polys import Poly, falling_coeffs, poly_from_root_offsets
 from .scalars import (
     DEFAULT_TOL,
     Scalar,
-    exact_div,
+    dot,
     integer_ratio,
     is_exact,
     is_nonpos_integer,
     parse_rational,
     ratio_to_mpf,
+    require_count,
     require_rational,
     scalar_to_json,
 )
@@ -540,8 +541,7 @@ def moments(spec: FunctionalSpec, K: int, tol: Scalar = DEFAULT_TOL) -> MomentTa
     phi_n(omega + shift)``, each ``phi_n`` one more factor of a running
     product.
     """
-    if K < 0:
-        raise InputError("moment count K must be nonnegative")
+    require_count(K, "the moment count K")
     _validate_weight(spec)
     shift = spec.basis_shift
     upper = spec.weight_upper_bound()
@@ -583,17 +583,11 @@ def functional_of_poly(table: MomentTable, p: Poly):
     Expands ``p`` in the table's (possibly shifted) falling basis, so it
     needs moments up to deg p.
     """
-    if p.is_zero():
-        return 0
     if p.degree >= len(table.values):
         raise InputError(
             f"need moments up to degree {p.degree}, have {len(table.values) - 1}"
         )
-    coeffs = falling_coeffs(p.shift(-table.basis_shift))
-    total = 0
-    for n, c in enumerate(coeffs):
-        total = total + c * table.values[n]
-    return total
+    return dot(falling_coeffs(p.shift(-table.basis_shift)), table.values)
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +619,7 @@ def stieltjes_eval(spec: FunctionalSpec, t: Scalar, tol: Scalar = DEFAULT_TOL) -
     for mass in spec._merged:
         if t == mass.omega:
             raise PoleAtSupportPoint(f"t = {t} is a mass point of the functional")
-        total = total + exact_div(mass.M, t - mass.omega)
+        total = total + Fraction(mass.M, t - mass.omega)
     if spec.scale == 0:
         return total
     # with a nonzero scale the weight is nonzero at every support index
@@ -644,10 +638,7 @@ def stieltjes_eval(spec: FunctionalSpec, t: Scalar, tol: Scalar = DEFAULT_TOL) -
         return Fraction(s_num * T * cd * m_den + m_num * s_den * cn * Q, s_den * cn * m_den * Q)
     # the weight's regime, a balance one higher, and no new pole as c is
     # off the support
-    cls = spec._convergence
-    if cls.gamma is not None:
-        cls = ConvergenceClass(cls.tag, gamma=cls.gamma + 1)
-    check_summable(spec._series, cls)
+    check_summable(spec._series, spec._convergence, shift=-1)
     tol = integer_ratio(tol)
     (body,), wp = sum_fixed(factors, tol)
     num = s_num * body * cd * m_den + (m_num * s_den * cn << wp)

@@ -255,13 +255,14 @@ def eval_hyper(h: HyperSeries, tol: Scalar = DEFAULT_TOL) -> Scalar:
 
 
 def check_summable(h: HyperSeries, cls: ConvergenceClass, shift: int = 0) -> None:
-    """Raise the typed error that keeps nonterminating ``h``, every parameter
-    raised by ``shift``, from the kernel; ``cls`` is the class of ``h``
-    (a shift keeps p, q and z, and lowers a balanced ``gamma`` by it)."""
+    """Raise the typed error that keeps nonterminating ``h`` (of class ``cls``)
+    from the kernel.  ``shift`` moves only a balanced ``gamma``, to ``gamma -
+    shift``, that of ``h`` with every parameter raised by ``shift``; the pole
+    test reads ``h``, as a shift ``n >= 1`` makes no new pole."""
     for bj in h.b:
-        if is_nonpos_integer(bj + shift):
+        if is_nonpos_integer(bj):
             raise PoleInDenominator(
-                f"denominator parameter {bj + shift} is a nonpositive integer in a "
+                f"denominator parameter {bj} is a nonpositive integer in a "
                 f"nonterminating series"
             )
     if cls.tag == "Divergent":
@@ -289,8 +290,8 @@ def check_summable(h: HyperSeries, cls: ConvergenceClass, shift: int = 0) -> Non
 
 def unsummable_shift(h: HyperSeries, cls: ConvergenceClass) -> int | None:
     """The smallest n >= 0 at which :func:`check_summable` refuses ``h``
-    with every parameter raised by n, or None when it refuses none: only
-    the balance of a series on ``|z| = 1`` depends on n."""
+    with shift n, or None when it refuses none: only the balance of a series
+    on ``|z| = 1`` depends on n."""
     try:
         check_summable(h, cls)
     except (PoleInDenominator, DivergentSeries):

@@ -44,6 +44,7 @@ from .scalars import (
     integer_ratio,
     is_exact,
     ratio_to_mpf,
+    require_count,
     scalar_to_json,
     to_mpf,
 )
@@ -108,9 +109,7 @@ def _check_length(nu: MomentTable, needed: int, K: int):
 
 
 def _check_cap(K: int):
-    if not isinstance(K, int) or isinstance(K, bool) or K < 0:
-        raise InputError("the recurrence length K must be a nonnegative integer")
-    if K > MAX_K:
+    if require_count(K, "the recurrence length K") > MAX_K:
         raise InputError(f"the recurrence length K is capped at {MAX_K}")
 
 

@@ -6,7 +6,8 @@ parameter and point of a functional is an exact rational, and
 :func:`require_rational` rejects anything else (an mpf, a float, a bool)
 where a spec or a point enters; so floating values only appear when an
 infinite series has to be summed numerically.  :func:`to_mpf` and
-:func:`ratio_to_mpf` round an exact value once, to nearest.
+:func:`ratio_to_mpf` round an exact value once, to nearest, and so does
+:func:`dot` a sum of exact coefficients times values with an mpf among them.
 
 Every verdict on scalars is made one way.  A value is zero when ``x == 0``
 and two values are equal when ``a == b``; :func:`agree` decides whether a
@@ -121,6 +122,13 @@ def require_rational(x, what: str):
     return x
 
 
+def require_count(n, what: str) -> int:
+    """``n``, or ``InputError`` when it is not a nonnegative int."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise InputError(f"{what} must be a nonnegative integer")
+    return n
+
+
 def integer_ratio(x: Scalar) -> tuple[int, int]:
     """``x`` in lowest terms (an mpf: the dyadic rational it stores)."""
     if isinstance(x, mp.mpf):
@@ -143,21 +151,21 @@ def exact_value(x: Scalar) -> Fraction:
     return Fraction(*integer_ratio(x))
 
 
+def dot(coeffs, values) -> Scalar:
+    """``c_0 v_0 + c_1 v_1 + ...`` over the pairs of ``coeffs`` and ``values``:
+    on exact operands the plain sum ``0 + c_0 v_0 + ...`` (its value and
+    type); with an mpf among them, the exact sum of the dyadic rationals the
+    mpfs store, formed on cleared integers and rounded once, to nearest."""
+    pairs = list(zip(coeffs, values))
+    if all(is_exact(c) and is_exact(v) for c, v in pairs):
+        return sum(c * v for c, v in pairs)
+    (Dc, cs), (Dv, vs) = (clear_denominators(side) for side in zip(*pairs))
+    return ratio_to_mpf(sum(c * v for c, v in zip(cs, vs)), Dc * Dv)
+
+
 def is_nonpos_integer(x: Scalar) -> bool:
     """True when ``x`` is an exact rational of integer value <= 0."""
     return is_exact(x) and x.denominator == 1 and x <= 0
-
-
-def exact_div(x, y):
-    """Division that keeps exact operands exact.
-
-    Plain ``/`` between two ints produces a float; this routes exact inputs
-    through Fraction arithmetic instead, and leaves an mpf numerator to mpf
-    division.
-    """
-    if is_exact(x) and is_exact(y):
-        return Fraction(x) / Fraction(y)
-    return x / y
 
 
 def agree(got: Scalar, want: Scalar, tol: Scalar) -> tuple:

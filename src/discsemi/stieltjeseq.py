@@ -9,7 +9,8 @@ is a polynomial whose degree equals the class of the functional.  This
 module derives xi *symbolically* as explicit linear forms in the moments
 nu_0..nu_s, verifies the equation numerically at sample points, and maps
 equations through the standard functional transformations via their
-closed forms.
+closed forms.  Each linear form in moment or transform values is one
+:func:`~discsemi.scalars.dot`, rounded once on mpf values.
 
 Derivation sketch (the construction implemented in :func:`derive_xi`):
 write Lambda(t,x) = sigma(t+1)eta(x) - eta(t)sigma(x+1).  It vanishes at
@@ -52,12 +53,13 @@ from .functional import (
     pearson_pair,
     stieltjes_eval,
 )
-from .polys import Poly, difference_quotient_rows, falling_coeffs
+from .polys import Poly, difference_quotient_rows, falling_coeffs, poly_from_root_offsets
 from .scalars import (
     DEFAULT_TOL,
     Scalar,
     agree,
-    exact_div,
+    dot,
+    exact_value,
     is_exact,
     parse_rational,
     scalar_to_json,
@@ -90,7 +92,7 @@ class StieltjesEquation:
 
     def lhs_at(self, S_t, S_t1, t):
         """sigma(t+1)S(t+1) - eta(t)S(t) for precomputed transform values."""
-        return self.sigma_shift(t) * S_t1 - self.eta(t) * S_t
+        return dot((self.sigma_shift(t), -self.eta(t)), (S_t1, S_t))
 
     def to_json(self) -> dict:
         out = {
@@ -196,10 +198,8 @@ def derive_xi(pair: PearsonPair, table: MomentTable) -> StieltjesEquation:
     # drop identically-zero top rows (they occur exactly when z = 1)
     while rows and all(c == 0 for c in rows[-1]):
         rows.pop()
-    if shift:
+    if shift:  # a shift leaves the top row as it is
         rows = _shift_rows(rows, shift)
-        while rows and all(c == 0 for c in rows[-1]):
-            rows.pop()
     if len(rows) - 1 != pair.class_s:
         raise DegreeMismatch(
             f"xi has symbolic degree {len(rows) - 1} but the pair has class "
@@ -210,16 +210,10 @@ def derive_xi(pair: PearsonPair, table: MomentTable) -> StieltjesEquation:
         raise MissingParameter(
             f"need moments through nu_{needed}, table has {len(table.values)}"
         )
-    xi_coeffs = []
-    for row in rows:
-        value = 0
-        for n, c in enumerate(row):
-            value = value + c * table.values[n]
-        xi_coeffs.append(value)
     return StieltjesEquation(
         sigma_shift=pair.sigma_shift,
         eta=pair.eta,
-        xi=Poly(xi_coeffs),
+        xi=Poly(dot(row, table.values) for row in rows),
         xi_symbolic=rows,
     )
 
@@ -263,16 +257,14 @@ def verify_equation(
     """
     if sample_ts is None:
         sample_ts = default_sample_points(spec)
-    inner_tol = exact_div(tol, 10**8)
+    inner_tol = exact_value(tol) / 10**8
     samples = []
-    overall = True
     for t in sample_ts:
         S_t = stieltjes_eval(spec, t, inner_tol)
         S_t1 = stieltjes_eval(spec, t + 1, inner_tol)
         lhs, xi_t = eq.lhs_at(S_t, S_t1, t), eq.xi(t)
         residual = lhs - xi_t
         ok = agree(lhs, xi_t, tol)[1]
-        overall = overall and ok
         samples.append(
             {
                 "t": t,
@@ -282,7 +274,7 @@ def verify_equation(
                 "pass": ok,
             }
         )
-    return {"pass": overall, "samples": samples}
+    return {"pass": all(s["pass"] for s in samples), "samples": samples}
 
 
 def xi_by_interpolation(
@@ -306,23 +298,16 @@ def xi_by_interpolation(
         else upper - spec.basis_shift + Fraction(9, 2)
     )
     nodes = [start + k for k in range(s + 1)]
-    inner_tol = exact_div(tol, 10**8)
-    values = []
-    for t in nodes:
-        S_t = stieltjes_eval(spec, t, inner_tol)
-        S_t1 = stieltjes_eval(spec, t + 1, inner_tol)
-        values.append(pair.sigma_shift(t) * S_t1 - pair.eta(t) * S_t)
-    # Lagrange interpolation on the nodes
-    result = Poly()
-    for k, t_k in enumerate(nodes):
-        basis = Poly((1,))
-        denom = 1
-        for i, t_i in enumerate(nodes):
-            if i != k:
-                basis = basis * Poly((-t_i, 1))
-                denom = denom * (t_k - t_i)
-        result = result + basis * exact_div(values[k], denom)
-    return result
+    inner_tol = exact_value(tol) / 10**8
+    # the nodes are consecutive, so S(t + 1) at one is S(t) at the next
+    S = [stieltjes_eval(spec, start + k, inner_tol) for k in range(s + 2)]
+    lhs = StieltjesEquation(pair.sigma_shift, pair.eta, xi=Poly()).lhs_at
+    values = [lhs(S[k], S[k + 1], t) for k, t in enumerate(nodes)]
+    # Lagrange interpolation on the nodes: coefficient j of the result is
+    # sum_k values[k] basis_k[j] / basis_k(t_k)
+    bases = [poly_from_root_offsets([-t for t in nodes if t != t_k]) for t_k in nodes]
+    weights = [[Fraction(c, p(t_k)) for c in p.coeffs] for p, t_k in zip(bases, nodes)]
+    return Poly(dot(column, values) for column in zip(*weights))
 
 
 # ---------------------------------------------------------------------------

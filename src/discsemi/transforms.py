@@ -29,6 +29,8 @@ the catalog passes the evaluated fields of a subcase's build.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import (
     ConstraintViolated,
     DegenerateSymmetrization,
@@ -46,7 +48,7 @@ from .scalars import (
     DEFAULT_TOL,
     Scalar,
     agree,
-    exact_div,
+    dot,
     max_error,
     parse_rational,
 )
@@ -64,20 +66,13 @@ def canonicalize(spec: FunctionalSpec) -> FunctionalSpec:
     hypergeometric order.  This is what makes transformation compositions
     land exactly back on familiar parameter lists.
     """
-    a_left = list(spec.a)
-    b_left = list(spec.b)
-    changed = True
-    while changed:
-        changed = False
-        for i, ai in enumerate(a_left):
-            for j, bj in enumerate(b_left):
-                if ai == bj + 1:
-                    del a_left[i]
-                    del b_left[j]
-                    changed = True
-                    break
-            if changed:
-                break
+    a_left, b_left = [], list(spec.b)
+    for ai in spec.a:  # each a_i cancels the first remaining b_j = a_i - 1
+        j = next((j for j, bj in enumerate(b_left) if ai == bj + 1), None)
+        if j is None:
+            a_left.append(ai)
+        else:
+            del b_left[j]
     if len(a_left) == len(spec.a):
         return spec
     return FunctionalSpec(
@@ -157,7 +152,7 @@ def _christoffel_point(spec: FunctionalSpec, omega: Scalar) -> None:
 def _christoffel(spec, omega, table, tol) -> FunctionalSpec:
     """:func:`apply_christoffel` past its point checks, with nu_0 and nu_1
     read from ``table``, the spec's own."""
-    if agree(table[1], omega * table[0], tol)[1]:
+    if agree(table[1], dot((omega,), (table[0],)), tol)[1]:
         raise RegularityViolation(
             "nu_1 - omega nu_0 = 0: the multiplied functional is not regular"
         )
@@ -205,7 +200,7 @@ def apply_geronimus(
         )
     # masses at omega itself sum to zero, or S(omega) had a pole there
     masses = [
-        Mass(mass.omega, exact_div(mass.M, mass.omega - omega))
+        Mass(mass.omega, Fraction(mass.M, mass.omega - omega))
         for mass in spec.masses
         if mass.omega != omega
     ]
@@ -215,7 +210,7 @@ def apply_geronimus(
             a=spec.a + (-omega,),
             b=spec.b + (-omega,),
             z=spec.z,
-            scale=spec.scale * exact_div(-1, omega),
+            scale=spec.scale * Fraction(-1, omega),
             support=spec.support,
             masses=tuple(masses),
         )
@@ -370,7 +365,7 @@ def compose_check(
     shift = spec.basis_shift
     expected, falling = [], 1  # falling = phi_n(omega + shift), a running product
     for n in range(K + 1):
-        expected.append(base[n] + M * falling)
+        expected.append(dot((1, M), (base[n], falling)))
         falling *= omega + shift - n
     compare("multiply_then_divide", gc_spec, moments(gc_spec, K, tol), expected)
     report["round_trip_exact"] = (

@@ -24,6 +24,7 @@ from discsemi.polys import (
 )
 from discsemi.scalars import (
     agree,
+    dot,
     exact_value,
     format_rational,
     is_nonpos_integer,
@@ -114,6 +115,37 @@ def _old_sub(x, y):
         return x - y
     except TypeError:
         return x + (-y)
+
+
+_EXACT = st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**6))
+_MPF = st.builds(
+    lambda m, e: mp.mpf(m) * mp.mpf(2) ** e,
+    st.integers(-(2**200), 2**200),
+    st.integers(-300, 300),
+)
+
+
+@given(st.lists(st.tuples(_EXACT, _EXACT), max_size=6))
+def test_dot_on_exact_data_is_the_plain_loop(pairs):
+    total = 0
+    for c, v in pairs:
+        total = total + c * v
+    got = dot([c for c, _ in pairs], [v for _, v in pairs])
+    assert got == total and type(got) is type(total)
+
+
+@given(
+    st.lists(st.tuples(_EXACT, st.one_of(_EXACT, _MPF)), max_size=6),
+    _EXACT,
+    _MPF,
+    st.sampled_from([15, 50]),
+)
+def test_dot_on_mixed_data_rounds_the_exact_sum_once(pairs, c, v, dps):
+    pairs = pairs + [(c, v)]  # one mpf at least
+    with mp.workdps(dps):
+        got = dot([c for c, _ in pairs], [v for _, v in pairs])
+        want = sum(c * exact_value(v) for c, v in pairs)
+        assert isinstance(got, mp.mpf) and got == to_mpf(want)
 
 
 @pytest.mark.parametrize("got, want, tol, ok", [

@@ -47,7 +47,7 @@ from discsemi.hyper import (
     sum_fixed,
 )
 from discsemi.polys import Poly
-from discsemi.scalars import exact_div, to_mpf
+from discsemi.scalars import is_exact, to_mpf
 from discsemi.stieltjeseq import derive_equation, verify_equation
 from discsemi.transforms import (
     apply_christoffel,
@@ -55,6 +55,14 @@ from discsemi.transforms import (
     apply_truncation,
     apply_uvarov,
 )
+
+
+def exact_div(x, y):
+    """``x / y``, a ``Fraction`` when both are exact (plain ``/`` on two
+    ints gives a float), else the mpf quotient."""
+    if is_exact(x) and is_exact(y):
+        return Fraction(x) / Fraction(y)
+    return x / y
 
 
 def charlier(z=Fraction(1, 2), masses=()) -> FunctionalSpec:
@@ -457,6 +465,14 @@ def test_moments_exactness_flags_and_degenerate():
     table = moments(symm_kraw, 2)
     assert table.degenerate
     assert table[0] == 0
+
+
+def test_moments_take_only_a_nonnegative_int_count():
+    # True once gave a two-entry table and 2.0 a bare TypeError; the moment
+    # count is checked as the recurrence length is
+    for K in (True, 2.0, -1, "2"):
+        with pytest.raises(InputError, match="nonnegative integer"):
+            moments(charlier(), K)
 
 
 def test_moments_shifted_basis():

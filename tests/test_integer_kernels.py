@@ -17,7 +17,15 @@ from hypothesis import assume, given, strategies as st
 from discsemi.combin import pochhammer
 from discsemi.functional import FunctionalSpec, Support, weight_at
 from discsemi.polys import Poly
-from discsemi.scalars import exact_div, is_nonpos_integer
+from discsemi.scalars import is_exact, is_nonpos_integer
+
+
+def exact_div(x, y):
+    """``x / y``, a ``Fraction`` when both are exact (plain ``/`` on two
+    ints gives a float), else the mpf quotient."""
+    if is_exact(x) and is_exact(y):
+        return Fraction(x) / Fraction(y)
+    return x / y
 
 
 def pochhammer_multi(params, n: int):

@@ -33,8 +33,8 @@ from discsemi.scalars import (
     DEFAULT_TOL,
     agree,
     clear_denominators,
-    exact_div,
     exact_value,
+    is_exact,
     ratio_to_mpf,
     to_mpf,
 )
@@ -44,6 +44,15 @@ from discsemi.transforms import (
     apply_symmetrization,
     apply_uvarov,
 )
+
+
+def exact_div(x, y):
+    """``x / y``, a ``Fraction`` when both are exact (plain ``/`` on two
+    ints gives a float), else the mpf quotient."""
+    if is_exact(x) and is_exact(y):
+        return Fraction(x) / Fraction(y)
+    return x / y
+
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)

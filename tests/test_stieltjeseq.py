@@ -24,7 +24,7 @@ from discsemi.functional import (
     stieltjes_eval,
 )
 from discsemi.polys import Poly
-from discsemi.scalars import to_mpf
+from discsemi.scalars import exact_value, to_mpf
 from discsemi.stieltjeseq import (
     StieltjesEquation,
     default_sample_points,
@@ -51,6 +51,25 @@ def krawtchouk(N=2, z=HALF):
 
 def hahn(a=Fraction(1, 3), b=HALF, N=4):
     return FunctionalSpec(a=(a, -N), b=(b,), z=1)
+
+
+def test_left_side_and_xi_round_once():
+    # sigma(t+1) S(t+1) - eta(t) S(t) is formed exactly from the dyadic
+    # rationals the mpf values store and rounded once; multiplying operator
+    # by operator rounded each Fraction toward zero first, and missed at 22
+    # of these 50 points
+    spec = FunctionalSpec(a=(Fraction(1, 3),), b=(Fraction(2, 5),), z=HALF)
+    with mp.workdps(50):
+        eq = derive_equation(spec)
+        table = moments(spec, 1)
+        for row, got in zip(eq.xi_symbolic, eq.xi.coeffs):
+            want = sum(c * exact_value(nu) for c, nu in zip(row, table.values))
+            assert got == to_mpf(want)
+        for t in (Fraction(2 * k + 1, 2) for k in range(10, 60)):
+            S_t, S_t1 = stieltjes_eval(spec, t), stieltjes_eval(spec, t + 1)
+            want = eq.sigma_shift(t) * exact_value(S_t1) - eq.eta(t) * exact_value(S_t)
+            got = eq.lhs_at(S_t, S_t1, t)
+            assert isinstance(got, mp.mpf) and got == to_mpf(want), t
 
 
 def assert_poly_close(p, q, bound=Fraction(1, 10**24)):

@@ -446,6 +446,17 @@ def test_canonicalize_cancels_matched_pairs():
     out = canonicalize(spec)
     assert out.a == (2,)
     assert out.b == ()
+    # each a_i in order cancels the first remaining b_j = a_i - 1; the int 1
+    # goes, the equal Fraction(1) after it finds no b_j left and stays
+    spec = FunctionalSpec(
+        a=(Fraction(3, 2), Fraction(3, 2), 1, Fraction(1)), b=(HALF, 0, HALF), z=HALF
+    )
+    out = canonicalize(spec)
+    assert out.a == (1,) and type(out.a[0]) is Fraction
+    assert out.b == ()
+    out = canonicalize(FunctionalSpec(a=(Fraction(1), 1, 2), b=(0, 1), z=HALF))
+    assert out.a == (1,) and type(out.a[0]) is int
+    assert out.b == ()
     assert canonicalize(charlier()) is charlier() or canonicalize(
         charlier()
     ) == charlier()
