@@ -50,7 +50,7 @@ from .functional import (
 )
 from .hyper import HyperSeries, eval_hyper_finite_sum
 from .params import compile_expr
-from .polys import Poly, poly_from_root_offsets
+from .polys import Poly, combine
 from .scalars import (
     DEFAULT_TOL,
     Scalar,
@@ -431,8 +431,7 @@ def _eval_form(form: dict, values: dict, n: int):
 def _assemble_rows(rows: Sequence[Sequence[str]], values: dict, nu) -> Poly:
     """The polynomial sum_n (sum_j rows[n][j] t^j) * nu[n]."""
     polys = [Poly(_eval_expr(text, values) for text in row) for row in rows]
-    width = max((len(p.coeffs) for p in polys), default=0)
-    return Poly(dot([p.coeff(j) for p in polys], nu.values) for j in range(width))
+    return combine(polys, nu.values)
 
 
 def _pearson_residual(spec: FunctionalSpec, pair: PearsonPair, tol: Scalar) -> tuple:
@@ -449,19 +448,6 @@ def _pearson_residual(spec: FunctionalSpec, pair: PearsonPair, tol: Scalar) -> t
         ),
         tol,
     )
-
-
-def _parent_pair_from_values(
-    parent: CatalogEntry, sv_values: dict, shift: int
-) -> tuple:
-    """(eta, sigma) of the parent template at substituted parameter values."""
-    template = parent.template
-    a_vals = [_eval_expr(e, sv_values) for e in template.get("a", [])]
-    b_vals = [_eval_expr(e, sv_values) for e in template.get("b", [])]
-    z_val = _eval_expr(template["z"], sv_values)
-    eta = poly_from_root_offsets(a_vals, leading=z_val)
-    sigma = poly_from_root_offsets(b_vals) * Poly((0, 1))
-    return eta.shift(shift), sigma.shift(shift)
 
 
 def _check_instance(
@@ -523,12 +509,9 @@ def _check_instance(
         sv_values = dict(values)
         for pname, expr in entry.special_values["map"].items():
             sv_values[pname] = _eval_expr(expr, values)
-        eta_t, sigma_t = _parent_pair_from_values(
-            parent, sv_values, spec.basis_shift
-        )
-        checks["special_values"] = {
-            "pass": eta_t == pair.eta and sigma_t == pair.sigma
-        }
+        want = pearson_pair(_spec_from_lists(parent.template, sv_values))
+        shifted = (want.eta.shift(spec.basis_shift), want.sigma.shift(spec.basis_shift))
+        checks["special_values"] = {"pass": shifted == (pair.eta, pair.sigma)}
 
     checks["pass"] = all(
         c["pass"] for c in checks.values() if isinstance(c, dict)

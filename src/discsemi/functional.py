@@ -474,17 +474,22 @@ def classify_class(eta: Poly, sigma: Poly, p: int, q: int, z: Scalar) -> int:
     return s
 
 
+def mass_offsets(eta_at: Scalar, sigma_at: Scalar, w: Scalar) -> list:
+    """The offsets ``o`` of the factors ``x + o`` that a mass at ``w`` adds
+    to eta, given ``eta(w)`` and ``sigma(w)``: ``-w`` unless eta vanishes
+    at ``w``, and ``1 - w`` unless sigma does.  sigma gains each factor at
+    ``x - 1``; :func:`pearson_pair` and the equation-level Uvarov step of
+    :func:`~discsemi.stieltjeseq.transform_equation` share this rule."""
+    return [o for o, at in ((-w, eta_at), (1 - w, sigma_at)) if at != 0]
+
+
 def pearson_pair(spec: FunctionalSpec) -> PearsonPair:
     """Construct (eta, sigma) for a spec, including the extra linear factors
     contributed by truncation and point masses, and classify the result.
 
-    Factor rules per mass at omega (decided against the pair before masses):
-    when eta(omega) and sigma(omega) are both nonzero, eta gains
-    (x-omega)(x+1-omega) and sigma gains (x-1-omega)(x-omega); when
-    sigma(omega) = 0 only the first of each is added; when eta(omega) = 0
-    only the second of each; when both already vanish no factor is needed
-    at all (the pair already absorbs the mass, as happens for the mass
-    appended by a Geronimus step).
+    Each mass adds the factors of :func:`mass_offsets`, decided against the
+    pair before masses; none when eta and sigma both vanish at its point
+    (the pair already absorbs the mass, as for a Geronimus step's mass).
     """
     eta = poly_from_root_offsets(spec.a, leading=spec.z)
     sigma = poly_from_root_offsets(spec.b) * Poly((0, 1))
@@ -499,19 +504,9 @@ def pearson_pair(spec: FunctionalSpec) -> PearsonPair:
     base_eta, base_sigma = eta, sigma
     for mass in spec.merged_masses():
         w = mass.omega
-        sigma_vanishes = base_sigma(w) == 0
-        eta_vanishes = base_eta(w) == 0
-        if sigma_vanishes and eta_vanishes:
-            continue
-        if sigma_vanishes:
-            eta = eta * Poly((-w, 1))
-            sigma = sigma * Poly((-1 - w, 1))
-        elif eta_vanishes:
-            eta = eta * Poly((1 - w, 1))
-            sigma = sigma * Poly((-w, 1))
-        else:
-            eta = eta * Poly((-w, 1)) * Poly((1 - w, 1))
-            sigma = sigma * Poly((-1 - w, 1)) * Poly((-w, 1))
+        for o in mass_offsets(base_eta(w), base_sigma(w), w):
+            eta = eta * Poly((o, 1))
+            sigma = sigma * Poly((o - 1, 1))
     p = eta.degree
     q = sigma.degree - 1
     class_s = classify_class(eta, sigma, p, q, eta.leading())

@@ -5,16 +5,16 @@ trimmed tuple, so the zero polynomial is the empty tuple and has degree -1.
 Coefficients are ints, Fractions or mpmath floats, so the same polynomial
 code runs exactly on rational data and numerically on floats.
 
-Evaluation uses Horner's scheme and accepts either a scalar or another
-Poly (composition).  On exact data (int and Fraction coefficients, an
-exact point or shift) evaluation, products and the shift ``p(x + h)``
-clear every denominator, run on integers and make each ``Fraction`` once,
-with the types the Fraction arithmetic would give: a value is a
-``Fraction`` when the point or a coefficient is one, a coefficient of a
-product when a ``Fraction`` entered it, and a shifted coefficient as
-:meth:`Poly.shift` states.  Sums stay coefficientwise (a cleared-integer
-sum makes as many ``Fraction`` objects as it saves).  An mpf anywhere
-takes the generic loops.
+Evaluation accepts either a scalar or another Poly (composition, by
+Horner's scheme).  On exact data (int and Fraction coefficients, an exact
+point or shift) evaluation, products and the shift ``p(x + h)`` clear
+every denominator, run on integers and make each ``Fraction`` once, with
+the types the Fraction arithmetic would give: a value is a ``Fraction``
+when the point or a coefficient is one, a coefficient of a product when a
+``Fraction`` entered it, and a shifted coefficient as :meth:`Poly.shift`
+states.  Sums stay coefficientwise.  An mpf polynomial at an exact point,
+and each coefficient of :func:`combine`, is one rounded-once
+:func:`~discsemi.scalars.dot`; other mpf data take the generic loops.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .scalars import clear_denominators
+from .scalars import clear_denominators, dot
 
 _EXACT = frozenset((int, Fraction))  # the types evaluated and shifted on integers
 
@@ -153,7 +153,9 @@ class Poly:
         """Evaluate at a scalar, or compose when ``value`` is a Poly.
 
         On exact data Horner's rule runs on cleared integers; the value is a
-        ``Fraction`` exactly when the point or some coefficient is one.
+        ``Fraction`` exactly when the point or some coefficient is one.  An
+        mpf coefficient at an exact point gives one :func:`dot` of the
+        coefficients with the exact powers of the point, rounded once.
         """
         coeffs = self.coeffs
         if coeffs and _fraction_data(coeffs, (value,)):  # all ints: the loop below
@@ -162,6 +164,8 @@ class Poly:
             for n in reversed(ints):
                 acc, w = acc * vn + n * w, w * vd
             return Fraction(acc, D * vd ** (len(coeffs) - 1))
+        if type(value) in _EXACT and not {*map(type, coeffs)} <= _EXACT:
+            return dot(coeffs, [value**k for k in range(len(coeffs))])
         result = Poly.zero() if isinstance(value, Poly) else 0
         for c in reversed(coeffs):
             result = result * value + c
@@ -262,6 +266,14 @@ def poly_from_root_offsets(offsets: Iterable, leading=1) -> Poly:
     for o in offsets:
         result = result * Poly((o, 1))
     return result
+
+
+def combine(polys: Sequence[Poly], values: Sequence) -> Poly:
+    """``sum_i values[i] polys[i]`` for exact ``polys``: coefficient k is one
+    :func:`~discsemi.scalars.dot` of the polys' k-th coefficients with
+    ``values``, so an mpf among the values rounds each coefficient once."""
+    width = max((len(p.coeffs) for p in polys), default=0)
+    return Poly(dot([p.coeff(k) for p in polys], values) for k in range(width))
 
 
 def falling_coeffs(p: Poly) -> list:

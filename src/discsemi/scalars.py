@@ -30,9 +30,6 @@ from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 from .errors import InputError
 
-#: Default decimal working precision for numeric evaluation.
-DEFAULT_DPS = 50
-
 #: Default tolerance used when deciding that a numerically summed series
 #: has converged.
 DEFAULT_TOL = Fraction(1, 10**30)

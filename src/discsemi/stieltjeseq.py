@@ -10,7 +10,8 @@ module derives xi *symbolically* as explicit linear forms in the moments
 nu_0..nu_s, verifies the equation numerically at sample points, and maps
 equations through the standard functional transformations via their
 closed forms.  Each linear form in moment or transform values is one
-:func:`~discsemi.scalars.dot`, rounded once on mpf values.
+:func:`~discsemi.scalars.dot` (a polynomial-valued one is one
+:func:`~discsemi.polys.combine`), rounded once on mpf values.
 
 Derivation sketch (the construction implemented in :func:`derive_xi`):
 write Lambda(t,x) = sigma(t+1)eta(x) - eta(t)sigma(x+1).  It vanishes at
@@ -49,11 +50,12 @@ from .functional import (
     FunctionalSpec,
     MomentTable,
     PearsonPair,
+    mass_offsets,
     moments,
     pearson_pair,
     stieltjes_eval,
 )
-from .polys import Poly, difference_quotient_rows, falling_coeffs, poly_from_root_offsets
+from .polys import Poly, combine, difference_quotient_rows, falling_coeffs, poly_from_root_offsets
 from .scalars import (
     DEFAULT_TOL,
     Scalar,
@@ -124,18 +126,20 @@ class StieltjesEquation:
                 raise InputError("xi_symbolic must be a list of rows")
             rows: dict[int, tuple] = {}
             for entry in raw:
+                entry = entry if isinstance(entry, dict) else {}
+                j, row = entry.get("t_power"), entry.get("nu_coeffs")
                 if (
-                    not isinstance(entry, dict)
-                    or "t_power" not in entry
-                    or "nu_coeffs" not in entry
+                    type(j) is not int
+                    or j not in range(len(raw))
+                    or j in rows
+                    or not isinstance(row, list)
                 ):
                     raise InputError(
-                        "each xi_symbolic row needs 't_power' and 'nu_coeffs'"
+                        f"each xi_symbolic row needs a 't_power' in 0..{len(raw) - 1}, "
+                        f"used once, and a list 'nu_coeffs'"
                     )
-                rows[int(entry["t_power"])] = tuple(
-                    parse_rational(c) for c in entry["nu_coeffs"]
-                )
-            symbolic = tuple(rows.get(j, ()) for j in range(max(rows, default=-1) + 1))
+                rows[j] = tuple(parse_rational(c) for c in row)
+            symbolic = tuple(rows[j] for j in range(len(raw)))
         return cls(
             sigma_shift=Poly([parse_rational(c) for c in data["sigma_shift"]]),
             eta=Poly([parse_rational(c) for c in data["eta"]]),
@@ -303,11 +307,9 @@ def xi_by_interpolation(
     S = [stieltjes_eval(spec, start + k, inner_tol) for k in range(s + 2)]
     lhs = StieltjesEquation(pair.sigma_shift, pair.eta, xi=Poly()).lhs_at
     values = [lhs(S[k], S[k + 1], t) for k, t in enumerate(nodes)]
-    # Lagrange interpolation on the nodes: coefficient j of the result is
-    # sum_k values[k] basis_k[j] / basis_k(t_k)
+    # Lagrange interpolation on the nodes: sum_k values[k] basis_k / basis_k(t_k)
     bases = [poly_from_root_offsets([-t for t in nodes if t != t_k]) for t_k in nodes]
-    weights = [[Fraction(c, p(t_k)) for c in p.coeffs] for p, t_k in zip(bases, nodes)]
-    return Poly(dot(column, values) for column in zip(*weights))
+    return combine([p * Fraction(1, p(t_k)) for p, t_k in zip(bases, nodes)], values)
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +337,14 @@ def transform_equation(
     at the equation level (the new xi needs fresh moments), so it is
     rejected here; use the spec-level transformation instead.
 
-    The Uvarov case follows the mass-factor selection of the Pearson
-    construction: when sigma(omega) = 0 or eta(omega) = 0 the reduced
-    single-factor forms are used.
+    Each form is ``xi' = F xi + value G``.  Uvarov multiplies sigma(t+1)
+    and eta by the product F of the factors of
+    :func:`~discsemi.functional.mass_offsets`, as the Pearson pair does, and
+    ``G = F sigma(t+1) / (t + 1 - omega) - F eta / (t - omega)`` (both exact)
+    goes with M; Christoffel has ``F = (t - omega)(t + 1 - omega)`` and the
+    same G with -nu0, Geronimus ``F = 1`` and ``G = sigma(t+1) - eta`` with
+    nu0_g.  The new xi is one :func:`~discsemi.polys.combine` of ``F t^k``
+    (symmetrization: ``(t + m)^k``) and G, so an mpf rounds once.
     """
     params = dict(params or {})
     if kind not in TRANSFORMS:
@@ -346,45 +353,33 @@ def transform_equation(
             f"{', '.join(TRANSFORMS)}"
         )
     sig_s, eta, xi = eq.sigma_shift, eq.eta, eq.xi
-    if kind == "uvarov":
-        omega, M = _require(params, "omega", "M")
-        if M == 0:
-            return eq
-        f_lo = Poly((-omega, 1))  # (t - omega)
-        f_hi = Poly((1 - omega, 1))  # (t + 1 - omega)
-        sigma_at = sig_s(omega - 1)  # = sigma(omega)
-        eta_at = eta(omega)
-        if sigma_at == 0:
-            sigma1 = sig_s.deflate(omega - 1)  # sigma(t+1)/(t+1-omega)
-            xi_new = f_lo * xi + (f_lo * sigma1 - eta) * M
-            return StieltjesEquation(sig_s * f_lo, eta * f_lo, xi_new)
-        if eta_at == 0:
-            eta1 = eta.deflate(omega)  # eta(t)/(t-omega)
-            xi_new = f_hi * xi + (sig_s - f_hi * eta1) * M
-            return StieltjesEquation(sig_s * f_hi, eta * f_hi, xi_new)
-        xi_new = f_lo * f_hi * xi + (f_lo * sig_s - f_hi * eta) * M
-        return StieltjesEquation(sig_s * f_lo * f_hi, eta * f_lo * f_hi, xi_new)
-    if kind == "christoffel":
-        omega, nu0 = _require(params, "omega", "nu0")
-        f_lo = Poly((-omega, 1))
-        f_hi = Poly((1 - omega, 1))
-        xi_new = f_lo * f_hi * xi - (f_lo * sig_s - f_hi * eta) * nu0
-        return StieltjesEquation(sig_s * f_lo, eta * f_hi, xi_new)
-    if kind == "geronimus":
-        omega, nu0_g = _require(params, "omega", "nu0_g")
-        f_lo = Poly((-omega, 1))
-        f_hi = Poly((1 - omega, 1))
-        xi_new = xi + (sig_s - eta) * nu0_g
-        return StieltjesEquation(sig_s * f_hi, eta * f_lo, xi_new)
     if kind == "symmetrize":
         (m,) = _require(params, "m")
-        rows = None
-        if eq.xi_symbolic is not None:
-            rows = _shift_rows(eq.xi_symbolic, m)
-        return StieltjesEquation(
-            sig_s.shift(m), eta.shift(m), xi.shift(m), xi_symbolic=rows
+        rows = None if eq.xi_symbolic is None else _shift_rows(eq.xi_symbolic, m)
+        basis = [Poly((0,) * k + (1,)).shift(m) for k in range(len(xi.coeffs))]  # (t + m)^k
+        xi_new = combine(basis, xi.coeffs)
+        return StieltjesEquation(sig_s.shift(m), eta.shift(m), xi_new, xi_symbolic=rows)
+    if kind == "truncate":
+        raise ConstraintViolated(
+            "truncation has no closed form at the equation level; apply it to "
+            "the functional and re-derive"
         )
-    raise ConstraintViolated(
-        "truncation has no closed form at the equation level; apply it to "
-        "the functional and re-derive"
-    )
+    value_name = {"uvarov": "M", "christoffel": "nu0", "geronimus": "nu0_g"}[kind]
+    omega, value = _require(params, "omega", value_name)
+    f_lo, f_hi = Poly((-omega, 1)), Poly((1 - omega, 1))  # (t - omega), (t + 1 - omega)
+    if kind == "uvarov":
+        if value == 0:
+            return eq
+        F = poly_from_root_offsets(mass_offsets(eta(omega), sig_s(omega - 1), omega))
+        sig_new, eta_new = sig_s * F, eta * F
+        G = sig_new.deflate(omega - 1) - eta_new.deflate(omega)
+    elif kind == "christoffel":
+        F, value = f_lo * f_hi, -value
+        sig_new, eta_new = sig_s * f_lo, eta * f_hi
+        G = f_lo * sig_s - f_hi * eta
+    else:
+        F = Poly.one()
+        sig_new, eta_new = sig_s * f_hi, eta * f_lo
+        G = sig_s - eta
+    basis = [Poly((0,) * k + F.coeffs) for k in range(len(xi.coeffs))]
+    return StieltjesEquation(sig_new, eta_new, combine(basis + [G], xi.coeffs + (value,)))

@@ -13,6 +13,9 @@ Five operations act on a :class:`~discsemi.functional.FunctionalSpec`:
 * **Symmetrization** — build the even-window weight on {-m..m} whose
   one-sided reading reuses the family's parameter lists.
 
+The first four copy the spec with :func:`dataclasses.replace`, naming
+only the fields their rule changes.
+
 Christoffel and Geronimus insert parameters that frequently cancel against
 existing ones (a numerator entry equal to a denominator entry plus one
 contributes the factor 1); :func:`canonicalize` removes such pairs, and the
@@ -29,6 +32,7 @@ the catalog passes the evaluated fields of a subcase's build.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from .errors import (
@@ -75,14 +79,7 @@ def canonicalize(spec: FunctionalSpec) -> FunctionalSpec:
             del b_left[j]
     if len(a_left) == len(spec.a):
         return spec
-    return FunctionalSpec(
-        a=tuple(a_left),
-        b=tuple(b_left),
-        z=spec.z,
-        scale=spec.scale,
-        support=spec.support,
-        masses=spec.masses,
-    )
+    return replace(spec, a=tuple(a_left), b=tuple(b_left))
 
 
 def _reject_window(spec: FunctionalSpec, what: str):
@@ -115,14 +112,7 @@ def _uvarov(spec, omega, M, table, tol) -> FunctionalSpec:
         raise RegularityViolation(
             "adding this mass makes the total mass nu_0 + M vanish"
         )
-    return FunctionalSpec(
-        a=spec.a,
-        b=spec.b,
-        z=spec.z,
-        scale=spec.scale,
-        support=spec.support,
-        masses=spec.masses + (mass,),
-    )
+    return replace(spec, masses=spec.masses + (mass,))
 
 
 def apply_christoffel(
@@ -162,12 +152,11 @@ def _christoffel(spec, omega, table, tol) -> FunctionalSpec:
         if weight != 0:
             masses.append(Mass(mass.omega, weight))
     return canonicalize(
-        FunctionalSpec(
+        replace(
+            spec,
             a=spec.a + (1 - omega,),
             b=spec.b + (-omega - 1,),
-            z=spec.z,
             scale=spec.scale * -omega,
-            support=spec.support,
             masses=tuple(masses),
         )
     )
@@ -206,12 +195,11 @@ def apply_geronimus(
     ]
     masses.append(added)
     return canonicalize(
-        FunctionalSpec(
+        replace(
+            spec,
             a=spec.a + (-omega,),
             b=spec.b + (-omega,),
-            z=spec.z,
             scale=spec.scale * Fraction(-1, omega),
-            support=spec.support,
             masses=tuple(masses),
         )
     )
@@ -224,14 +212,7 @@ def apply_truncation(spec: FunctionalSpec, N: int) -> FunctionalSpec:
         raise ConstraintViolated(
             "truncation applies to a spec with untruncated support"
         )
-    return FunctionalSpec(
-        a=spec.a,
-        b=spec.b,
-        z=spec.z,
-        scale=spec.scale,
-        support=support,
-        masses=spec.masses,
-    )
+    return replace(spec, support=support)
 
 
 def apply_symmetrization(spec: FunctionalSpec, m: int) -> FunctionalSpec:

@@ -130,6 +130,21 @@ def test_verify_pass_and_corrupted_fail(monkeypatch, capsys):
         assert code == 1 and verdict["pass"] is False
 
 
+def test_verify_rejects_bad_symbolic_rows(monkeypatch, capsys):
+    # a non-integer t_power was a bare ValueError traceback with exit 1, and
+    # a string of coefficients was read character by character
+    code, eq = run_json(["stieltjes-xi", "--input", "-"],
+                        KRAWTCHOUK, monkeypatch, capsys)
+    eq.pop("class")
+    for row in ({"t_power": "x", "nu_coeffs": ["1/2"]},
+                {"t_power": 0, "nu_coeffs": "12"}):
+        eq["xi_symbolic"] = [row]
+        code, payload = run_json(["verify", "--input", "-"],
+                                 {"spec": KRAWTCHOUK, "equation": eq},
+                                 monkeypatch, capsys)
+        assert code == 2 and payload["error"]["type"] == "InputError"
+
+
 def test_verify_bare_spec_with_samples(monkeypatch, capsys):
     code, verdict = run_json(
         ["verify", "--input", "-", "--samples=-3/2,-5/2,-9/2"],

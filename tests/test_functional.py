@@ -29,7 +29,6 @@ from discsemi.errors import (
 from discsemi.functional import (
     FunctionalSpec,
     Mass,
-    MomentTable,
     Support,
     classify_class,
     functional_of_poly,

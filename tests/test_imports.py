@@ -1,4 +1,4 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package and of its tests uses each name it imports.
 
 No linter runs on the package, so a helper that is deleted or stops being
 called can leave its import behind.  The package's ``__init__.py`` is
@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "discsemi"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "discsemi"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,4 +38,9 @@ def test_the_check_sees_an_unused_import():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
+def test_every_test_import_is_used(path):
     assert unused_imports(path.read_text()) == []

@@ -25,6 +25,7 @@ from discsemi.functional import (
 )
 from discsemi.polys import Poly
 from discsemi.scalars import exact_value, to_mpf
+from discsemi.transforms import apply_geronimus, apply_uvarov
 from discsemi.stieltjeseq import (
     StieltjesEquation,
     default_sample_points,
@@ -70,6 +71,22 @@ def test_left_side_and_xi_round_once():
             want = eq.sigma_shift(t) * exact_value(S_t1) - eq.eta(t) * exact_value(S_t)
             got = eq.lhs_at(S_t, S_t1, t)
             assert isinstance(got, mp.mpf) and got == to_mpf(want), t
+
+
+def test_mpf_xi_at_a_rational_point_rounds_once():
+    # an mpf polynomial at an exact point is one dot of its coefficients with
+    # the exact powers; Horner rounded each Fraction and each step, and missed
+    # at 13 of these 50 points
+    spec = FunctionalSpec(a=(Fraction(1, 3),), b=(Fraction(2, 5),), z=HALF)
+    with mp.workdps(50):
+        xi = derive_equation(spec).xi
+        exact = Poly(map(exact_value, xi.coeffs))
+        for t in (Fraction(2 * k + 1, 2) for k in range(10, 60)):
+            got = xi(t)
+            assert isinstance(got, mp.mpf) and got == to_mpf(exact(t)), t
+    # exact data keep their values and types
+    assert Poly((1, 2))(3) == 7 and type(Poly((1, 2))(3)) is int
+    assert Poly((1, HALF))(4) == 3 and type(Poly((1, HALF))(4)) is Fraction
 
 
 def assert_poly_close(p, q, bound=Fraction(1, 10**24)):
@@ -397,6 +414,52 @@ def test_geronimus_closed_form_and_absorbed_mass():
     assert_poly_close(direct.xi, printed)
 
 
+def test_uvarov_closed_form_where_sigma_and_eta_both_vanish():
+    # the Geronimus step leaves sigma(omega) = eta(omega) = 0, so a further
+    # mass at omega adds no factor; the closed form used to add (t - omega)
+    # and gave xi of degree 4 for a class-3 functional
+    omega = Fraction(-7, 3)
+    base = FunctionalSpec(
+        a=(Fraction(1, 3),), b=(Fraction(2, 5),), z=HALF, support=Support.truncated(6)
+    )
+    g = apply_geronimus(base, omega, Fraction(1, 4))
+    moved = transform_equation(
+        derive_equation(g), "uvarov", {"omega": omega, "M": Fraction(2, 5)}
+    )
+    direct = derive_equation(apply_uvarov(g, omega, Fraction(2, 5)))
+    assert direct.xi.degree == 3
+    assert moved.sigma_shift == direct.sigma_shift
+    assert moved.eta == direct.eta
+    assert moved.xi == direct.xi  # exact: finite weight
+
+
+@pytest.mark.parametrize("kind", ["uvarov", "christoffel", "geronimus", "symmetrize"])
+def test_closed_forms_round_each_xi_coefficient_once(kind):
+    # each new xi coefficient is the exact combination of the dyadic values
+    # the mpf xi and nu_0 store, rounded once
+    spec = FunctionalSpec(a=(Fraction(1, 3),), b=(Fraction(2, 5),), z=HALF)
+    omega, M = Fraction(-7, 3), Fraction(2, 5)
+    f_lo, f_hi = Poly((-omega, 1)), Poly((1 - omega, 1))
+    with mp.workdps(50):
+        eq = derive_equation(spec)
+        sig, eta = eq.sigma_shift, eq.eta
+        xi = Poly(map(exact_value, eq.xi.coeffs))
+        nu0 = moments(spec, 0)[0]
+        nu0_g = to_mpf(M - exact_value(stieltjes_eval(spec, omega)))
+        params, want = {
+            "uvarov": ({"omega": omega, "M": M},
+                       f_lo * f_hi * xi + (f_lo * sig - f_hi * eta) * M),
+            "christoffel": ({"omega": omega, "nu0": nu0},
+                            f_lo * f_hi * xi - (f_lo * sig - f_hi * eta) * exact_value(nu0)),
+            "geronimus": ({"omega": omega, "nu0_g": nu0_g},
+                          xi + (sig - eta) * exact_value(nu0_g)),
+            "symmetrize": ({"m": 3}, xi.shift(3)),
+        }[kind]
+        got = transform_equation(eq, kind, params).xi
+        assert all(isinstance(c, mp.mpf) for c in got.coeffs)
+        assert got.coeffs == tuple(map(to_mpf, want.coeffs))
+
+
 def test_transform_parameter_validation():
     base = derive_equation(krawtchouk())
     with pytest.raises(ConstraintViolated):
@@ -479,3 +542,22 @@ def test_equation_json_validation():
             {"sigma_shift": ["0", "1"], "eta": ["1"], "xi": ["1"],
              "xi_symbolic": [{"nu_coeffs": ["1"]}]}
         )
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{"t_power": "x", "nu_coeffs": ["1"]}],
+        [{"t_power": 0, "nu_coeffs": "12"}],
+        [{"t_power": True, "nu_coeffs": ["1"]}],
+        [{"t_power": 2.7, "nu_coeffs": ["1"]}],
+        [{"t_power": -4, "nu_coeffs": ["1"]}],
+        [{"t_power": 10000000, "nu_coeffs": ["1"]}],
+        [{"t_power": 0, "nu_coeffs": ["1"]}, {"t_power": 0, "nu_coeffs": ["2"]}],
+        ["row"],
+    ],
+)
+def test_equation_json_rejects_bad_symbolic_rows(rows):
+    data = {"sigma_shift": ["0", "1"], "eta": ["1"], "xi": ["1"], "xi_symbolic": rows}
+    with pytest.raises(InputError):
+        StieltjesEquation.from_json(data)
