@@ -428,10 +428,10 @@ def _eval_form(form: dict, values: dict, n: int):
 # regression suite
 
 
-def _assemble_rows(rows: Sequence[Sequence[str]], values: dict, nu) -> Poly:
-    """The polynomial sum_n (sum_j rows[n][j] t^j) * nu[n]."""
-    polys = [Poly(_eval_expr(text, values) for text in row) for row in rows]
-    return combine(polys, nu.values)
+def _row_terms(rows: Sequence[Sequence[str]], values: dict, nu) -> list:
+    """The pairs ``(sum_j rows[n][j] t^j, nu[n])`` for the rows ``nu`` has."""
+    polys = (Poly(_eval_expr(text, values) for text in row) for row in rows)
+    return list(zip(polys, nu.values))
 
 
 def _pearson_residual(spec: FunctionalSpec, pair: PearsonPair, tol: Scalar) -> tuple:
@@ -475,15 +475,12 @@ def _check_instance(
     K = pair.class_s if entry.moments_form is None else max(pair.class_s, max_moment)
     table = moments(spec, K, inner)
     eq = derive_xi(pair, table)
-    assembled = Poly()
-    if entry.xi.get("rows_self"):
-        assembled = assembled + _assemble_rows(entry.xi["rows_self"], values, table)
+    terms = _row_terms(entry.xi.get("rows_self") or (), values, table)
     if entry.xi.get("rows_base"):
         base_spec = _spec_from_lists(entry.build["base"], values)
         base_table = moments(base_spec, pair.class_s, inner)
-        assembled = assembled + _assemble_rows(
-            entry.xi["rows_base"], values, base_table
-        )
+        terms += _row_terms(entry.xi["rows_base"], values, base_table)
+    assembled = combine([p for p, _ in terms], [nu for _, nu in terms])
     width = max(len(assembled.coeffs), len(eq.xi.coeffs))
     xi_err, xi_ok = max_error(
         ((assembled.coeff(j), eq.xi.coeff(j)) for j in range(width)), tol

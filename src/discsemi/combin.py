@@ -31,13 +31,6 @@ def falling_factorial(x, n: int):
     return result
 
 
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient for integer arguments (0 when k < 0 or k > n)."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 @lru_cache(maxsize=None)
 def stirling2(k: int, n: int) -> int:
     """Stirling number of the second kind.
@@ -72,7 +65,7 @@ def stirling_convert(nu) -> list:
         return shifted_powers
     return [
         sum(
-            binomial(k, j) * (-shift) ** (k - j) * shifted_powers[j]
+            math.comb(k, j) * (-shift) ** (k - j) * shifted_powers[j]
             for j in range(k + 1)
         )
         for k in range(K + 1)

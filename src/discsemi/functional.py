@@ -488,8 +488,9 @@ def pearson_pair(spec: FunctionalSpec) -> PearsonPair:
     contributed by truncation and point masses, and classify the result.
 
     Each mass adds the factors of :func:`mass_offsets`, decided against the
-    pair before masses; none when eta and sigma both vanish at its point
-    (the pair already absorbs the mass, as for a Geronimus step's mass).
+    pair with the masses before it, as a chain of Uvarov steps decides them;
+    none when eta and sigma both vanish at its point (the pair already
+    absorbs the mass, as for a Geronimus step's mass).
     """
     eta = poly_from_root_offsets(spec.a, leading=spec.z)
     sigma = poly_from_root_offsets(spec.b) * Poly((0, 1))
@@ -501,10 +502,9 @@ def pearson_pair(spec: FunctionalSpec) -> PearsonPair:
         m = spec.support.m
         eta = eta.shift(m)
         sigma = sigma.shift(m)
-    base_eta, base_sigma = eta, sigma
     for mass in spec.merged_masses():
         w = mass.omega
-        for o in mass_offsets(base_eta(w), base_sigma(w), w):
+        for o in mass_offsets(eta(w), sigma(w), w):
             eta = eta * Poly((o, 1))
             sigma = sigma * Poly((o - 1, 1))
     p = eta.degree

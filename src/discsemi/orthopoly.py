@@ -84,11 +84,7 @@ class Recurrence:
 
     def polynomials(self, n: int) -> list[Poly]:
         """The monic polynomials p_0..p_n generated by the recurrence."""
-        if n > len(self.alpha):
-            raise InputError(
-                f"the recurrence holds {len(self.alpha)} coefficient pairs; "
-                f"cannot build p_{n}"
-            )
+        _check_pairs(self, n)
         polys = [Poly.one()]
         for k in range(n):
             nxt = Poly((-self.alpha[k], 1)) * polys[k]
@@ -98,6 +94,13 @@ class Recurrence:
         for k, p in enumerate(polys):
             assert p.degree == k and p.leading() == 1
         return polys
+
+
+def _check_pairs(rec: Recurrence, n: int):
+    if n > len(rec.alpha):
+        raise InputError(
+            f"the recurrence holds {len(rec.alpha)} coefficient pairs; cannot build p_{n}"
+        )
 
 
 def _check_length(nu: MomentTable, needed: int, K: int):
@@ -371,16 +374,17 @@ def _chebyshev_fixed(values, K: int, shift) -> list:
     return alpha + beta
 
 
-def _exact_polynomials(rec: Recurrence, K: int, shift: int) -> tuple[list, list, list]:
-    """p_0..p_K of an exact recurrence in ``y = x + shift``, on ints:
-    ``p_k = P_k / d_k``, ``d_k > 0``, ``gcd(d_k, content P_k) = 1``.
+def _polynomials(rec: Recurrence, K: int, shift: int) -> tuple[list, list, list]:
+    """p_0..p_K in ``y = x + shift`` on ints, ``p_k = P_k / d_k``, ``d_k > 0``,
+    ``gcd(d_k, content P_k) = 1`` (an mpf coefficient is its dyadic rational).
 
-    The flags say which ``p_k`` :meth:`Recurrence.polynomials` and
-    ``Poly.shift`` give a ``Fraction`` coefficient.  Poly arithmetic makes
-    Fractions of coefficients ``0..m_k-1``: ``m_{k+1}`` is the largest of
-    ``m_k + 1`` (if ``m_k``), ``k + 1`` if alpha_k is a Fraction, and, if
-    ``beta_k != 0`` (``Poly`` trims ``p_{k-1} * 0``), ``m_{k-1}`` and ``k``
-    if beta_k is a Fraction; a shift keeps the nonzero ones."""
+    The flags say which ``p_k`` of an exact recurrence
+    :meth:`Recurrence.polynomials` and ``Poly.shift`` give a ``Fraction``
+    coefficient.  Poly arithmetic makes Fractions of coefficients
+    ``0..m_k-1``: ``m_{k+1}`` is the largest of ``m_k + 1`` (if ``m_k``),
+    ``k + 1`` if alpha_k is a Fraction, and, if ``beta_k != 0`` (``Poly``
+    trims ``p_{k-1} * 0``), ``m_{k-1}`` and ``k`` if beta_k is a Fraction;
+    a shift keeps the nonzero ones."""
     dens, polys, marks = [1], [[1]], [0]
     for k in range(K):
         alpha, P = rec.alpha[k], polys[k]
@@ -424,13 +428,13 @@ def orthogonality_check(
     """Gram matrix L[p_i p_j] for i, j <= K against the spec's functional.
 
     Each ``p_i``, in the table's basis variable ``y = x + shift`` and scaled
-    by the lcm ``d_i`` of its denominators (:meth:`Recurrence.polynomials`
-    for an mpf recurrence, :func:`_exact_polynomials` for an exact one), is
-    expanded in the falling basis (:func:`~discsemi.polys.falling_coeffs`).
-    The mixed moments ``L[p_i phi_n]``, n <= K, come from the table scaled
-    by the lcm ``D`` of its denominators, by Horner's rule with ``y phi_n =
-    phi_{n+1} + n phi_n``; an entry is one dot product of ints divided by
-    ``D d_i d_j``.  With an exact table and recurrence it is an ``int``
+    by the lcm ``d_i`` of its denominators (:func:`_polynomials`, on the
+    dyadic rationals an mpf recurrence stores), is expanded in the falling
+    basis (:func:`~discsemi.polys.falling_coeffs`).  The mixed moments
+    ``L[p_j phi_n]``, n <= j, come from the table scaled by the lcm ``D`` of
+    its denominators, by Horner's rule with ``y phi_n = phi_{n+1} + n
+    phi_n``; entry (i, j), i <= j, is the ints of ``p_i`` dotted with them,
+    over ``D d_i d_j``.  With an exact table and recurrence it is an ``int``
     exactly when every shifted coefficient and moment it uses is one, else
     a ``Fraction``; otherwise it is rounded to ``mpf`` once.
 
@@ -440,24 +444,20 @@ def orthogonality_check(
     entries with j > i are computed off the diagonal.
 
     The moments of an infinite weight are summed to a tol of their own, and
-    the same dot products, with every coefficient's absolute value and ``1 +
-    |nu_n|`` for ``nu_n``, bound how far that moves each entry.  The table
+    the same dot products, on magnitudes (``1 + |nu_n|`` for ``nu_n``) rounded
+    up to 64 bits, bound how far that moves each entry.  The table
     is summed again at a tighter power of two until every bound is at most
     half of ``tol (1 + |h_i|)`` on the diagonal and of tol times the largest
     diagonal entry off it.  The first sum is 4 bits per degree tighter than
     tol: on the benchmark's infinite weights at K = 6 the bound asks for 16
     to 23 bits, so that sum is the only one.
     """
+    _check_pairs(rec, K)
     infinite = spec.scale != 0 and spec.weight_upper_bound() is None
     moment_tol = exact_value(tol) / 2 ** (4 * K) if infinite else tol
     table = moments(spec, 2 * K, moment_tol)
-    exact = K <= len(rec.alpha) and all(map(is_exact, (*rec.alpha[:K], *rec.beta[1:K])))
-    if exact:
-        dens, coeffs, fractional = _exact_polynomials(rec, K, table.basis_shift)
-        exact = all(map(is_exact, table.values))
-    else:  # mpf coefficients are prec-sized already: Poly arithmetic costs no more
-        polys = [p.shift(-table.basis_shift) for p in rec.polynomials(K)]
-        dens, coeffs = zip(*(clear_denominators(p.coeffs) for p in polys))
+    dens, coeffs, fractional = _polynomials(rec, K, table.basis_shift)
+    exact = all(map(is_exact, (*rec.alpha[:K], *rec.beta[1:K], *table.values)))
     # entry (i, j) uses the coefficients of p_i, p_j and nu_0..nu_{i+j}
     prefix = list(itertools.accumulate(
         (isinstance(v, Fraction) for v in table.values), operator.or_
@@ -466,9 +466,9 @@ def orthogonality_check(
     falling = [falling_coeffs(p) for p in polys]
 
     def mixed(p: Poly, m: list) -> list:
-        """``L[p phi_n]`` for n <= K (scaled as ``m`` and ``p`` are)."""
+        """``L[p phi_n]`` for n <= deg p (scaled as ``m`` and ``p`` are)."""
         *rest, lead = p.coeffs
-        s = [lead * v for v in m[: K + len(rest) + 1]]
+        s = [lead * v for v in m[: 2 * len(rest) + 1]]
         for c in reversed(rest):
             s = [s[n + 1] + n * s[n] + c * m[n] for n in range(len(s) - 1)]
         return s
@@ -477,9 +477,14 @@ def orthogonality_check(
         """Row i: ``D d_i d_j`` times entry (i, j) for j = i..K, on ints."""
         mu = [mixed(p, m) for p in polys]
         return [
-            [sum(c * mu[i][n] for n, c in enumerate(falling[j])) for j in range(i, K + 1)]
+            [sum(map(operator.mul, falling[i], mu[j])) for j in range(i, K + 1)]
             for i in range(K + 1)
         ]
+
+    def ceil64(values: list) -> tuple:
+        """``s`` and each ``ceil(|v| / 2^s)``, the largest of 64 bits at most."""
+        s = max(0, max(map(int.bit_length, values)) - 64)
+        return s, [-(-abs(v) >> s) for v in values]
 
     def entry(i: int, j: int):
         total = rows[i][j - i]
@@ -497,21 +502,18 @@ def orthogonality_check(
         scale = ratio_to_mpf(abs(rows[k][0]), D * dens[k] ** 2)
         if not infinite or not scale:
             break
-        slack = dots(
-            [Poly([abs(c) for c in p.coeffs]) for p in polys],
-            [[abs(c) for c in f] for f in falling],
-            [D + abs(v) for v in m],
-        )
-        # each bound over its yardstick in ints, tol cancelled: S_ii / (D d_i^2
-        # + |T_ii|) on the diagonal, S_ij d_k^2 / (d_i d_j |T_kk|) off it, for
-        # T the entries, S their bounds and h_k = T_kk / (D d_k^2) the largest
-        bits = 0
+        # bound S over yardstick, tol cancelled: S_ii / (D d_i^2 + |T_ii|), S_ij
+        # d_k^2 / (d_i d_j |T_kk|) off it (T the entries); S from magnitudes
+        # rounded up to 64 bits, 1e-9 over the float error of the log2 sums
+        u, M = ceil64([D + abs(v) for v in m])
+        (s, P), (t, F) = (zip(*map(ceil64, cs)) for cs in (coeffs, falling))
+        slack, bits, log2 = dots(list(map(Poly, P)), F, M), 0, math.log2
         for i in range(K + 1):
-            yardstick = D * dens[i] ** 2 + abs(rows[i][0])
-            bits = max(bits, (2 * slack[i][0] // yardstick).bit_length())
-            for j in range(i + 1, K + 1):
-                yardstick = dens[i] * dens[j] * abs(rows[k][0])
-                bits = max(bits, (2 * slack[i][j - i] * dens[k] ** 2 // yardstick).bit_length())
+            for j in range(i, K + 1):
+                below = log2(D * dens[i] ** 2 + abs(rows[i][0])) if i == j else (
+                    log2(dens[i]) + log2(dens[j]) + log2(abs(rows[k][0])) - 2 * log2(dens[k]))
+                r = 1 + log2(slack[i][j - i]) + t[i] + s[j] + u - below
+                bits = max(bits, math.floor(r + 1e-9) + 1)
         needed = exact_value(tol) / 2**bits
         if moment_tol <= needed:
             break

@@ -5,9 +5,10 @@ scalars are ``mpmath.mpf`` at a configurable working precision.  Every
 parameter and point of a functional is an exact rational, and
 :func:`require_rational` rejects anything else (an mpf, a float, a bool)
 where a spec or a point enters; so floating values only appear when an
-infinite series has to be summed numerically.  :func:`to_mpf` and
-:func:`ratio_to_mpf` round an exact value once, to nearest, and so does
-:func:`dot` a sum of exact coefficients times values with an mpf among them.
+infinite series has to be summed numerically.  An exact value meets an mpf
+only in :func:`ratio_to_mpf`, which rounds it once, to nearest, and
+:func:`dot`, which so rounds a sum of exact coefficients times values with an
+mpf among them (mpmath would round a Fraction operand toward zero first).
 
 Every verdict on scalars is made one way.  A value is zero when ``x == 0``
 and two values are equal when ``a == b``; :func:`agree` decides whether a
@@ -165,18 +166,23 @@ def is_nonpos_integer(x: Scalar) -> bool:
     return is_exact(x) and x.denominator == 1 and x <= 0
 
 
+def difference(got: Scalar, want: Scalar) -> Scalar:
+    """``got - want``, through :func:`dot` when exactly one is an mpf."""
+    if is_exact(got) is is_exact(want):
+        return got - want
+    return dot((1, -1), (got, want))
+
+
 def agree(got: Scalar, want: Scalar, tol: Scalar) -> tuple:
     """``(error, ok)``: exact values agree when equal, others when
     ``|got - want| <= tol (1 + |want|)``.
 
-    An equal exact pair gives the int 0, an unequal one ``|got - want|`` as
-    an mpf.  ``Fraction - mpf`` raises (mpf has no reflected subtraction),
-    so an exact ``got`` against an mpf takes ``|want - got|``, which rounds
-    to the same value.
+    An equal exact pair gives the int 0, any other pair the exact
+    ``|got - want|`` rounded once to an mpf (:func:`difference`).
     """
-    if is_exact(got) and is_exact(want):
-        return (0, True) if got == want else (abs(to_mpf(got - want)), False)
-    error = abs(to_mpf(want - got if is_exact(got) else got - want))
+    error = abs(difference(got, want))
+    if is_exact(error):
+        return (0, True) if error == 0 else (to_mpf(error), False)
     return error, error <= to_mpf(tol) * (1 + abs(to_mpf(want)))
 
 

@@ -34,11 +34,11 @@ runs in the unshifted variable and the rows are recentred binomially.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .combin import binomial
 from .errors import (
     ConstraintViolated,
     DegreeMismatch,
@@ -60,6 +60,7 @@ from .scalars import (
     DEFAULT_TOL,
     Scalar,
     agree,
+    difference,
     dot,
     exact_value,
     is_exact,
@@ -159,7 +160,7 @@ def _shift_rows(rows: Sequence[Sequence], h) -> list[list]:
     out = [[0] * width for _ in range(J)]
     for i, row in enumerate(rows):
         for j in range(i + 1):
-            c = binomial(i, j) * h ** (i - j)
+            c = math.comb(i, j) * h ** (i - j)
             if c:
                 for n, coeff in enumerate(row):
                     out[j][n] = out[j][n] + c * coeff
@@ -255,9 +256,9 @@ def verify_equation(
     Returns a report with per-sample residuals; a sample passes when the
     left side agrees with ``xi(t)`` by :func:`~discsemi.scalars.agree`:
     exactly when both are exact (a terminating weight), else within
-    ``bound = tol (1 + |xi(t)|)``.  The Stieltjes values are computed at a
-    much tighter internal tolerance so that the polynomial amplification of
-    the left side cannot eat the verification margin.
+    ``bound = tol (1 + |xi(t)|)``, one :func:`~discsemi.scalars.dot`.  The
+    Stieltjes values are computed at a much tighter internal tolerance so
+    that the polynomial amplification of the left side cannot eat the margin.
     """
     if sample_ts is None:
         sample_ts = default_sample_points(spec)
@@ -267,13 +268,13 @@ def verify_equation(
         S_t = stieltjes_eval(spec, t, inner_tol)
         S_t1 = stieltjes_eval(spec, t + 1, inner_tol)
         lhs, xi_t = eq.lhs_at(S_t, S_t1, t), eq.xi(t)
-        residual = lhs - xi_t
+        residual = difference(lhs, xi_t)
         ok = agree(lhs, xi_t, tol)[1]
         samples.append(
             {
                 "t": t,
                 "residual": abs(residual),
-                "bound": tol * (1 + abs(xi_t)),
+                "bound": dot((tol, tol), (1, abs(xi_t))),
                 "exact": is_exact(residual),
                 "pass": ok,
             }

@@ -154,6 +154,15 @@ def test_verify_bare_spec_with_samples(monkeypatch, capsys):
     assert all(s["exact"] for s in verdict["samples"])
 
 
+def test_verify_spec_body_without_equation(monkeypatch, capsys):
+    # a {"spec": ...} body with no "equation" derives the equation itself
+    code, verdict = run_json(["verify", "--input", "-"],
+                             {"spec": KRAWTCHOUK}, monkeypatch, capsys)
+    assert code == 0 and verdict["pass"] is True
+    assert len(verdict["samples"]) == 3
+    assert all(s["exact"] and s["residual"] == 0 for s in verdict["samples"])
+
+
 # ----------------------------------------------------------------- transform
 
 
@@ -284,6 +293,16 @@ def test_recurrence_single_method(monkeypatch, capsys):
     assert payload["beta"][0] == "1/16"
 
 
+def test_recurrence_hankel_method(monkeypatch, capsys):
+    code, payload = run_json(
+        ["recurrence", "--input", "-", "-n", "3", "--method", "hankel"],
+        KRAWTCHOUK, monkeypatch, capsys)
+    _, chebyshev = run_json(["recurrence", "--input", "-", "-n", "3"],
+                            KRAWTCHOUK, monkeypatch, capsys)
+    assert code == 0 and set(payload) == {"alpha", "beta"}
+    assert payload == chebyshev and len(payload["alpha"]) == 3
+
+
 # ------------------------------------------------------------------- catalog
 
 
@@ -308,6 +327,16 @@ def test_catalog_show_and_unknown(monkeypatch, capsys):
     code, payload = run_json(["catalog", "show", "9,9"],
                              None, monkeypatch, capsys)
     assert code == 2 and payload["error"]["type"] == "InputError"
+
+
+def test_catalog_show_entry_with_every_section(monkeypatch, capsys):
+    code, payload = run_json(["catalog", "show", "2,1/reduced-uvarov"],
+                             None, monkeypatch, capsys)
+    assert code == 0
+    assert payload["exclusions"] == [{"param": "z", "kind": "lt_one"}]
+    assert payload["build"]["transform"]["kind"] == "uvarov"
+    assert [v["omega"] for v in payload["variants"]] == ["0", "-a"]
+    assert payload["special_values"]["map"]["a2"] == "a"
 
 
 def test_catalog_suite_subset(monkeypatch, capsys):
@@ -336,6 +365,42 @@ def test_table_format(monkeypatch, capsys):
     assert code == 0
     assert "class: 0" in out
     assert "{" not in out
+
+
+def test_table_format_on_list_payloads(monkeypatch, capsys):
+    # a list of flat rows is a column table; other lists are dashed items
+    code, out = run_cli(["catalog", "list", "--format", "table"],
+                        None, monkeypatch, capsys)
+    lines = out.splitlines()
+    assert code == 0 and lines[:2] == ["count: 59", "entries:"]
+    assert lines[2].split() == ["id", "name", "section", "role", "class", "parent"]
+    assert set(lines[3].replace(" ", "")) == {"-"}
+    assert len(lines) == 4 + 59 and lines[4].split()[0] == "0,0"
+
+    code, out = run_cli(["catalog", "show", "2,1/reduced-uvarov", "--format", "table"],
+                        None, monkeypatch, capsys)
+    lines = out.splitlines()
+    assert code == 0
+    at = lines.index("variants:")
+    assert [line.split() for line in lines[at + 1 : at + 5]] == [
+        ["omega", "Omega"], ["-----", "-----"], ["0", "0"], ["-a", "a", "+", "1"]
+    ]
+    at = lines.index("  rows_self:")
+    assert lines[at + 1 : at + 6] == [
+        "    -", "      - (1 - z)*Omega - a*z", "      - 1 - z", "    -", "      - 1 - z"
+    ]
+
+
+def test_dps_stays_with_the_command(monkeypatch, capsys):
+    # --dps was left in the caller's mpmath context after main returned
+    mp.dps = 15
+    code, payload = run_json(["moments", "--input", "-", "-n", "1", "--dps", "80"],
+                             CHARLIER, monkeypatch, capsys)
+    assert code == 0 and mp.dps == 15
+    assert len(payload["values"][0].replace(".", "")) == 80
+    code, _ = run_json(["--dps", "80", "--tol", "0", "catalog", "show", "0,0"],
+                       None, monkeypatch, capsys)
+    assert code == 2 and mp.dps == 15
 
 
 def test_global_flags_after_subcommand(monkeypatch, capsys):

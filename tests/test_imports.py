@@ -1,4 +1,5 @@
-"""Every module of the package and of its tests uses each name it imports.
+"""Every module of the package and of its tests uses each name it imports,
+and importing the package to load the catalog stays off the CLI.
 
 No linter runs on the package, so a helper that is deleted or stops being
 called can leave its import behind.  The package's ``__init__.py`` is
@@ -6,6 +7,9 @@ exempt: its imports are the public re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +48,16 @@ def test_every_import_is_used(path):
 @pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
 def test_every_test_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_catalog_load_does_not_import_the_cli():
+    # the cold start the benchmark times as setup_s: a fresh interpreter
+    # imports the package and loads the catalog, and argparse is the CLI's
+    code = (
+        "import sys, discsemi; discsemi.catalog_entries(); "
+        "print(sorted({'discsemi.cli', 'argparse'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == "[]"

@@ -314,6 +314,27 @@ def test_polynomials_are_monic_with_correct_degrees():
         rec.polynomials(5)
 
 
+def test_gram_check_of_an_mpf_recurrence_rounds_each_entry_once():
+    # every entry is the exact Gram entry of the dyadic rationals the
+    # recurrence stores, rounded once; p_0..p_6 were mpf Poly products, each
+    # coefficient rounded, and entries moved in their last digits
+    spec = FunctionalSpec(a=(Fraction(1, 3), -8), b=(Fraction(2, 5),), z=HALF)
+    with mp.workdps(50):
+        table = moments(spec, 12)
+        exact = chebyshev_from_moments(table, 6)
+        rec = Recurrence(tuple(map(to_mpf, exact.alpha)), tuple(map(to_mpf, exact.beta)))
+        got = orthogonality_check(spec, rec, 6)
+        dyadic = Recurrence(tuple(map(exact_value, rec.alpha)), tuple(map(exact_value, rec.beta)))
+        polys = dyadic.polynomials(6)
+        gram = [[functional_of_poly(table, p * q) for q in polys] for p in polys]
+        assert got["diagonal"] == [to_mpf(gram[i][i]) for i in range(7)]
+        assert got["max_offdiagonal"] == max(
+            to_mpf(abs(gram[i][j])) for i in range(7) for j in range(i + 1, 7)
+        )
+        with pytest.raises(InputError):
+            orthogonality_check(spec, rec, 7)
+
+
 def test_length_cap_and_validation():
     nu = moments(krawtchouk(), 8)
     with pytest.raises(InputError):

@@ -561,3 +561,29 @@ def test_equation_json_rejects_bad_symbolic_rows(rows):
     data = {"sigma_shift": ["0", "1"], "eta": ["1"], "xi": ["1"], "xi_symbolic": rows}
     with pytest.raises(InputError):
         StieltjesEquation.from_json(data)
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_pearson_pair_decides_each_mass_against_the_running_pair(order):
+    # sigma vanishes at -3/2 once the mass at -5/2 is in, so the mass at -3/2
+    # adds one factor, not two; the pair before masses gave class 4 and a
+    # degree-4 xi where the chain of Uvarov steps gives class 3
+    masses = [(Fraction(-5, 2), Fraction(1, 3)), (Fraction(-3, 2), Fraction(1, 7))][::order]
+    spec = krawtchouk(N=6)
+    eq = derive_equation(spec)
+    for omega, M in masses:
+        spec = apply_uvarov(spec, omega, M)
+        eq = transform_equation(eq, "uvarov", {"omega": omega, "M": M})
+    pair = pearson_pair(spec)
+    assert pair.class_s == 3 and eq.xi.degree == 3
+    assert (pair.sigma_shift, pair.eta) == (eq.sigma_shift, eq.eta)
+    assert derive_equation(spec).xi == eq.xi
+    report = verify_equation(spec, eq)
+    assert report["pass"] and all(s["residual"] == 0 for s in report["samples"])
+
+
+def test_interpolation_derives_its_own_pair():
+    spec = krawtchouk(N=4, z=Fraction(1, 3))
+    xi = xi_by_interpolation(spec)
+    assert xi == xi_by_interpolation(spec, pearson_pair(spec))
+    assert xi == derive_equation(spec).xi and xi.degree == pearson_pair(spec).class_s
