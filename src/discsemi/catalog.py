@@ -164,11 +164,13 @@ class CatalogEntry:
 CATALOG_FORMAT_VERSION = 1
 
 
-def set_data_path(path) -> None:
-    """Point the loader at another data file (CLI override / testing)."""
+def set_data_path(path) -> Path:
+    """Point the loader at another data file (CLI override / testing), and
+    return the path it replaces."""
     global _DATA_PATH
-    _DATA_PATH = Path(path)
+    previous, _DATA_PATH = _DATA_PATH, Path(path)
     catalog_entries.cache_clear()
+    return previous
 
 
 @lru_cache(maxsize=1)

@@ -378,18 +378,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    previous = None  # the data path a --catalog override replaces, restored after
     with mp.workdps(args.dps):
         try:
             if args.dps < 20:
                 raise InputError("precision must be at least 20 digits")
             tol = _parse_tolerance(args.tol)
             if args.catalog:
-                catalog_mod.set_data_path(args.catalog)
+                previous = catalog_mod.set_data_path(args.catalog)
             payload, code = args.func(args, tol)
         except DiscsemiError as exc:
             body = {"error": {"type": type(exc).__name__, "message": str(exc)}}
             print(json.dumps(body, indent=2))
             return exc.exit_code
+        finally:
+            if previous is not None:
+                catalog_mod.set_data_path(previous)
         _emit(payload, args.format)
     return code
 

@@ -22,12 +22,12 @@ a bool raises ``InputError`` where it enters.
 
 Moments are taken against the falling-factorial basis
 ``phi_n(x) = x (x-1) ... (x-n+1)`` (shifted by ``m`` for symmetric
-windows).  A finite weight gets them all from one finite-sum tree, and
-an infinite one from one fixed-point pass over its terms.  The Stieltjes
-transform ``S(t) = L[1/(t-x)]`` is one hypergeometric value on the same
-factors: the finite-sum tree of :mod:`discsemi.hyper` sums it exactly for
-a finite weight, and its fixed-point kernel numerically for an infinite
-one, each value rounded once.
+windows); the Stieltjes transform ``S(t) = L[1/(t-x)]`` is one
+hypergeometric value on the same factors.  Both take one route, decided
+once per spec: a finite weight's sums are the integers of one finite-sum
+tree of :mod:`discsemi.hyper`, one ``Fraction`` per value, and an infinite
+weight's those of one fixed-point pass, refused before any sum when some
+order asked for cannot be summed, each value rounded to mpf once.
 
 A spec derives its own facts once, on first use, and keeps them outside
 equality and hashing: the weight's upper bound, its pole verdict (raised
@@ -60,19 +60,18 @@ from .hyper import (
     HyperSeries,
     check_summable,
     classify_convergence,
-    eval_hyper_finite_sum,
     linear_factors,
     output_bits,
     split_sum,
     sum_fixed,
     termination_degree,
-    unsummable_shift,
 )
 from .polys import Poly, falling_coeffs, poly_from_root_offsets
 from .scalars import (
     DEFAULT_TOL,
     Scalar,
     dot,
+    exact_value,
     integer_ratio,
     is_exact,
     is_nonpos_integer,
@@ -81,6 +80,7 @@ from .scalars import (
     require_count,
     require_rational,
     scalar_to_json,
+    to_mpf,
 )
 
 SUPPORT_KINDS = ("infinite", "truncated", "symmetrized_shift")
@@ -522,67 +522,75 @@ def moments(spec: FunctionalSpec, K: int, tol: Scalar = DEFAULT_TOL) -> MomentTa
 
     As ``phi_n(u) = n! C(u, n)``, every moment is ``nu_n = scale n! sum_u
     t_u C(u, n)`` over the weight's terms ``t_u``, and one kernel call
-    gives them all.  A finite weight's come from one finite-sum tree,
-    exactly.  An infinite weight's come from one fixed-point pass over its
-    terms (:func:`~discsemi.hyper.sum_fixed` on the spec's integer factors):
-    sum n stops as the series ``nu_n / prefactor`` with every parameter
-    raised by n would, taken to ``tol / max(1, |prefactor|)`` for the
-    prefactor ``scale z^n (a)_n / (b+1)_n``, so that ``nu_n`` meets ``tol
-    (1 + |nu_n|)`` and a small ``nu_n`` is summed relative to its size; each
-    ``nu_n``, point masses included, is rounded to mpf once, to nearest.  Which
-    orders are summable is decided once: a balanced series on ``|z| = 1``
-    loses one unit of balance per n, and the first order it cannot sum
-    raises after the orders below it are summed.  Point masses add ``M
-    phi_n(omega + shift)``, each ``phi_n`` one more factor of a running
-    product.
+    gives them all (:func:`_weight_sums`).  A finite weight's come from one
+    finite-sum tree, exactly.  An infinite weight's come from one fixed-point
+    pass over its terms (:func:`~discsemi.hyper.sum_fixed`): sum n stops as
+    the series ``nu_n / prefactor`` with every parameter raised by n would,
+    taken to ``tol / max(1, |prefactor|)`` for the prefactor ``scale z^n
+    (a)_n / (b+1)_n``, so that ``nu_n`` meets ``tol (1 + |nu_n|)`` and a
+    small ``nu_n`` is summed relative to its size.  Each ``nu_n``, point
+    masses included, is one ``Fraction`` or one mpf rounded once, to nearest.
+    A balanced series on ``|z| = 1`` loses one unit of balance per n, and a
+    table with an order it cannot sum raises that order's error before any
+    sum.  Point masses add ``M phi_n(omega + shift)``, each ``phi_n`` one
+    more factor of a running product.
     """
     require_count(K, "the moment count K")
     _validate_weight(spec)
-    shift = spec.basis_shift
-    upper = spec.weight_upper_bound()
-    values: list = [0] * (K + 1)  # stays 0 past the support and for a zero scale
-    fixed = spec.scale != 0 and upper is None  # the fixed-point table
-    if spec.scale != 0 and upper is not None:
-        sums = eval_hyper_finite_sum(spec._series, upper, min(K, upper))
-        for n, s in enumerate(sums):
-            values[n] = spec.scale * math.factorial(n) * s
-    elif fixed:
-        series, cls = spec._series, spec._convergence
-        fail = unsummable_shift(series, cls)
-        last = K if fail is None else min(K, fail - 1)
-        tol = integer_ratio(tol)
-        s_num, s_den = spec.scale.as_integer_ratio()
-        if last >= 0:
-            acc, wp = sum_fixed(spec._factors, tol, last, (s_num, s_den))
-        if last < K:
-            check_summable(series, cls, last + 1)  # raises, as nu_{last+1}'s sum did
-        bits, weight = output_bits(tol), s_num  # weight: scale n!, over s_den
-    masses = spec._merged
+    shift, masses = spec.basis_shift, spec._merged
+    values = []  # the masses' part; past the support and for a zero scale, all
     falling = [1] * len(masses)  # phi_n(omega + shift), one running product per mass
     for n in range(K + 1):
-        mass = sum(m.M * f for m, f in zip(masses, falling))
+        values.append(sum(m.M * f for m, f in zip(masses, falling)))
         falling = [f * (m.omega + shift - n) for m, f in zip(masses, falling)]
-        if not fixed:
-            values[n] += mass
-            continue
-        weight *= n or 1
-        m_num, m_den = mass.as_integer_ratio()
-        num = weight * acc[n] * m_den + (m_num * s_den << wp)
-        values[n] = ratio_to_mpf(num, s_den * m_den, -wp, bits)
+    if spec.scale != 0:
+        s_num, s_den = spec.scale.as_integer_ratio()
+        sums, den, finish = _weight_sums(spec, spec._factors, tol, K, (s_num, s_den))
+        weight = s_num  # scale n!, over s_den
+        for n, s in enumerate(sums):
+            weight *= n or 1
+            m_num, m_den = values[n].as_integer_ratio()
+            num = weight * s * m_den + m_num * s_den * den
+            values[n] = finish(num, s_den * m_den * den)
     return MomentTable(values, basis_shift=shift)
+
+
+def _weight_sums(spec: FunctionalSpec, factors, tol, top=0, scale=(1, 1), shift=0) -> tuple:
+    """``(sums, den, finish)``: ``sums[n] / den = sum_u t_u C(u, n)``, ``n <=
+    top``, over the spec's support, ``t_u`` the terms on ``factors``; ``finish``
+    makes a value of a ratio of integers.  A finite weight's sums are
+    :func:`~discsemi.hyper.split_sum`'s (none past the support), a value one
+    ``Fraction``; an infinite weight's are ``sum_fixed``'s to ``tol`` (``scale``
+    in its stop rule), ``den = 2^wp``, once ``check_summable`` passes orders
+    ``shift..shift+top``, a value rounded once, to nearest, to the output bits."""
+    upper = spec.weight_upper_bound()
+    if upper is not None:
+        Q, T = split_sum(factors, upper, min(top, upper))
+        return T, Q, Fraction
+    check_summable(spec._series, spec._convergence, shift, top)
+    tol = integer_ratio(tol)
+    acc, wp = sum_fixed(factors, tol, top, scale)
+    bits = output_bits(tol)
+    return acc, 1 << wp, lambda num, den: ratio_to_mpf(num, den, 0, bits)
 
 
 def functional_of_poly(table: MomentTable, p: Poly):
     """Apply the functional to a polynomial, given enough moments.
 
     Expands ``p`` in the table's (possibly shifted) falling basis, so it
-    needs moments up to deg p.
+    needs moments up to deg p.  An mpf coefficient is read as the dyadic
+    rational it stores, so the value is exact on exact data and otherwise an
+    mpf rounded once.
     """
     if p.degree >= len(table.values):
         raise InputError(
             f"need moments up to degree {p.degree}, have {len(table.values) - 1}"
         )
-    return dot(falling_coeffs(p.shift(-table.basis_shift)), table.values)
+    numeric = not all(map(is_exact, p.coeffs))
+    if numeric:
+        p = Poly(map(exact_value, p.coeffs))
+    value = dot(falling_coeffs(p.shift(-table.basis_shift)), table.values)
+    return to_mpf(value) if numeric else value
 
 
 # ---------------------------------------------------------------------------
@@ -593,22 +601,20 @@ def stieltjes_eval(spec: FunctionalSpec, t: Scalar, tol: Scalar = DEFAULT_TOL) -
     """Pointwise value of S(t) = L[1/(t - x)].
 
     The weight's part is one hypergeometric value, through
-    ``1/(c - u) = (1/c) (-c)_u / (1-c)_u`` with ``c = t + shift``, summed on
-    the spec's integer factors with those of ``-c`` and ``1-c`` appended: a
-    finite (truncated, symmetric-window, or self-terminating) weight by the
-    binary-splitting tree of :func:`~discsemi.hyper.split_sum`, exactly, and
-    the value is one ``Fraction``; an infinite weight by the fixed-point
-    kernel :func:`~discsemi.hyper.sum_fixed`, under the convergence policy
-    of :func:`~discsemi.hyper.eval_hyper` and to ``tol``, and the scale, the
-    fixed-point sum, ``1/c`` and the point masses are combined exactly and
-    rounded to mpf once, to nearest.  Point masses add
+    ``1/(c - u) = (1/c) (-c)_u / (1-c)_u`` with ``c = t + shift``, summed by
+    the route of :func:`moments` (:func:`_weight_sums`) on the spec's
+    integer factors with those of ``-c`` and ``1-c`` appended: a finite
+    (truncated, symmetric-window, or self-terminating) weight exactly, by
+    the binary-splitting tree, and an infinite one by the fixed-point
+    kernel, under the convergence policy of
+    :func:`~discsemi.hyper.eval_hyper` and to ``tol``.  The scale, the sum,
+    ``1/c`` and the point masses are combined exactly into one ``Fraction``,
+    or rounded to mpf once, to nearest.  Point masses add
     ``M / (t - omega)``.  ``t`` must be rational (``InputError``
     otherwise).  ``PoleAtSupportPoint`` is raised at a mass point, and at a
     support point of a nonzero weight.
     """
     _validate_weight(spec)
-    shift = spec.basis_shift
-    upper = spec.weight_upper_bound()
     index = spec.support_index(t)
     total: Scalar = 0
     for mass in spec._merged:
@@ -622,19 +628,14 @@ def stieltjes_eval(spec: FunctionalSpec, t: Scalar, tol: Scalar = DEFAULT_TOL) -
         raise PoleAtSupportPoint(f"t = {t} is a support point of the weight")
     # support indices raised above, so c != u for every summed u, c != 0;
     # -c over 1-c adds one factor to each side of the term ratio
-    c = t + shift
+    c = t + spec.basis_shift
     cn, cd = c.as_integer_ratio()
     p_const, p_lin, q_const, q_lin = spec._factors
     factors = (p_const * cd, [*p_lin, (-cn, cd)], q_const * cd, [*q_lin, (cd - cn, cd)])
+    # an infinite weight's regime, a balance one higher, and no new pole as
+    # c is off the support
+    (body,), den, finish = _weight_sums(spec, factors, tol, shift=-1)
     (s_num, s_den), (m_num, m_den) = spec.scale.as_integer_ratio(), total.as_integer_ratio()
-    # the value is s_num body cd / (s_den cn) + m_num / m_den
-    if upper is not None:
-        Q, (T,) = split_sum(factors, upper)
-        return Fraction(s_num * T * cd * m_den + m_num * s_den * cn * Q, s_den * cn * m_den * Q)
-    # the weight's regime, a balance one higher, and no new pole as c is
-    # off the support
-    check_summable(spec._series, spec._convergence, shift=-1)
-    tol = integer_ratio(tol)
-    (body,), wp = sum_fixed(factors, tol)
-    num = s_num * body * cd * m_den + (m_num * s_den * cn << wp)
-    return ratio_to_mpf(num, s_den * cn * m_den, -wp, output_bits(tol))
+    # the value is s_num body cd / (s_den cn den) + m_num / m_den
+    num = s_num * body * cd * m_den + m_num * s_den * cn * den
+    return finish(num, s_den * cn * m_den * den)

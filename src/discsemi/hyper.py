@@ -22,8 +22,8 @@ sums by binary splitting: the term ratio is cleared into integer linear
 factors, products over halves of the index range are combined as integers,
 and the result is reduced to a ``Fraction`` once at the end instead of
 after every term.  Parameters and argument are exact rationals (an mpf, a
-float or a bool raises ``InputError``).  The same tree can carry
-``sum_k t_k (1+t)^k`` up to ``t^top``: every moment of a finite weight.
+float or a bool raises ``InputError``).  The tree, :func:`split_sum`, can
+carry ``sum_k t_k (1+t)^k`` up to ``t^top``: every moment of a finite weight.
 
 Nonterminating sums go through one fixed-point kernel, :func:`sum_fixed`,
 on the same integer factors of the term ratio: the term and the running
@@ -40,7 +40,9 @@ rounding costs at most ``tol / 16``).  When the largest term shows that
 rounding could have cancelled more than the tolerance allows, the pass is
 redone once with the lost bits added (as ``mpmath``'s ``hypsum`` does),
 and a term that rounded to zero in a dip before a negative denominator
-parameter sends the sum to a pass whose precision covers the dip.
+parameter sends the sum to a pass whose precision covers the dip.  Before
+any term, :func:`check_summable` refuses a series (or an order of a table)
+the kernel cannot sum, and a tolerance that is not positive raises InputError.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .errors import ComputationError, DivergentSeries, PoleInDenominator
+from .errors import ComputationError, DivergentSeries, InputError, PoleInDenominator
 from .scalars import (
     DEFAULT_TOL,
     Scalar,
@@ -211,15 +213,13 @@ def split_sum(factors: tuple, K: int, top: int = 0) -> tuple:
     return Q, T
 
 
-def eval_hyper_finite_sum(h: HyperSeries, K: int, top: int | None = None) -> Scalar | list:
+def eval_hyper_finite_sum(h: HyperSeries, K: int) -> Fraction:
     """Partial sum of the series through the term of index K.
 
     If a numerator parameter terminates the series before K, the remaining
     terms are zero and summation stops there; a zero denominator factor
     reached before that point raises PoleInDenominator.  The sum is an
-    exact ``Fraction``, by binary splitting.  Given ``top``, the same tree
-    returns the list of coefficients of ``t^0..t^top`` in
-    ``sum_{k<=K} t_k (1+t)^k`` instead.
+    exact ``Fraction``, by binary splitting.
     """
     if K < 0:
         raise ValueError("partial-sum length must be nonnegative")
@@ -231,9 +231,8 @@ def eval_hyper_finite_sum(h: HyperSeries, K: int, top: int | None = None) -> Sca
             f"denominator factor vanishes at term {pole + 1} "
             f"while the numerator is still nonzero"
         )
-    Q, T = split_sum(linear_factors(h.a, h.b, h.z), stop, top or 0)
-    sums = [Fraction(Tn, Q) for Tn in T]
-    return sums[0] if top is None else sums
+    Q, (T,) = split_sum(linear_factors(h.a, h.b, h.z), stop)
+    return Fraction(T, Q)
 
 
 def eval_hyper(h: HyperSeries, tol: Scalar = DEFAULT_TOL) -> Scalar:
@@ -254,11 +253,12 @@ def eval_hyper(h: HyperSeries, tol: Scalar = DEFAULT_TOL) -> Scalar:
     return ratio_to_mpf(total, 1, -wp, output_bits(tol))
 
 
-def check_summable(h: HyperSeries, cls: ConvergenceClass, shift: int = 0) -> None:
-    """Raise the typed error that keeps nonterminating ``h`` (of class ``cls``)
-    from the kernel.  ``shift`` moves only a balanced ``gamma``, to ``gamma -
-    shift``, that of ``h`` with every parameter raised by ``shift``; the pole
-    test reads ``h``, as a shift ``n >= 1`` makes no new pole."""
+def check_summable(h: HyperSeries, cls: ConvergenceClass, shift: int = 0, top: int = 0) -> None:
+    """For the first n in ``shift..shift+top`` at which nonterminating ``h``
+    (of class ``cls``) with every parameter raised by n may not reach the
+    kernel, raise that series' typed error.  The raise moves only a balanced
+    ``gamma``, to ``gamma - n``; the pole test reads ``h``, as ``n >= 1``
+    makes no new pole."""
     for bj in h.b:
         if is_nonpos_integer(bj):
             raise PoleInDenominator(
@@ -275,30 +275,18 @@ def check_summable(h: HyperSeries, cls: ConvergenceClass, shift: int = 0) -> Non
         if absz > 1:
             raise DivergentSeries("balanced series diverges for |z| > 1")
         if absz == 1:
-            gamma = cls.gamma - shift
-            if gamma <= -1:
+            first = cls.gamma - shift  # the balance of order shift
+            last = first - top  # and of order shift + top, the lowest
+            if first <= -1 or (h.z != 1 and last <= -1):
                 raise DivergentSeries(
                     "balanced series on |z| = 1 diverges when the parameter "
                     "balance is -1 or less"
                 )
-            if gamma <= 0 and h.z == 1:
+            if last <= 0 and h.z == 1:
                 raise DivergentSeries(
                     "balanced series at z = 1 requires positive parameter "
                     "balance"
                 )
-
-
-def unsummable_shift(h: HyperSeries, cls: ConvergenceClass) -> int | None:
-    """The smallest n >= 0 at which :func:`check_summable` refuses ``h``
-    with shift n, or None when it refuses none: only the balance of a series
-    on ``|z| = 1`` depends on n."""
-    try:
-        check_summable(h, cls)
-    except (PoleInDenominator, DivergentSeries):
-        return 0
-    if cls.tag == "UnitDisk" and abs(h.z) == 1:
-        return math.ceil(cls.gamma if h.z == 1 else cls.gamma + 1)
-    return None
 
 
 def output_bits(tol: tuple) -> int:
@@ -314,7 +302,7 @@ def sum_fixed(factors: tuple, tol: tuple, top: int = 0, scale: tuple = (1, 1)) -
     every ``n <= top``, over the terms ``t_u`` of one nonterminating series.
 
     ``factors`` is the term ratio from :func:`linear_factors` and ``tol``
-    an integer ratio in lowest terms (its bit lengths set ``wp``); ``scale``
+    a positive integer ratio in lowest terms (its bit lengths set ``wp``); ``scale``
     (an integer ratio) makes value n ``nu_n = scale n! acc[n] 2^-wp``.  The
     term and the sums are integers scaled by ``2^wp``; each step is ``term =
     term * p(k) // q(k)`` rounded toward zero, so a vanished term stays 0,
@@ -354,6 +342,8 @@ def sum_fixed(factors: tuple, tol: tuple, top: int = 0, scale: tuple = (1, 1)) -
     p_const, p_lin, q_const, q_lin = factors
     start = max([0] + [-n // d + 1 for n, d in q_lin if n < 0])
     tol_num, tol_den = tol
+    if tol_num <= 0:
+        raise InputError("tolerance must be positive")
     tol_bits = tol_den.bit_length() - abs(tol_num).bit_length() + 1
     s_num, s_den = abs(scale[0]), scale[1]
     # sum n is done at |part| A[n] <= B[n] 2^wp + C[n] |acc[n]|, for part its

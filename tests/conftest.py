@@ -9,11 +9,19 @@ fails on every example is reported at its first failure, in seconds, not
 after minutes of shrinking expensive examples; the blob replays it, and a
 run under the default profile shrinks it.  Without the variable, Hypothesis
 keeps its default profile.
+
+Every test must leave the process-wide state it can reach as it found it:
+mpmath's working precision and the catalog's data file.  An autouse
+fixture checks both after each test.
 """
 
 import os
 
+import mpmath as mp
+import pytest
 from hypothesis import Phase, settings
+
+from discsemi import catalog
 
 settings.register_profile(
     "ci",
@@ -23,3 +31,10 @@ settings.register_profile(
     phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_global_state():
+    before = mp.mp.prec, catalog._DATA_PATH
+    yield
+    assert (mp.mp.prec, catalog._DATA_PATH) == before, "the test leaked global state"

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
-from discsemi.catalog import instantiate
+from discsemi.catalog import catalog_entries, instantiate
 from discsemi.cli import main
 from discsemi.functional import FunctionalSpec
 from discsemi.scalars import agree, to_mpf
@@ -443,16 +443,22 @@ def test_catalog_path_override(tmp_path, monkeypatch, capsys):
     }
     path = tmp_path / "mini.json"
     path.write_text(json.dumps(data))
-    try:
-        code, payload = run_json(
-            ["--catalog", str(path), "catalog", "list"],
-            None, monkeypatch, capsys)
-        assert code == 0 and payload["count"] == 1
-    finally:
-        from discsemi import catalog as catalog_mod
-        from pathlib import Path
-        catalog_mod.set_data_path(
-            Path(catalog_mod.__file__).parent / "data" / "catalog.json")
+    code, payload = run_json(
+        ["--catalog", str(path), "catalog", "list"],
+        None, monkeypatch, capsys)
+    assert code == 0 and payload["count"] == 1
+
+
+def test_catalog_override_holds_for_the_one_command(tmp_path, monkeypatch, capsys):
+    # the data file in force when main was called is back after it returns,
+    # on success and on error alike
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"version": 1, "entries": []}))
+    bundled = len(catalog_entries())
+    for command in (["catalog", "list"], ["catalog", "show", "0,0"]):
+        code, payload = run_json(["--catalog", str(path), *command], None, monkeypatch, capsys)
+        assert code == (0 if command[1] == "list" else 2), payload
+        assert len(catalog_entries()) == bundled == 59
 
 
 def test_module_entry_point():

@@ -46,7 +46,7 @@ from discsemi.hyper import (
     sum_fixed,
 )
 from discsemi.polys import Poly
-from discsemi.scalars import is_exact, to_mpf
+from discsemi.scalars import exact_value, is_exact, to_mpf
 from discsemi.stieltjeseq import derive_equation, verify_equation
 from discsemi.transforms import (
     apply_christoffel,
@@ -514,6 +514,40 @@ def test_functional_of_poly_and_power_moments():
         functional_of_poly(moments(spec, 1), p)
 
 
+def falling_coeffs_by_differences(p, shift):
+    """``c_n`` with ``p(x) = sum_n c_n phi_n(x + shift)`` for an exact ``p``:
+    the forward differences of ``p(y - shift)`` at 0 over ``n!``, a route
+    apart from ``Poly.shift`` and ``falling_coeffs``."""
+    at = [p(Fraction(j - shift)) for j in range(p.degree + 1)]
+    return [
+        sum((-1) ** (n - j) * math.comb(n, j) * at[j] for j in range(n + 1))
+        / math.factorial(n)
+        for n in range(p.degree + 1)
+    ]
+
+
+WINDOW_WEIGHT = FunctionalSpec(
+    a=[-8, Fraction(1, 3)], b=[Fraction(1, 2)], z=Fraction(2, 3),
+    support=Support.symmetrized_shift(4),
+)
+
+
+@pytest.mark.parametrize("spec", [WINDOW_WEIGHT, meixner()], ids=["window", "infinite"])
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.fractions(-10, 10, max_denominator=10**6), max_size=8).filter(any))
+def test_functional_of_an_mpf_polynomial_rounds_once(spec, coeffs):
+    # the exact value of the stored operands, rounded once: an mpf polynomial
+    # against an exact window table and against an unshifted mpf table
+    with mp.workdps(30):
+        table = moments(spec, 7)
+        p = Poly([to_mpf(c) for c in coeffs])
+        got = functional_of_poly(table, p)
+        stored = Poly([exact_value(c) for c in p.coeffs])
+        falling = falling_coeffs_by_differences(stored, table.basis_shift)
+        want = sum(c * exact_value(v) for c, v in zip(falling, table.values))
+        assert isinstance(got, mp.mpf) and got == to_mpf(want)
+
+
 # ---------------------------------------------------------------------------
 # Stieltjes evaluation
 
@@ -970,6 +1004,36 @@ def test_stieltjes_divergent_weight_raises_at_once(monkeypatch):
     for spec in divergent:
         with pytest.raises(DivergentSeries):
             stieltjes_eval(spec, Fraction(7, 2))
+
+
+def test_unsummable_table_is_refused_before_any_sum(monkeypatch):
+    # nu_3 of this weight sums a balanced series of balance 0 at z = 1, so a
+    # table through K = 4 raises that order's error without summing nu_0..nu_2
+    def no_summation(*args):
+        raise AssertionError("a table with an unsummable order reached the kernel")
+
+    monkeypatch.setattr(discsemi.functional, "sum_fixed", no_summation)
+    spec = FunctionalSpec(a=[Fraction(1, 2), Fraction(-3, 2)], b=[1], z=1, scale=Fraction(3, 2))
+    with mp.workdps(50):
+        with pytest.raises(DivergentSeries, match="at z = 1 requires positive parameter balance"):
+            moments(spec, 4, Fraction(1, 10**30))
+
+
+@pytest.mark.parametrize("tol", [0, Fraction(-1, 10**30), -1e-30])
+def test_nonpositive_tolerance_is_refused_before_any_sum(monkeypatch, tol):
+    def no_summation(*args):
+        raise AssertionError("a tolerance that is not positive reached the summation loop")
+
+    monkeypatch.setattr(discsemi.hyper, "_table_pass", no_summation)
+    spec = FunctionalSpec(a=[Fraction(1, 3)], b=[Fraction(2, 5)], z=Fraction(1, 2))
+    with pytest.raises(InputError, match="tolerance must be positive"):
+        moments(spec, 2, tol)
+    with pytest.raises(InputError, match="tolerance must be positive"):
+        stieltjes_eval(spec, Fraction(1, 2), tol)
+    # an exact sum does not read tol
+    finite = apply_truncation(spec, 5)
+    assert moments(finite, 2, tol).values == moments(finite, 2).values
+    assert stieltjes_eval(finite, Fraction(1, 2), tol) == stieltjes_eval(finite, Fraction(1, 2))
 
 
 def test_mpf_integer_stieltjes_point_is_a_support_point():

@@ -15,6 +15,7 @@ from discsemi.functional import FunctionalSpec, moments
 from discsemi.errors import ComputationError, DivergentSeries, InputError, PoleInDenominator
 from discsemi.hyper import (
     HyperSeries,
+    check_summable,
     classify_convergence,
     eval_hyper,
     eval_hyper_finite_sum,
@@ -179,6 +180,40 @@ def test_divergent_on_boundary():
         )
         want = mp.hyper([1, mp.mpf(1) / 2], [3], 1)
         assert abs(got - want) < mp.mpf("1e-3")
+
+
+@pytest.mark.parametrize("z", [1, -1])
+def test_order_range_check_raises_the_first_refused_order(z):
+    # one check over orders shift..shift+top raises what checking each order
+    # on its own raises first, or nothing when every order passes
+    def outcome(check):
+        try:
+            check()
+        except DivergentSeries as exc:
+            return str(exc)
+
+    for gamma in [Fraction(k, 2) for k in range(-5, 8)]:
+        h = HyperSeries([Fraction(1, 3), Fraction(8, 3) - gamma], [3], z)
+        cls = classify_convergence(h)
+        for shift in (-1, 0):
+            for top in range(5):
+                orders = range(shift, shift + top + 1)
+                per_order = [outcome(lambda: check_summable(h, cls, n)) for n in orders]
+                want = next((e for e in per_order if e is not None), None)
+                assert outcome(lambda: check_summable(h, cls, shift, top)) == want
+
+
+@pytest.mark.parametrize("tol", [0, Fraction(-1, 10**30), -1e-30])
+def test_nonpositive_tolerance_is_refused_before_any_sum(monkeypatch, tol):
+    def no_summation(*args):
+        raise AssertionError("a tolerance that is not positive reached the summation loop")
+
+    monkeypatch.setattr(discsemi.hyper, "_table_pass", no_summation)
+    with pytest.raises(InputError, match="tolerance must be positive"):
+        eval_hyper(HyperSeries([Fraction(1, 3)], [Fraction(7, 5)], Fraction(1, 2)), tol)
+    # a terminating series is summed exactly and does not read tol
+    terminating = HyperSeries([-3], [Fraction(7, 5)], Fraction(1, 2))
+    assert eval_hyper(terminating, tol) == eval_hyper(terminating) == Fraction(1609, 11424)
 
 
 def test_finite_sum_rejects_negative_length():
