@@ -25,6 +25,7 @@ rows and the closed moment formula alike.
 from __future__ import annotations
 
 import json
+import keyword
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,6 +111,11 @@ class CatalogEntry:
             )
         if role != "degenerate" and data.get("xi") is None:
             raise InputError(f"catalog entry {data['id']!r} is missing its xi rows")
+        for name in data["params"]:  # the names an expression can use
+            if not (name.isascii() and name.isidentifier()) or keyword.iskeyword(name):
+                raise InputError(
+                    f"catalog entry {data['id']!r} cannot use parameter name {name!r}"
+                )
         for excl in data.get("exclusions", ()):
             if excl.get("kind") not in EXCLUSION_KINDS:
                 raise InputError(

@@ -1,17 +1,21 @@
 """Arithmetic expressions over named parameters, compiled to exact evaluators.
 
-The catalog stores its parameter-dependent data as human-readable strings
-like ``"(t-omega)*(t-omega+1)-z*nu0"``.  :func:`compile_expr` parses such a
-text once, with a small recursive-descent parser, into postfix code: a
-tuple of symbol names, rational constants and binary operators, run on a
-stack against a symbol table.  The text is never handed to Python's
-``eval`` or ``compile``: a catalog file is outside input.
+The catalog stores its parameter-dependent data as strings like
+``"(t-omega)*(t-omega+1)-z*nu0"``, which :func:`compile_expr` compiles once
+into postfix code.  Only Python's own parser, ``ast.parse`` in ``"eval"`` mode
+after ``^`` becomes ``**``, ever sees the text, and its tree is walked through
+a whitelist; nothing reaches ``eval``, ``compile`` or ``exec``, as a catalog
+file is outside input.  The language: ASCII names; integer literals of plain
+decimal digits (not ``007``, ``0x10``, ``1_000``, ``1.5`` or ``True``);
+parentheses; unary ``+ -``; ``+ - * /`` with a nonzero constant divisor,
+folded at compile time; ``^`` or ``**`` to an integer literal, binding tighter
+than unary minus; spaces only between tokens.
 """
 
 from __future__ import annotations
 
+import ast
 import operator
-import re
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Mapping
@@ -20,32 +24,13 @@ from .errors import InputError
 
 Evaluator = Callable[[Mapping[str, Fraction]], Fraction]
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>\*\*|[-+*/^()]))"
+# quotes, backslashes, NUL bytes and non-ASCII letters never reach the parser
+_CHARACTERS = frozenset(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_ +-*/^()"
 )
-
-_BINARY = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-}
-
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
 _OPERATOR = type(operator.add)
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if not match or match.end() == pos:
-            raise InputError(f"unexpected character {text[pos:]!r} in expression")
-        kind = match.lastgroup
-        tokens.append((kind, match.group(kind)))
-        pos = match.end()
-    return tokens
 
 
 def _run(code: tuple, values: Mapping[str, Fraction]) -> Fraction:
@@ -65,99 +50,47 @@ def _run(code: tuple, values: Mapping[str, Fraction]) -> Fraction:
     return stack[0]
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-        self.code: list = []
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, value = self.take()
-        if kind != "op" or value != op:
-            raise InputError(f"expected {op!r} in expression, got {value!r}")
-
-    def parse_expr(self) -> None:
-        self.parse_term()
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            _, op = self.take()
-            self.parse_term()
-            self.code.append(_BINARY[op])
-
-    def parse_term(self) -> None:
-        self.parse_unary()
-        while self.peek()[0] == "op" and self.peek()[1] in "*/":
-            _, op = self.take()
-            start = len(self.code)
-            self.parse_unary()
-            if op == "/":
-                # a divisor that names no symbol is a constant: fold it now
-                divisor = self.code[start:]
-                symbolic = any(type(item) is str for item in divisor)
-                value = 0 if symbolic else _run(divisor, {})
-                if value == 0:
-                    raise InputError(
-                        "division is only supported by nonzero constants"
-                    )
-                self.code[start:] = [value]
-            self.code.append(_BINARY[op])
-
-    def parse_unary(self) -> None:
-        kind, op = self.peek()
-        if kind == "op" and op in "+-":
-            self.take()
-            self.parse_unary()
-            if op == "-":
-                self.code += [Fraction(-1), operator.mul]
-        else:
-            self.parse_power()
-
-    def parse_power(self) -> None:
-        self.parse_atom()
-        kind, op = self.peek()
-        if kind == "op" and op in ("^", "**"):
-            self.take()
-            ekind, etext = self.take()
-            if ekind != "int":
-                raise InputError("exponents must be nonnegative integer literals")
-            self.code += [int(etext), operator.pow]
-
-    def parse_atom(self) -> None:
-        kind, value = self.take()
-        if kind == "int":
-            self.code.append(Fraction(int(value)))
-        elif kind == "name":
-            self.code.append(value)
-        elif kind == "op" and value == "(":
-            self.parse_expr()
-            self.expect_op(")")
-        else:
-            raise InputError(f"unexpected token {value!r} in expression")
-
-
 def compile_expr(text: str) -> tuple[Evaluator, tuple[str, ...]]:
-    """Compile an arithmetic expression into ``(evaluate, names)``.
+    """Compile a text into ``(evaluate, names)``: ``evaluate`` maps a table of
+    rationals for ``names``, the symbols in order of first appearance, to the
+    value.  A text outside the module's language raises ``InputError``."""
+    source = text.replace("^", "**")
+    code: list = []
+    def literal(node, stop=None) -> bool:  # offsets index characters: ASCII text
+        digits = source[node.col_offset : stop or node.end_col_offset]
+        return type(node) is ast.Constant and digits.isdigit()
 
-    Supports ``+ - * /`` (division by nonzero constants only), powers via
-    ``^`` or ``**`` with nonnegative integer exponents, parentheses, integer
-    literals, and symbol names.  ``evaluate(values)`` computes the value
-    for a mapping from every name to a rational; ``names`` lists the
-    symbols in order of first appearance.  A malformed text raises
-    :class:`~discsemi.errors.InputError`.
-    """
-    parser = _Parser(_tokenize(text))
-    parser.parse_expr()
-    if parser.pos != len(parser.tokens):
-        raise InputError(
-            f"unexpected trailing token {parser.peek()[1]!r} in expression"
-        )
-    code = tuple(parser.code)
+    def emit(node) -> None:
+        kind, op = type(node), type(getattr(node, "op", None))
+        if kind is ast.Name:
+            code.append(node.id)
+        elif literal(node):
+            code.append(Fraction(node.value))
+        elif kind is ast.UnaryOp and op in (ast.UAdd, ast.USub):
+            emit(node.operand)
+            code.extend((Fraction(-1), operator.mul) if op is ast.USub else ())
+        elif kind is ast.BinOp and op in _BINARY:
+            emit(node.left)
+            start = len(code)
+            emit(node.right)
+            if op is ast.Pow:  # digits up to the power's end: no parenthesized one
+                if not literal(node.right, node.end_col_offset):
+                    raise InputError("exponents must be nonnegative integer literals")
+                code[start:] = [node.right.value]
+            elif op is ast.Div:  # a divisor naming no symbol is a constant: fold it
+                value = 0 if str in map(type, code[start:]) else _run(code[start:], {})
+                if value == 0:
+                    raise InputError("division is only supported by nonzero constants")
+                code[start:] = [value]
+            code.append(_BINARY[op])
+        else:
+            raise SyntaxError  # reported below, like the parser's own faults
+
+    try:
+        if text.strip() != text or not _CHARACTERS.issuperset(text):
+            raise SyntaxError
+        emit(ast.parse(source, mode="eval").body)
+    except (SyntaxError, RecursionError):
+        raise InputError(f"malformed expression {text!r}") from None
     names = tuple(dict.fromkeys(item for item in code if type(item) is str))
-    return partial(_run, code), names
+    return partial(_run, tuple(code)), names

@@ -11,6 +11,7 @@ import discsemi.catalog
 from discsemi.catalog import (
     CATALOG_FORMAT_VERSION,
     SECTION_CLASS,
+    CatalogEntry,
     _build_spec,
     _check_instance,
     _compile_once,
@@ -341,8 +342,17 @@ def test_cached_parse_raises_like_an_uncached_one(text):
 
 
 def test_syntax_fault_reported_before_unknown_symbol():
-    with pytest.raises(InputError, match="^unexpected token '\\)' in expression$"):
+    with pytest.raises(InputError, match="^malformed expression 'q \\+ \\)'$"):
         _eval_expr("q + )", {})
+
+
+@pytest.mark.parametrize("name", ["ω", "lambda", "None", "n-1", "2n"])
+def test_loader_refuses_a_parameter_name_no_expression_can_use(name):
+    data = get_entry("1,0").to_json()
+    data["params"][name] = "1"
+    message = f"^catalog entry '1,0' cannot use parameter name '{name}'$"
+    with pytest.raises(InputError, match=message):
+        CatalogEntry.from_json(data)
 
 
 def test_regression_suite_parses_each_text_once(monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -202,6 +203,92 @@ def test_compile_expr(a, b):
     assert evaluate(values) == -(b - 1) * (a + 1) / 4 + b
 
 
+_NAMES = ("a", "b", "c")
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "**": 4}
+_ARITHMETIC = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+}
+
+
+def _trees(leaves, divisors):
+    """Expression trees: a leaf is an int literal or a name; a node is
+    ``(op, left, right)``, ``(power, base, exponent)`` or ``("neg", x)``."""
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.tuples(st.sampled_from("+-*"), sub, sub),
+            st.tuples(st.just("/"), sub, divisors),
+            st.tuples(st.sampled_from(("^", "**")), sub, st.integers(0, 3)),
+            st.tuples(st.just("neg"), sub),
+        ),
+        max_leaves=8,
+    )
+
+
+def _value(tree, values):
+    if type(tree) is not tuple:
+        return values[tree] if type(tree) is str else Fraction(tree)
+    op, *args = tree
+    if op == "neg":
+        return -_value(args[0], values)
+    if op in ("^", "**"):
+        return _value(args[0], values) ** args[1]
+    return _ARITHMETIC[op](_value(args[0], values), _value(args[1], values))
+
+
+def _render(tree) -> tuple[str, int]:
+    """The tree's text with only the parentheses precedence needs, and its
+    precedence: ``-`` and ``/`` associate to the left, and a power binds
+    tighter than unary minus."""
+    if type(tree) is not tuple:
+        return str(tree), 5
+    op, *args = tree
+    prec = _PRECEDENCE[op]
+    left, left_prec = _render(args[0])
+    if op == "neg":
+        return "-" + (left if left_prec >= prec else f"({left})"), prec
+    if left_prec < prec or (left_prec == prec and op in ("^", "**")):
+        left = f"({left})"
+    if op in ("^", "**"):
+        return f"{left} {op} {args[1]}", prec
+    right, right_prec = _render(args[1])
+    return f"{left} {op} " + (right if right_prec > prec else f"({right})"), prec
+
+
+def _leaves(tree):
+    if type(tree) is tuple:
+        for arg in tree[1:]:
+            yield from _leaves(arg)
+    else:
+        yield tree
+
+
+_CONSTANTS = _trees(st.integers(0, 9), st.integers(1, 9))
+_DIVISORS = _CONSTANTS.filter(lambda tree: _value(tree, {}) != 0)
+_EXPRESSIONS = _trees(st.integers(0, 9) | st.sampled_from(_NAMES), _DIVISORS)
+
+
+@given(
+    _EXPRESSIONS,
+    st.tuples(*[st.fractions(min_value=-5, max_value=5, max_denominator=9)] * 3),
+)
+def test_compile_expr_follows_precedence(tree, values):
+    values = dict(zip(_NAMES, values))
+    text, _prec = _render(tree)
+    evaluate, names = compile_expr(text)
+    got = evaluate(values)
+    assert got == _value(tree, values) and type(got) is Fraction
+    assert names == tuple(dict.fromkeys(x for x in _leaves(tree) if type(x) is str))
+
+
+# past the parser's nesting limit, and past the recursion limit of a walk
+_DEEP = "(" * 300 + "a" + ")" * 300
+_LONG = "+".join("a" * 5000)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -209,10 +296,29 @@ def test_compile_expr(a, b):
         ("a/(2-2)", "division is only supported by nonzero constants"),
         ("a/a", "division is only supported by nonzero constants"),
         ("a^b", "exponents must be nonnegative integer literals"),
-        ("a +* b", "unexpected token '*' in expression"),
-        ("a ? b", "unexpected character ' ? b' in expression"),
-        ("2 a", "unexpected trailing token 'a' in expression"),
-        ("(a + 1", "expected ')' in expression, got None"),
+        ("a +* b", "malformed expression 'a +* b'"),
+        ("a ? b", "malformed expression 'a ? b'"),
+        ("2 a", "malformed expression '2 a'"),
+        ("(a + 1", "malformed expression '(a + 1'"),
+        # texts Python's grammar admits but the catalog language does not
+        ("True", "malformed expression 'True'"),
+        ("0x10", "malformed expression '0x10'"),
+        ("1_000", "malformed expression '1_000'"),
+        ("007", "malformed expression '007'"),
+        ("1.5", "malformed expression '1.5'"),
+        ("f(x)", "malformed expression 'f(x)'"),
+        ("a[0]", "malformed expression 'a[0]'"),
+        ("a.b", "malformed expression 'a.b'"),
+        ("a**2**3", "exponents must be nonnegative integer literals"),
+        ("2**-1", "exponents must be nonnegative integer literals"),
+        ("a^(2)", "exponents must be nonnegative integer literals"),
+        ("ω + 1", "malformed expression 'ω + 1'"),
+        ("'\\d'", "malformed expression \"'\\\\d'\""),
+        ("a\0b", "malformed expression 'a\\x00b'"),
+        (" a", "malformed expression ' a'"),
+        ("a ", "malformed expression 'a '"),
+        pytest.param(_DEEP, f"malformed expression {_DEEP!r}", id="deep-nesting"),
+        pytest.param(_LONG, f"malformed expression {_LONG!r}", id="long-sum"),
     ],
 )
 def test_compile_expr_rejects(text, message):
