@@ -161,10 +161,8 @@ def _cmd_moments(args, tol) -> tuple:
 
 def _cmd_stieltjes_xi(args, tol) -> tuple:
     spec = _spec_from(_read_input(args.input))
-    eq = derive_equation(spec, tol)
-    payload = {"class": pearson_pair(spec).class_s}
-    payload.update(eq.to_json())
-    return payload, 0
+    eq = derive_equation(spec, tol)  # derive_xi checks that xi's degree is the class
+    return {"class": len(eq.xi_symbolic) - 1, **eq.to_json()}, 0
 
 
 def _cmd_verify(args, tol) -> tuple:
@@ -197,7 +195,7 @@ def _cmd_transform(args, tol) -> tuple:
     eq = derive_equation(out_spec, tol)
     payload = {
         "spec": out_spec.to_json(),
-        "class": pearson_pair(out_spec).class_s,
+        "class": len(eq.xi_symbolic) - 1,
         "moments": table.to_json(),
         "equation": eq.to_json(),
     }

@@ -17,13 +17,13 @@ four regimes:
   ``-1 < gamma <= 0``, divergent otherwise).
 * ``Divergent`` -- ``p > q+1`` without termination.
 
-Finite sums go through one kernel, :func:`eval_hyper_finite_sum`, which
-sums by binary splitting: the term ratio is cleared into integer linear
-factors, products over halves of the index range are combined as integers,
-and the result is reduced to a ``Fraction`` once at the end instead of
-after every term.  Parameters and argument are exact rationals (an mpf, a
-float or a bool raises ``InputError``).  The tree, :func:`split_sum`, can
-carry ``sum_k t_k (1+t)^k`` up to ``t^top``: every moment of a finite weight.
+Finite sums go through one kernel, the binary-splitting tree :func:`split_sum`:
+the term ratio is cleared into integer linear factors, products over halves
+of the index range are combined as integers, and ``sum_k t_k (1+t)^k`` up
+to ``t^top``, every moment of a finite weight, is returned over one integer
+denominator.  ``moments`` and ``stieltjes_eval`` call it directly, and
+:func:`eval_hyper_finite_sum` makes its ``top = 0`` sum of one exact series
+one ``Fraction`` (an mpf, a float or a bool input raises ``InputError``).
 
 Nonterminating sums go through one fixed-point kernel, :func:`sum_fixed`,
 on the same integer factors of the term ratio: the term and the running

@@ -16,10 +16,12 @@ moments to powers, and the Gram check forms mixed moments by the identity
 fault in one shows as a disagreement with another.
 
 Every loop runs on ints (an mpf is the dyadic rational it stores).  An exact
-table is eliminated fraction-free; an mpf one in fixed point with a running
-error bound, and fraction-free too where the bound cannot put an output
-within ``2^-prec (1 + |v|)`` of the exact one, so only exact arithmetic
-finds a table singular.
+table is eliminated fraction-free, by each route to the Hankel minors
+``H_k`` and one neighbour minor ``t_k`` per level, which one finisher turns
+into the coefficients; they do not change when the table is scaled.  An mpf
+table is eliminated in fixed point with a running error bound, and
+fraction-free too where the bound cannot put an output within ``2^-prec (1 +
+|v|)`` of the exact one, so only exact arithmetic finds a table singular.
 """
 
 from __future__ import annotations
@@ -116,15 +118,25 @@ def _check_cap(K: int):
         raise InputError(f"the recurrence length K is capped at {MAX_K}")
 
 
-def _eliminate(values, K: int, exact, fixed) -> tuple[list, list]:
-    """alpha_0..alpha_{K-1} and beta_1..beta_{K-1}: ``exact()``, or for an mpf
-    table ``fixed()`` (None where not certified), else ``exact()`` rounded."""
-    if all(map(is_exact, values)):
-        return exact()
-    coeffs = fixed()
-    if any(c is None for c in coeffs):
-        return [[ratio_to_mpf(*integer_ratio(c)) for c in part] for part in exact()]
-    return coeffs[:K], coeffs[K:]
+def _finish(values, offsets: list, pivots, fixed) -> tuple[list, list]:
+    """alpha_0..alpha_{K-1} and beta_1..beta_{K-1}, ``K = len(offsets)``: for
+    an mpf table ``fixed()`` if it certifies all (no None), else from the
+    int pivots ``H_1..H_K``, ``t_1..t_K`` of ``pivots()`` (``H_0 = 1``, ``t_0
+    = 0``), rounded once for an mpf table: ``alpha_n = offsets[n] +
+    t_{n+1}/H_{n+1} - t_n/H_n``, ``beta_n = (H_{n+1}/H_n) / (H_n/H_{n-1})``."""
+    K, exact = len(offsets), all(map(is_exact, values))
+    coeffs = [None] if exact else fixed()  # [None]: take the pivots
+    if all(c is not None for c in coeffs):
+        return coeffs[:K], coeffs[K:]
+    H, t = pivots()
+    H, t = [1, *H], [0, *t]
+    r = [Fraction(t[k], H[k]) for k in range(K + 1)]  # t_k / H_k
+    q = [Fraction(H[k + 1], H[k]) for k in range(K)]  # H_{k+1} / H_k
+    alpha = [c + r[n + 1] - r[n] for n, c in enumerate(offsets)]
+    beta = [q[n] / q[n - 1] for n in range(1, K)]
+    if exact:
+        return alpha, beta
+    return [[ratio_to_mpf(*integer_ratio(c)) for c in part] for part in (alpha, beta)]
 
 
 def _shifted(x: int, s: int) -> int:
@@ -182,17 +194,6 @@ def _hankel_pivots(m: list, K: int) -> tuple[list, list]:
     return pivots, right
 
 
-def _hankel_exact(D: int, powers: list, K: int) -> tuple[list, list]:
-    """The coefficients as Fractions from the power moments ``powers / D``,
-    divided first by their gcd with ``D`` (the quotients cancel the rest)."""
-    g = math.gcd(D, *powers)
-    H, t = _hankel_pivots([p // g for p in powers], K)
-    H, t = [1] + H, [0] + t
-    r = [Fraction(t[k], H[k]) for k in range(K + 1)]  # t_k / H_k
-    q = [Fraction(H[k + 1], H[k]) for k in range(K)]  # H_{k+1} / H_k
-    return [r[n + 1] - r[n] for n in range(K)], [q[n] / q[n - 1] for n in range(1, K)]
-
-
 def _hankel_fixed(powers: list, K: int) -> list:
     """The coefficients as mpf (None where not certified) by Gaussian
     elimination of the int power moments in fixed point.
@@ -237,21 +238,21 @@ def _hankel_fixed(powers: list, K: int) -> list:
 def recurrence_from_moments(nu: MomentTable, K: int) -> Recurrence:
     """alpha_0..alpha_{K-1}, beta_0..beta_{K-1} from Hankel minors.
 
-    With ``H_k`` and ``t_k`` as in :func:`_hankel_pivots` for the power
-    moments, ``alpha_n = t_{n+1}/H_{n+1} - t_n/H_n`` and
-    ``beta_n = (H_{n+1}/H_n) / (H_n/H_{n-1})``; ``beta_0`` is ``nu_0``.  The
-    table is scaled by the lcm ``D`` of its denominators and converted to
-    power moments on those ints, then eliminated by :func:`_hankel_exact`
-    or, for an mpf table, :func:`_hankel_fixed`.  Raises
-    ``SingularHankel(n)`` at the first vanishing leading determinant.
+    Reads ``nu_0..nu_{2K}``.  The table is scaled by the lcm of its
+    denominators and converted to power moments on those ints, whose ``H_k``
+    and ``t_k`` (:func:`_hankel_pivots`) :func:`_finish` turns into the
+    coefficients with offsets 0; ``beta_0`` is ``nu_0``.  An mpf table runs
+    :func:`_hankel_fixed`.  Raises ``SingularHankel(n)`` at the first ``n <=
+    K`` with ``H_{n+1} = 0``: a weight on K points raises
+    ``SingularHankel(K)``, where :func:`chebyshev_from_moments` does not.
     """
     _check_cap(K)
     _check_length(nu, 2 * K + 1, K)
     values = nu.values[: 2 * K + 1]
-    D, scaled = clear_denominators(values)
+    _, scaled = clear_denominators(values)
     powers = stirling_convert(MomentTable(scaled, nu.basis_shift))
-    alpha, beta = _eliminate(
-        values, K, lambda: _hankel_exact(D, powers, K), lambda: _hankel_fixed(powers, K)
+    alpha, beta = _finish(
+        values, [0] * K, lambda: _hankel_pivots(powers, K), lambda: _hankel_fixed(powers, K)
     )
     return Recurrence(tuple(alpha), tuple([values[0]] + beta)[:K])
 
@@ -259,10 +260,10 @@ def recurrence_from_moments(nu: MomentTable, K: int) -> Recurrence:
 def chebyshev_from_moments(nu: MomentTable, K: int) -> Recurrence:
     """The same coefficients via the modified Chebyshev algorithm.
 
-    The reference system is phi_l, with coefficients ``l - shift`` and 0.
-    The sigma form (Gautschi, *Orthogonal Polynomials: Computation and
-    Approximation*, 2004, §2.1.7) runs on ``sigma_k(l) = L[p_k phi_l]``:
-    ``sigma_0(l) = nu_l``,
+    Reads ``nu_0..nu_{2K-1}``.  The reference system is phi_l, with
+    coefficients ``l - shift`` and 0.  The sigma form (Gautschi, *Orthogonal
+    Polynomials: Computation and Approximation*, 2004, §2.1.7) runs on
+    ``sigma_k(l) = L[p_k phi_l]``: ``sigma_0(l) = nu_l``,
 
         sigma_{k+1}(l) = sigma_k(l+1) - (alpha_k - l + shift) sigma_k(l)
                          - beta_k sigma_{k-1}(l),
@@ -274,53 +275,53 @@ def chebyshev_from_moments(nu: MomentTable, K: int) -> Recurrence:
     on ints, on ``T_k(l) = H_k sigma_k(l)`` with ``H_k`` the k x k Hankel
     minor: ``T_0(l) = nu_l``, ``T_k(k) = H_{k+1}``, and
 
-        T_{k+1}(l) = [H_k H_{k+1} (T_k(l+1) - (k-l) T_k(l))
-                      - H_k T_k(k+1) T_k(l)
-                      + H_{k+1} (T_{k-1}(k) T_k(l) - H_{k+1} T_{k-1}(l))] / H_k^2,
+        Y(l) = (T_{k-1}(k) T_k(l) - H_{k+1} T_{k-1}(l)) / H_k,
+        T_{k+1}(l) = (H_{k+1} (T_k(l+1) + (l-k) T_k(l) + Y(l)) - T_k(k+1) T_k(l)) / H_k,
 
-    an exact division.  Raises ``SingularHankel(k)`` at the first
-    ``k < K`` with ``H_{k+1} = 0``.
+    two exact divisions.  :func:`_finish` takes ``H_{k+1}`` and ``t_{k+1} =
+    T_k(k+1)``, with offsets ``n - shift``.  Raises ``SingularHankel(k)`` at
+    the first ``k < K`` with ``H_{k+1} = 0``, so a weight on K points gives
+    its K pairs.
+
+    Exactness: with ``[R; x]`` the determinant of the rows R and x of the
+    int matrix ``(L[phi_i phi_j])`` on its first ``|R| + 1`` columns,
+    ``T_k(l) = [0..k-1; l]``, and the Plücker relation of the rows ``k-1, k,
+    l`` and the unit row of column k over the rows ``0..k-2`` gives ``Y(l) =
+    [0..k-2, k; l]``.  ``H_k`` times the second numerator is ``H_k^2 T_{k+1}(l)``.
     """
     _check_cap(K)
-    if K == 0:
-        _check_length(nu, 1, K)
-        return Recurrence((), ())
-    _check_length(nu, 2 * K, K)
-    values, shift = nu.values[: 2 * K], nu.basis_shift
-    alpha, beta = _eliminate(
-        values, K,
-        lambda: _chebyshev_integers(values, K, shift),
+    size = max(2 * K, 1)  # K = 0 still asks for nu_0
+    _check_length(nu, size, K)
+    values, shift = nu.values[:size], nu.basis_shift
+    alpha, beta = _finish(
+        values, [n - shift for n in range(K)],
+        lambda: _chebyshev_integers(values, K),
         lambda: _chebyshev_fixed(values, K, shift),
     )
-    return Recurrence(tuple(alpha), (values[0],) + tuple(beta))
+    return Recurrence(tuple(alpha), ((values[0],) + tuple(beta))[:K])
 
 
-def _chebyshev_integers(values, K: int, shift) -> tuple[list, list]:
-    """alpha_0..alpha_{K-1} and beta_1..beta_{K-1}, fraction-free on ints."""
+def _chebyshev_integers(values, K: int) -> tuple[list, list]:
+    """The pivots ``H_1..H_K`` and ``t_1..t_K``, ``t_{k+1} = T_k(k+1)``, of
+    the fraction-free sigma form on ints."""
     _, curr = clear_denominators(values)
     prev = [0] * (2 * K)  # T_{-1} = 0
-    H = [1, curr[0]]
-    alpha, beta = [], []
-    ratio, step = 0, None  # T_{k-1}(k) / H_k and H_k / H_{k-1}
+    H, t, below = [], [], 1  # below = H_k
     for k in range(K):
-        h0, h1, right, above = H[k], H[k + 1], curr[k + 1], prev[k]
-        if h1 == 0:
+        pivot, right, above = curr[k], curr[k + 1], prev[k]
+        if pivot == 0:
             raise SingularHankel(k)
-        r, q = Fraction(right, h1), Fraction(h1, h0)
-        alpha.append(k - shift + r - ratio)
-        if k:
-            beta.append(q / step)
+        H.append(pivot)
+        t.append(right)
         if k == K - 1:
             break
-        ratio, step = r, q
-        square, lead, mix, back = h0 * h0, h0 * h1, h1 * above - h0 * right, h1 * h1
         nxt = [0] * (2 * K)
         for l in range(k + 1, 2 * K - k - 1):
-            t = curr[l]
-            nxt[l] = (lead * (curr[l + 1] + (l - k) * t) + mix * t - back * prev[l]) // square
-        H.append(nxt[k + 1])
-        prev, curr = curr, nxt
-    return alpha, beta
+            c = curr[l]
+            y = (above * c - pivot * prev[l]) // below
+            nxt[l] = (pivot * (curr[l + 1] + (l - k) * c + y) - right * c) // below
+        prev, curr, below = curr, nxt, pivot
+    return H, t
 
 
 def _chebyshev_fixed(values, K: int, shift) -> list:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
+from discsemi import cli, functional, stieltjeseq
 from discsemi.catalog import catalog_entries, instantiate
 from discsemi.cli import main
 from discsemi.functional import FunctionalSpec
@@ -271,6 +272,25 @@ def test_transform_requires_both_keys(monkeypatch, capsys):
     assert code == 2 and payload["error"]["type"] == "InputError"
 
 
+def test_each_command_builds_one_pearson_pair(monkeypatch, capsys):
+    # stieltjes-xi and transform read the class off xi, whose degree
+    # derive_xi checks against the pair it built
+    calls = []
+
+    def counted(spec, real=functional.pearson_pair):
+        calls.append(spec)
+        return real(spec)
+
+    for module in (cli, functional, stieltjeseq):
+        monkeypatch.setattr(module, "pearson_pair", counted)
+    uvarov = {"spec": CHARLIER, "transform": {"kind": "uvarov", "omega": 0, "M": "1/2"}}
+    for args, request in ((["classify"], GEN_MEIXNER), (["stieltjes-xi"], GEN_MEIXNER),
+                          (["verify"], GEN_MEIXNER), (["transform", "-n", "2"], uvarov)):
+        calls.clear()
+        code, _ = run_json(args + ["--input", "-"], request, monkeypatch, capsys)
+        assert code == 0 and len(calls) == 1, args
+
+
 # ---------------------------------------------------------------- recurrence
 
 
@@ -301,6 +321,19 @@ def test_recurrence_hankel_method(monkeypatch, capsys):
                             KRAWTCHOUK, monkeypatch, capsys)
     assert code == 0 and set(payload) == {"alpha", "beta"}
     assert payload == chebyshev and len(payload["alpha"]) == 3
+
+
+def test_recurrence_on_exactly_k_points_fails_only_with_hankel(monkeypatch, capsys):
+    # a weight on {0, 1, 2}: Chebyshev needs H_1..H_3 and gives 3 pairs;
+    # Hankel needs H_4 too, which vanishes
+    spec = {"a": ["1/3"], "b": [], "z": "1/2", "support": {"kind": "truncated", "N": 2}}
+    code, payload = run_json(["recurrence", "--input", "-", "-n", "3"],
+                             spec, monkeypatch, capsys)
+    assert code == 0 and len(payload["alpha"]) == 3
+    code, payload = run_json(["recurrence", "--input", "-", "-n", "3", "--method", "both"],
+                             spec, monkeypatch, capsys)
+    assert code == 1 and payload["error"]["type"] == "SingularHankel"
+    assert "order 3" in payload["error"]["message"]
 
 
 # ------------------------------------------------------------------- catalog

@@ -42,6 +42,7 @@ from discsemi.transforms import (
     apply_christoffel,
     apply_geronimus,
     apply_symmetrization,
+    apply_truncation,
     apply_uvarov,
 )
 
@@ -258,6 +259,24 @@ def test_mpf_table_with_zero_mass_is_singular_at_level_zero():
             with pytest.raises(SingularHankel) as info:
                 route(table, 3)
             assert info.value.index == 0
+
+
+def test_routes_differ_on_a_weight_with_exactly_k_points():
+    # Chebyshev reads nu_0..nu_{2K-1} and needs H_1..H_K; Hankel reads
+    # nu_0..nu_{2K} and needs H_{K+1} too, which vanishes on K points
+    spec = apply_truncation(FunctionalSpec(a=[THIRD], z=HALF), 2)  # on {0, 1, 2}
+    nu = moments(spec, 6)
+    rec = chebyshev_from_moments(nu, 3)
+    assert len(rec) == 3
+    hankel = recurrence_from_moments(nu, 2)
+    assert hankel.alpha == rec.alpha[:2] and hankel.beta == rec.beta[:2]
+    with pytest.raises(SingularHankel) as info:
+        recurrence_from_moments(nu, 3)
+    assert info.value.index == 3
+    report = orthogonality_check(spec, rec, 3)
+    assert report["diagonal"][:3] == [Fraction(11, 9), Fraction(43, 132), Fraction(4, 43)]
+    assert report["diagonal"][3] == 0 and report["max_offdiagonal"] == 0
+    assert report["pass"] is False
 
 
 # -- invariance under equivalent constructions --------------------------------
@@ -574,10 +593,7 @@ def _exact_table(measure, K):
     )
 
 
-@settings(max_examples=200, deadline=None)
-@given(discrete_measures(), st.integers(min_value=0, max_value=7))
-def test_integer_chebyshev_matches_fraction_loop(measure, K):
-    nu = _exact_table(measure, K)
+def _assert_chebyshev_matches_fraction_loop(nu: MomentTable, K: int):
     got = _outcome(chebyshev_from_moments, nu, K)
     want = _outcome(_chebyshev_fraction_loop, nu, K)
     if isinstance(want, tuple):
@@ -585,6 +601,36 @@ def test_integer_chebyshev_matches_fraction_loop(measure, K):
         return
     assert _typed(got.alpha) == _typed(want.alpha)
     assert _typed(got.beta) == _typed(want.beta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(discrete_measures(), st.integers(min_value=0, max_value=7))
+def test_integer_chebyshev_matches_fraction_loop(measure, K):
+    _assert_chebyshev_matches_fraction_loop(_exact_table(measure, K), K)
+
+
+@st.composite
+def integer_tables(draw):
+    """(table, K): 2K signed ints, not only the moments of a measure, all
+    times one factor c, so that c^k divides H_k and ``gcd(H_k, H_{k+1}) >=
+    c^k``; any basis shift."""
+    K = draw(st.integers(min_value=1, max_value=7))
+    entries = st.integers(min_value=-30, max_value=30)
+    values = draw(st.lists(entries, min_size=2 * K, max_size=2 * K))
+    c = draw(st.integers(min_value=1, max_value=12))
+    return MomentTable([c * v for v in values], draw(st.integers(0, 2))), K
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_tables())
+# H_1..H_3 = 6, -108, -7776: gcds 6 and 108
+@example((MomentTable([6, 12, -6, 18, 0, 6]), 3))
+# H_2 = 1 (2 + 2) - 2^2 = 0 past H_1 = 1
+@example((MomentTable([1, 2, 2, 5]), 2))
+def test_integer_chebyshev_step_is_exact_on_any_integer_table(table_and_K):
+    # the two divisions by H_k are exact for every int table, not only the
+    # moments of a measure: Y(l) is a bordered determinant of the table
+    _assert_chebyshev_matches_fraction_loop(*table_and_K)
 
 
 _ints_or_fractions = st.one_of(
