@@ -7,7 +7,6 @@ computations.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 
@@ -47,27 +46,10 @@ def stirling2(k: int, n: int) -> int:
     return n * stirling2(k - 1, n) + stirling2(k - 1, n - 1)
 
 
-def stirling_convert(nu) -> list:
-    """Power moments from falling-factorial moments.
-
-    ``nu`` is a moment table with ``values[n] = L[phi_n(x + basis_shift)]``;
-    the result is ``L[x^k]`` for k = 0..K.  With a basis shift m the powers
-    are first taken of (x+m) via Stirling numbers and then recentred with
-    the binomial theorem.
-    """
-    values = list(nu.values)
-    shift = nu.basis_shift
-    K = len(values) - 1
-    shifted_powers = [
-        sum(stirling2(j, n) * values[n] for n in range(j + 1)) for j in range(K + 1)
-    ]
-    if shift == 0:
-        return shifted_powers
+def stirling_convert(values) -> list:
+    """Power moments from falling-factorial moments: with ``values[n] =
+    L[phi_n(y)]`` the result is ``L[y^k] = sum_n stirling2(k, n) values[n]``
+    for k = 0..len(values) - 1."""
     return [
-        sum(
-            math.comb(k, j) * (-shift) ** (k - j) * shifted_powers[j]
-            for j in range(k + 1)
-        )
-        for k in range(K + 1)
+        sum(stirling2(k, n) * values[n] for n in range(k + 1)) for k in range(len(values))
     ]
-

@@ -11,14 +11,17 @@ falling-factorial moments themselves (the falling factorials are a monic
 family with coefficients l - shift and 0).  They are cross-asserted in the
 test-suite, and :func:`orthogonality_check` (the Gram matrix of ``p_0..p_K``
 against the functional) is the final oracle.  Only the Hankel route converts
-moments to powers, and the Gram check forms mixed moments by the identity
-``y phi_n(y) = phi_{n+1}(y) + n phi_n(y)`` the Chebyshev route runs on, so a
-fault in one shows as a disagreement with another.
+moments to powers of ``y = x + shift``, and the Gram check forms mixed
+moments by the identity ``y phi_n(y) = phi_{n+1}(y) + n phi_n(y)`` the
+Chebyshev route runs on, on polynomials it shifts itself, so a fault in one
+shows as a disagreement with another.
 
-Every loop runs on ints (an mpf is the dyadic rational it stores).  An exact
-table is eliminated fraction-free, by each route to the Hankel minors
-``H_k`` and one neighbour minor ``t_k`` per level, which one finisher turns
-into the coefficients; they do not change when the table is scaled.  An mpf
+Both routes read ``nu_0..nu_{2K-1}`` (``nu_0`` at K = 0) and need only the
+Hankel minors ``H_1..H_K``: a weight on N points gives N pairs.  Every loop
+runs on ints (an mpf is the dyadic rational it stores).  An exact table is
+eliminated fraction-free, by each route to ``H_1..H_K`` and one neighbour
+minor ``t_k`` per level, which one finisher turns into the coefficients;
+they do not change when the table is scaled.  An mpf
 table is eliminated in fixed point with a running error bound, and
 fraction-free too where the bound cannot put an output within ``2^-prec (1 +
 |v|)`` of the exact one, so only exact arithmetic finds a table singular.
@@ -105,38 +108,39 @@ def _check_pairs(rec: Recurrence, n: int):
         )
 
 
-def _check_length(nu: MomentTable, needed: int, K: int):
-    if len(nu.values) < needed:
-        raise MissingParameter(
-            f"building {K} recurrence coefficients needs moments through "
-            f"nu_{needed - 1}, table has {len(nu.values)}"
-        )
-
-
-def _check_cap(K: int):
+def _finish(nu: MomentTable, K: int, offset, pivots, fixed) -> Recurrence:
+    """The recurrence of length K of ``nu_0..nu_{2K-1}`` (``nu_0`` at K = 0)
+    from one route's kernels on the table's cleared ints ``m``: for an mpf
+    table ``fixed(m, offsets)`` if it certifies all (no None), else from the
+    int pivots ``H_1..H_K``, ``t_1..t_K`` of ``pivots(m, K)`` (``H_0 = 1``,
+    ``t_0 = 0``), rounded once for an mpf table: ``alpha_n = offset(n) +
+    t_{n+1}/H_{n+1} - t_n/H_n``, ``beta_n = (H_{n+1}/H_n) / (H_n/H_{n-1})``;
+    ``beta_0`` is ``nu_0``."""
     if require_count(K, "the recurrence length K") > MAX_K:
         raise InputError(f"the recurrence length K is capped at {MAX_K}")
-
-
-def _finish(values, offsets: list, pivots, fixed) -> tuple[list, list]:
-    """alpha_0..alpha_{K-1} and beta_1..beta_{K-1}, ``K = len(offsets)``: for
-    an mpf table ``fixed()`` if it certifies all (no None), else from the
-    int pivots ``H_1..H_K``, ``t_1..t_K`` of ``pivots()`` (``H_0 = 1``, ``t_0
-    = 0``), rounded once for an mpf table: ``alpha_n = offsets[n] +
-    t_{n+1}/H_{n+1} - t_n/H_n``, ``beta_n = (H_{n+1}/H_n) / (H_n/H_{n-1})``."""
-    K, exact = len(offsets), all(map(is_exact, values))
-    coeffs = [None] if exact else fixed()  # [None]: take the pivots
+    size = max(2 * K, 1)
+    if len(nu.values) < size:
+        raise MissingParameter(
+            f"building {K} recurrence coefficients needs moments through "
+            f"nu_{size - 1}, table has {len(nu.values)}"
+        )
+    values = nu.values[:size]
+    _, m = clear_denominators(values)
+    offsets = [offset(n) for n in range(K)]
+    exact = all(map(is_exact, values))
+    coeffs = [None] if exact else fixed(m, offsets)  # [None]: take the pivots
     if all(c is not None for c in coeffs):
-        return coeffs[:K], coeffs[K:]
-    H, t = pivots()
-    H, t = [1, *H], [0, *t]
-    r = [Fraction(t[k], H[k]) for k in range(K + 1)]  # t_k / H_k
-    q = [Fraction(H[k + 1], H[k]) for k in range(K)]  # H_{k+1} / H_k
-    alpha = [c + r[n + 1] - r[n] for n, c in enumerate(offsets)]
-    beta = [q[n] / q[n - 1] for n in range(1, K)]
-    if exact:
-        return alpha, beta
-    return [[ratio_to_mpf(*integer_ratio(c)) for c in part] for part in (alpha, beta)]
+        alpha, beta = coeffs[:K], coeffs[K:]
+    else:
+        H, t = pivots(m, K)
+        H, t = [1, *H], [0, *t]
+        r = [Fraction(t[k], H[k]) for k in range(K + 1)]  # t_k / H_k
+        q = [Fraction(H[k + 1], H[k]) for k in range(K)]  # H_{k+1} / H_k
+        alpha = [c + r[n + 1] - r[n] for n, c in enumerate(offsets)]
+        beta = [q[n] / q[n - 1] for n in range(1, K)]
+        if not exact:
+            alpha, beta = ([ratio_to_mpf(*integer_ratio(c)) for c in p] for p in (alpha, beta))
+    return Recurrence(tuple(alpha), ((values[0],) + tuple(beta))[:K])
 
 
 def _shifted(x: int, s: int) -> int:
@@ -169,66 +173,68 @@ def _ratio_to_mpf(a: int, b: int, ea: int, eb: int, s: int):
 
 
 def _hankel_pivots(m: list, K: int) -> tuple[list, list]:
-    """The pivots ``H_{k+1}`` (k <= K) and their right neighbours ``t_{k+1}``
-    (k < K) in one Bareiss elimination of the ints ``(m_{i+j})_{i,j<=K}``:
-    ``H_k`` is its k x k leading minor and ``t_k`` that minor with its last
-    column advanced by one.  Only the (symmetric) upper triangle is updated.
-    Raises ``SingularHankel(k)`` at the first vanishing pivot."""
-    n = K + 1
-    A = [m[i : i + n] for i in range(n)]
-    pivots, right = [], []
-    prev = 1
-    for k in range(n):
-        row = A[k]
+    """The pivots ``H_1..H_K`` and their right neighbours ``t_1..t_K`` in one
+    Bareiss elimination of the K x (K + 1) block ``(m_{i+j})``, rows
+    ``0..K-1`` and columns ``0..K``, of the ints ``m_0..m_{2K-1}``: ``H_k``
+    is its k x k leading minor and ``t_k`` that minor with its last column
+    advanced by one.  Only the upper triangle of the (symmetric) square part
+    and column K are updated.  Raises ``SingularHankel(k)`` at the first
+    vanishing pivot ``H_{k+1}``."""
+    A = [m[i : i + K + 1] for i in range(K)]
+    pivots, right, prev = [], [], 1
+    for k, row in enumerate(A):
         pivot = row[k]
         if pivot == 0:
             raise SingularHankel(k)
         pivots.append(pivot)
-        if k < K:
-            right.append(row[k + 1])
-        for i in range(k + 1, n):
+        right.append(row[k + 1])
+        for i in range(k + 1, K):
             lower, head = A[i], row[i]
-            for j in range(i, n):  # the division by the previous pivot is exact
+            for j in range(i, K + 1):  # the division by the previous pivot is exact
                 lower[j] = (pivot * lower[j] - head * row[j]) // prev
         prev = pivot
     return pivots, right
 
 
-def _hankel_fixed(powers: list, K: int) -> list:
+def _hankel_fixed(m: list, offsets: list) -> list:
     """The coefficients as mpf (None where not certified) by Gaussian
-    elimination of the int power moments in fixed point.
+    elimination in fixed point of the K x (K + 1) block of the int power
+    moments ``m_0..m_{2K-1}``, ``K = len(offsets)``.
 
-    Row and column i are scaled by ``2^-f_i``, ``f_i`` half the bit length
-    of ``m_{2i}``, so entries are O(1) at ``wp`` fractional bits.  Updates
+    Row and column i < K are scaled by ``2^-f_i``, ``f_i`` half the bit
+    length of ``m_{2i}``, and column K by ``2^-f_K``, ``f_K`` the least that
+    puts its entries below 1, so entries are O(1) at ``wp`` fractional bits.  Updates
     are ``x_ij -= x_ik x_kj // x_kk``; stage-k entries are within ``E_k``
     units of the exact elimination, ``E_0 = 1`` and ``E_{k+1} = E_k (1 +
     r/c)^2 + 1`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
     2002, ch. 9; second-order terms kept) with ``c = |x_kk|``, ``r =
-    max_{j>k} |x_kj|``.  ``alpha_n`` is a difference of ratios ``x_{n,n+1}
-    / x_nn``, ``beta_n`` is ``x_nn / x_{n-1,n-1}``.  A pivot within its
-    bound of zero, ``H_{K+1}``'s too, gives ``[None]``."""
+    max_{j>k} |x_kj|``.  ``alpha_n`` is ``offsets[n]`` plus a difference of
+    ratios ``x_{n,n+1} / x_nn``, ``beta_n`` is ``x_nn / x_{n-1,n-1}``.  A
+    pivot ``x_kk``, ``k < K``, within its bound of zero gives ``[None]``."""
     wp = mp.mp.prec + _GUARD_BITS
-    n = K + 1
-    f = [abs(powers[2 * i]).bit_length() // 2 for i in range(n)]
-    A = [[_shifted(powers[i + j], wp - f[i] - f[j]) for j in range(n)] for i in range(n)]
+    K = len(offsets)
+    f = [abs(m[2 * i]).bit_length() // 2 for i in range(K)]
+    f.append(max((abs(m[i + K]).bit_length() - f[i] for i in range(K)), default=0))
+    A = [[_shifted(m[i + j], wp - f[i] - f[j]) for j in range(K + 1)] for i in range(K)]
     err, pivots, errs, ratios = 1, [], [], [(0, 0)]
-    for k in range(n):
-        row = A[k]
+    for k, row in enumerate(A):
         pivot = row[k]
         c = abs(pivot)
         if c <= err:
             return [None]
         pivots.append(pivot)
         errs.append(err)
-        if k < K:
-            ratios.append(_quotient(row[k + 1], pivot, err, err, wp + f[k + 1] - f[k]))
-        for i in range(k + 1, n):
+        ratios.append(_quotient(row[k + 1], pivot, err, err, wp + f[k + 1] - f[k]))
+        for i in range(k + 1, K):
             lower, head = A[i], row[i]
-            for j in range(i, n):
+            for j in range(i, K + 1):
                 lower[j] -= head * row[j] // pivot
-        r = max(map(abs, row[k + 1 :]), default=0)
+        r = max(map(abs, row[k + 1 :]))
         err += 1 - (-err * ((2 * r + err) * c + r * r) // (c * (c - err)))
-    alpha = [_fixed_to_mpf(q - p, e + d, wp) for (p, d), (q, e) in zip(ratios, ratios[1:])]
+    alpha = [
+        _fixed_to_mpf((o << wp) + q - p, e + d, wp)
+        for o, (p, d), (q, e) in zip(offsets, ratios, ratios[1:])
+    ]
     return alpha + [
         _ratio_to_mpf(pivots[k], pivots[k - 1], errs[k], errs[k - 1], 2 * (f[k] - f[k - 1]))
         for k in range(1, K)
@@ -238,23 +244,21 @@ def _hankel_fixed(powers: list, K: int) -> list:
 def recurrence_from_moments(nu: MomentTable, K: int) -> Recurrence:
     """alpha_0..alpha_{K-1}, beta_0..beta_{K-1} from Hankel minors.
 
-    Reads ``nu_0..nu_{2K}``.  The table is scaled by the lcm of its
-    denominators and converted to power moments on those ints, whose ``H_k``
-    and ``t_k`` (:func:`_hankel_pivots`) :func:`_finish` turns into the
-    coefficients with offsets 0; ``beta_0`` is ``nu_0``.  An mpf table runs
-    :func:`_hankel_fixed`.  Raises ``SingularHankel(n)`` at the first ``n <=
-    K`` with ``H_{n+1} = 0``: a weight on K points raises
-    ``SingularHankel(K)``, where :func:`chebyshev_from_moments` does not.
+    Reads ``nu_0..nu_{2K-1}``.  The table is scaled by the lcm of its
+    denominators and converted on those ints to the power moments ``L[y^k]``
+    of ``y = x + shift``, whose ``H_1..H_K`` and ``t_1..t_K``
+    (:func:`_hankel_pivots`) :func:`_finish` turns into the coefficients
+    with offsets ``-shift``; the minors do not change under this
+    unitriangular change of basis.  An mpf table runs :func:`_hankel_fixed`.
+    Raises ``SingularHankel(k)`` at the first ``k < K`` with ``H_{k+1} =
+    0``, so a weight on K points gives its K pairs.
     """
-    _check_cap(K)
-    _check_length(nu, 2 * K + 1, K)
-    values = nu.values[: 2 * K + 1]
-    _, scaled = clear_denominators(values)
-    powers = stirling_convert(MomentTable(scaled, nu.basis_shift))
-    alpha, beta = _finish(
-        values, [0] * K, lambda: _hankel_pivots(powers, K), lambda: _hankel_fixed(powers, K)
+    shift = nu.basis_shift
+    return _finish(
+        nu, K, lambda n: -shift,
+        lambda m, K: _hankel_pivots(stirling_convert(m), K),
+        lambda m, offsets: _hankel_fixed(stirling_convert(m), offsets),
     )
-    return Recurrence(tuple(alpha), tuple([values[0]] + beta)[:K])
 
 
 def chebyshev_from_moments(nu: MomentTable, K: int) -> Recurrence:
@@ -280,8 +284,7 @@ def chebyshev_from_moments(nu: MomentTable, K: int) -> Recurrence:
 
     two exact divisions.  :func:`_finish` takes ``H_{k+1}`` and ``t_{k+1} =
     T_k(k+1)``, with offsets ``n - shift``.  Raises ``SingularHankel(k)`` at
-    the first ``k < K`` with ``H_{k+1} = 0``, so a weight on K points gives
-    its K pairs.
+    the first ``k < K`` with ``H_{k+1} = 0``, as the Hankel route does.
 
     Exactness: with ``[R; x]`` the determinant of the rows R and x of the
     int matrix ``(L[phi_i phi_j])`` on its first ``|R| + 1`` columns,
@@ -289,22 +292,13 @@ def chebyshev_from_moments(nu: MomentTable, K: int) -> Recurrence:
     l`` and the unit row of column k over the rows ``0..k-2`` gives ``Y(l) =
     [0..k-2, k; l]``.  ``H_k`` times the second numerator is ``H_k^2 T_{k+1}(l)``.
     """
-    _check_cap(K)
-    size = max(2 * K, 1)  # K = 0 still asks for nu_0
-    _check_length(nu, size, K)
-    values, shift = nu.values[:size], nu.basis_shift
-    alpha, beta = _finish(
-        values, [n - shift for n in range(K)],
-        lambda: _chebyshev_integers(values, K),
-        lambda: _chebyshev_fixed(values, K, shift),
-    )
-    return Recurrence(tuple(alpha), ((values[0],) + tuple(beta))[:K])
+    shift = nu.basis_shift
+    return _finish(nu, K, lambda n: n - shift, _chebyshev_integers, _chebyshev_fixed)
 
 
-def _chebyshev_integers(values, K: int) -> tuple[list, list]:
+def _chebyshev_integers(curr: list, K: int) -> tuple[list, list]:
     """The pivots ``H_1..H_K`` and ``t_1..t_K``, ``t_{k+1} = T_k(k+1)``, of
-    the fraction-free sigma form on ints."""
-    _, curr = clear_denominators(values)
+    the fraction-free sigma form on the ints ``nu_0..nu_{2K-1}``."""
     prev = [0] * (2 * K)  # T_{-1} = 0
     H, t, below = [], [], 1  # below = H_k
     for k in range(K):
@@ -324,9 +318,10 @@ def _chebyshev_integers(values, K: int) -> tuple[list, list]:
     return H, t
 
 
-def _chebyshev_fixed(values, K: int, shift) -> list:
+def _chebyshev_fixed(nums: list, offsets: list) -> list:
     """The coefficients as mpf (None where not certified) by the sigma form
-    in fixed point.
+    in fixed point on the ints ``nu_0..nu_{2K-1}``, ``K = len(offsets)``,
+    with ``alpha_k`` offset by ``offsets[k]``.
 
     ``sigma_k(l)`` is ``S_k[l] 2^(c_l + r_k - wp)`` over the cleared table,
     ``c_l`` the bit length of its nu_l and ``r_k`` such that row k's largest
@@ -337,7 +332,7 @@ def _chebyshev_fixed(values, K: int, shift) -> list:
     ``2^wp``), the errors of each term and its floors, rescaled with the
     row.  A diagonal within its bound of zero gives ``[None]``."""
     wp = mp.mp.prec + _GUARD_BITS
-    _, nums = clear_denominators(values)
+    K = len(offsets)
     col = [abs(v).bit_length() for v in nums]
     curr = [_shifted(v, wp - c) for v, c in zip(nums, col)]
     prev = [0] * (2 * K)  # sigma_{-1} = 0
@@ -350,7 +345,7 @@ def _chebyshev_fixed(values, K: int, shift) -> list:
             return [None]
         r, u = _quotient(curr[k + 1], diag, err, err, wp + col[k + 1] - col[k])
         a, da = r - ratio, u + spread
-        alpha.append(_fixed_to_mpf(((k - shift) << wp) + a, da, wp))
+        alpha.append(_fixed_to_mpf((offsets[k] << wp) + a, da, wp))
         b = db = 0
         if k:
             s = col[k] - col[k - 1]

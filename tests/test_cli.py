@@ -323,17 +323,16 @@ def test_recurrence_hankel_method(monkeypatch, capsys):
     assert payload == chebyshev and len(payload["alpha"]) == 3
 
 
-def test_recurrence_on_exactly_k_points_fails_only_with_hankel(monkeypatch, capsys):
-    # a weight on {0, 1, 2}: Chebyshev needs H_1..H_3 and gives 3 pairs;
-    # Hankel needs H_4 too, which vanishes
+def test_recurrence_on_exactly_k_points_agrees_across_methods(monkeypatch, capsys):
+    # a weight on {0, 1, 2}: both routes need only H_1..H_3 and give 3 pairs
     spec = {"a": ["1/3"], "b": [], "z": "1/2", "support": {"kind": "truncated", "N": 2}}
     code, payload = run_json(["recurrence", "--input", "-", "-n", "3"],
                              spec, monkeypatch, capsys)
     assert code == 0 and len(payload["alpha"]) == 3
-    code, payload = run_json(["recurrence", "--input", "-", "-n", "3", "--method", "both"],
-                             spec, monkeypatch, capsys)
-    assert code == 1 and payload["error"]["type"] == "SingularHankel"
-    assert "order 3" in payload["error"]["message"]
+    code, both = run_json(["recurrence", "--input", "-", "-n", "3", "--method", "both"],
+                          spec, monkeypatch, capsys)
+    assert code == 0 and both["agree"] is True
+    assert both["hankel"] == both["chebyshev"] == payload
 
 
 # ------------------------------------------------------------------- catalog

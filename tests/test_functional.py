@@ -495,15 +495,16 @@ def test_functional_of_poly_and_power_moments():
     p = Poly([Fraction(1, 3), -2, 0, 1])  # x^3 - 2x + 1/3
     direct = sum(weight_at(spec, x) * p(x) for x in range(5))
     assert functional_of_poly(table, p) == direct
-    powers = stirling_convert(table)
+    powers = stirling_convert(table.values)
     for k in range(6):
         assert powers[k] == sum(weight_at(spec, x) * x**k for x in range(5))
-    # shifted case
+    # shifted case: the table holds L[phi_n(x + 2)], and functional_of_poly
+    # shifts the basis itself
     symm = FunctionalSpec(
         a=[Fraction(-4)], b=[], z=-1, support=Support.symmetrized_shift(2)
     )
     stable = moments(symm, 4)
-    spowers = stirling_convert(stable)
+    spowers = [functional_of_poly(stable, Poly([0] * k + [1])) for k in range(5)]
     for k in range(5):
         assert spowers[k] == sum(
             weight_at(symm, x) * x**k for x in range(-2, 3)

@@ -29,6 +29,7 @@ from discsemi.orthopoly import (
     orthogonality_check,
     recurrence_from_moments,
 )
+from discsemi.polys import Poly
 from discsemi.scalars import (
     DEFAULT_TOL,
     agree,
@@ -234,12 +235,12 @@ def test_unit_mass_table_is_singular_at_level_one():
 
 def test_five_point_support_exhausts_at_level_five():
     # A terminating weight on {0..4} is quasi-definite only through
-    # degree 4; the level-(K+1) precondition catches K = 5.
-    nu = moments(krawtchouk(4), 10)
+    # degree 4: its five points give five pairs, and K = 6 needs H_6 = 0.
+    nu = moments(krawtchouk(4), 12)
+    assert len(recurrence_from_moments(nu, 5)) == 5
     with pytest.raises(SingularHankel) as info:
-        recurrence_from_moments(nu, 5)
+        recurrence_from_moments(nu, 6)
     assert info.value.index == 5
-    assert len(recurrence_from_moments(nu, 4)) == 4
 
 
 def test_zero_total_mass_is_singular_at_level_zero():
@@ -261,22 +262,33 @@ def test_mpf_table_with_zero_mass_is_singular_at_level_zero():
             assert info.value.index == 0
 
 
-def test_routes_differ_on_a_weight_with_exactly_k_points():
-    # Chebyshev reads nu_0..nu_{2K-1} and needs H_1..H_K; Hankel reads
-    # nu_0..nu_{2K} and needs H_{K+1} too, which vanishes on K points
+def _both_routes(nu: MomentTable, K: int):
+    """The outcome of both routes, asserted equal in values and types."""
+    hankel, chebyshev = (
+        _outcome(route, nu, K) for route in (recurrence_from_moments, chebyshev_from_moments)
+    )
+    if isinstance(hankel, tuple) or isinstance(chebyshev, tuple):
+        assert hankel == chebyshev  # the same SingularHankel index
+    else:
+        assert _typed(hankel.alpha) == _typed(chebyshev.alpha)
+        assert _typed(hankel.beta) == _typed(chebyshev.beta)
+    return chebyshev
+
+
+def test_routes_agree_on_a_weight_with_exactly_k_points():
+    # both routes read nu_0..nu_{2K-1} and need only H_1..H_K, so N points
+    # give N pairs; the Gram check's p_N has a zero norm
     spec = apply_truncation(FunctionalSpec(a=[THIRD], z=HALF), 2)  # on {0, 1, 2}
-    nu = moments(spec, 6)
-    rec = chebyshev_from_moments(nu, 3)
+    rec = _both_routes(moments(spec, 5), 3)
     assert len(rec) == 3
-    hankel = recurrence_from_moments(nu, 2)
-    assert hankel.alpha == rec.alpha[:2] and hankel.beta == rec.beta[:2]
-    with pytest.raises(SingularHankel) as info:
-        recurrence_from_moments(nu, 3)
-    assert info.value.index == 3
     report = orthogonality_check(spec, rec, 3)
-    assert report["diagonal"][:3] == [Fraction(11, 9), Fraction(43, 132), Fraction(4, 43)]
-    assert report["diagonal"][3] == 0 and report["max_offdiagonal"] == 0
-    assert report["pass"] is False
+    assert report["diagonal"] == [Fraction(11, 9), Fraction(43, 132), Fraction(4, 43), 0]
+    assert report["max_offdiagonal"] == 0 and report["pass"] is False
+    # two masses: two pairs, and level 2 is singular at K = 3
+    masses = (Mass(Fraction(-1, 2), 1), Mass(Fraction(3, 2), 1))
+    nu = moments(FunctionalSpec(a=(), b=(), z=1, scale=0, masses=masses), 5)
+    assert len(_both_routes(nu, 2)) == 2
+    assert _both_routes(nu, 3) == ("singular", 2)
 
 
 # -- invariance under equivalent constructions --------------------------------
@@ -369,7 +381,7 @@ def test_length_cap_and_validation():
 def test_mass_only_spec_recurrence():
     # Two point masses alone form a valid discrete functional; its monic
     # orthogonal polynomials stop at degree 2 (which annihilates both
-    # points), so level 2 is singular.
+    # points): K = 2 gives two pairs, and level 2 is singular at K = 3.
     spec = FunctionalSpec(
         a=(),
         b=(),
@@ -377,11 +389,12 @@ def test_mass_only_spec_recurrence():
         scale=0,
         masses=(Mass(Fraction(-1, 2), 1), Mass(Fraction(3, 2), 1)),
     )
-    nu = moments(spec, 4)
-    rec = recurrence_from_moments(nu, 1)
+    nu = moments(spec, 6)
+    rec = recurrence_from_moments(nu, 2)
     assert rec.alpha[0] == HALF  # midpoint of the two masses
+    assert rec == Recurrence((HALF, HALF), (2, 1))
     with pytest.raises(SingularHankel) as info:
-        recurrence_from_moments(nu, 2)
+        recurrence_from_moments(nu, 3)
     assert info.value.index == 2
 
 
@@ -419,11 +432,13 @@ def _hankel_oracle(m: list, k: int, shifted: bool = False) -> Fraction:
 
 
 def _recurrence_oracle(nu: MomentTable, K: int):
-    """The recurrence from separately computed leading and shifted minors,
-    or the index of the first vanishing leading minor H_{n+1}."""
-    m = stirling_convert(nu)
-    H = [_hankel_oracle(m, k) for k in range(K + 2)]
-    for n in range(K + 1):
+    """The recurrence from separately computed leading and shifted minors
+    of the power moments ``L[x^k]``, k < 2K (taken by ``functional_of_poly``,
+    which shifts the basis itself), or the index ``n < K`` of the first
+    vanishing leading minor H_{n+1}."""
+    m = [functional_of_poly(nu, Poly([0] * k + [1])) for k in range(max(2 * K, 1))]
+    H = [_hankel_oracle(m, k) for k in range(K + 1)]
+    for n in range(K):
         if H[n + 1] == 0:
             return n
     t = [Fraction(0)] + [_hankel_oracle(m, k, shifted=True) for k in range(1, K + 1)]
@@ -474,24 +489,25 @@ def discrete_measures(draw):
 @settings(max_examples=200, deadline=None)
 @given(discrete_measures(), st.integers(min_value=0, max_value=6))
 def test_bareiss_pass_matches_per_level_determinants(measure, K):
-    points, weights, shift, positive = measure
-    nu = MomentTable(
-        [
-            sum(w * falling_factorial(x + shift, n) for x, w in zip(points, weights))
-            for n in range(2 * K + 1)
-        ],
-        shift,
-    )
+    points, _, _, positive = measure
+    nu = _exact_table(measure, K)
+    # the pivots H_1..H_K and neighbours t_1..t_K of the cleared power moments
+    _, ints = clear_denominators(stirling_convert(nu.values))
+    minors = [_hankel_oracle(ints, k) for k in range(1, K + 1)]
     expected = _recurrence_oracle(nu, K)
     if isinstance(expected, Recurrence):
+        neighbours = [_hankel_oracle(ints, k, shifted=True) for k in range(1, K + 1)]
+        assert _hankel_pivots(ints, K) == (minors, neighbours)
         rec = recurrence_from_moments(nu, K)
         assert rec == expected
         assert all(isinstance(c, (int, Fraction)) for c in rec.alpha + rec.beta)
-        assert K < len(points)
+        assert K <= len(points)
         return
-    with pytest.raises(SingularHankel) as info:
-        recurrence_from_moments(nu, K)
-    assert info.value.index == expected
+    assert minors.index(0) == expected
+    for route, table in ((_hankel_pivots, ints), (recurrence_from_moments, nu)):
+        with pytest.raises(SingularHankel) as info:
+            route(table, K)
+        assert info.value.index == expected
     assert expected <= len(points)
     if positive:
         # s distinct points carry a positive definite functional exactly
@@ -716,12 +732,13 @@ def _hankel_fraction_route(nu: MomentTable, K: int) -> Recurrence:
     """The Hankel route with the Stirling conversion run on the table's own
     Fractions and their denominators cleared afterwards: the route the
     conversion on cleared integers replaced."""
-    m = stirling_convert(nu)[: 2 * K + 1]
+    m = stirling_convert(nu.values[: max(2 * K, 1)])
     _, entries = clear_denominators(m)
     H, t = _hankel_pivots(entries, K)
     H, t = [1] + H, [0] + t
     alpha = tuple(
-        Fraction(t[n + 1] * H[n] - t[n] * H[n + 1], H[n + 1] * H[n]) for n in range(K)
+        -nu.basis_shift + Fraction(t[n + 1] * H[n] - t[n] * H[n + 1], H[n + 1] * H[n])
+        for n in range(K)
     )
     beta = tuple(
         m[0] if n == 0 else Fraction(H[n + 1] * H[n - 1], H[n] * H[n]) for n in range(K)
@@ -732,7 +749,7 @@ def _hankel_fraction_route(nu: MomentTable, K: int) -> Recurrence:
 @settings(max_examples=200, deadline=None)
 @given(discrete_measures(), st.integers(min_value=0, max_value=7))
 def test_integer_stirling_matches_fraction_route(measure, K):
-    nu = _exact_table(measure, K + 1)  # nu_0..nu_{2K+1}; Hankel reads 2K+1
+    nu = _exact_table(measure, K + 1)  # nu_0..nu_{2K+1}; Hankel reads nu_0..nu_{2K-1}
     got = _outcome(recurrence_from_moments, nu, K)
     want = _outcome(_hankel_fraction_route, nu, K)
     if isinstance(want, tuple):
@@ -740,6 +757,49 @@ def test_integer_stirling_matches_fraction_route(measure, K):
         return
     assert _typed(got.alpha) == _typed(want.alpha)
     assert _typed(got.beta) == _typed(want.beta)
+
+
+@st.composite
+def measures_and_lengths(draw):
+    """(spec, K), K <= 7: an exact discrete measure that may have K points
+    or fewer: point masses alone, a weight truncated to ``N + 1 <= K``
+    lattice points, or a symmetric window of ``2m + 1`` points (basis shift
+    m), each with optional masses of int or Fraction size."""
+    K = draw(st.integers(min_value=0, max_value=7))
+    kind = draw(st.sampled_from(("masses", "window", "truncated")))
+    masses = draw(st.lists(
+        st.builds(
+            Mass,
+            st.one_of(st.integers(min_value=-3, max_value=6), _off_lattice),
+            _ints_or_fractions.map(lambda x: x or 1),
+        ),
+        min_size=1 if kind == "masses" else 0,
+        max_size=3,
+    ))
+    if kind == "masses":
+        return FunctionalSpec(a=(), b=(), z=1, scale=0, masses=masses), K
+    z, scale = draw(_signed), draw(_signed)
+    if kind == "window":
+        m = draw(st.integers(min_value=1, max_value=3))
+        a = (-2 * m,) + tuple(draw(st.lists(_positive, max_size=1)))
+        return FunctionalSpec(a=a, b=(), z=z, scale=scale,
+                              support=Support.symmetrized_shift(m), masses=masses), K
+    a = draw(st.lists(_positive, max_size=2))
+    b = draw(st.lists(_positive, max_size=1))
+    N = draw(st.integers(min_value=0, max_value=max(K - 1, 0)))
+    return FunctionalSpec(a=a, b=b, z=z, scale=scale,
+                          support=Support.truncated(N), masses=masses), K
+
+
+@settings(max_examples=200, deadline=None)
+@given(measures_and_lengths(), st.booleans())
+def test_exact_routes_agree_on_every_measure(spec_and_K, longer):
+    # one contract: both routes read nu_0..nu_{2K-1} (the table may hold no
+    # more), need only H_1..H_K even when it holds more, and give equal
+    # values of equal types or the same SingularHankel index, on shifted
+    # bases too
+    spec, K = spec_and_K
+    _both_routes(moments(spec, 2 * K + 1 if longer else max(2 * K - 1, 0)), K)
 
 
 @st.composite
