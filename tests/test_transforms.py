@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from mpmath import mp
 
 from discsemi.combin import falling_factorial
@@ -26,7 +26,7 @@ from discsemi.functional import (
     weight_at,
 )
 from discsemi.scalars import agree, to_mpf
-from discsemi import transforms
+from discsemi import functional, transforms
 from discsemi.transforms import (
     apply_christoffel,
     apply_geronimus,
@@ -363,6 +363,53 @@ def test_geronimus_regularity_and_poles():
         apply_geronimus(massed, Fraction(-1, 2), 1)
 
 
+_POINTS = st.one_of(
+    st.integers(min_value=-3, max_value=9),
+    st.fractions(min_value=-3, max_value=9, max_denominator=4),
+)
+
+
+@st.composite
+def exact_divisions(draw):
+    """``(spec, omega, M)``: a finite weight, truncated or terminating on its
+    own, with up to two masses; omega off its lattice and its mass points,
+    integers past the weight's end included; M often S(omega) itself."""
+    N = draw(st.integers(min_value=0, max_value=6))
+    a = draw(st.lists(st.sampled_from([HALF, Fraction(-5, 2), 2, Fraction(1, 3)]), max_size=1))
+    support = Support.truncated(N)
+    if draw(st.booleans()):  # the weight stops at N by itself
+        a, support = a + [-N], None
+    spec = FunctionalSpec(
+        a=a,
+        b=draw(st.lists(st.sampled_from([HALF, 1, Fraction(2, 3)]), max_size=1)),
+        z=draw(st.sampled_from([1, HALF, -2])),
+        scale=draw(st.sampled_from([1, -2, 0])),
+        support=support,
+        masses=[Mass(w, m) for w, m in draw(st.lists(st.tuples(_POINTS, _POINTS), max_size=2))],
+    )
+    omega = draw(st.one_of(_POINTS, st.just(spec.weight_upper_bound() + 1)))
+    assume(spec.support_index(omega) is None)
+    assume(all(mass.omega != omega for mass in spec.merged_masses()))
+    S = stieltjes_eval(spec, omega)
+    return spec, omega, draw(st.one_of(st.just(S), _POINTS))
+
+
+@given(exact_divisions())
+@example(  # the divided weight once gained the point 3, so nu_0' missed M - S
+    (krawtchouk(N=2, z=HALF), 3, Fraction(1, 24)),
+)
+def test_geronimus_reads_regularity_off_the_divided_table(case):
+    # nu_0' = M - S(omega): the regularity test on the divided spec's own
+    # table agrees with the independent Stieltjes sum
+    spec, omega, M = case
+    S = stieltjes_eval(spec, omega)
+    if M == S:
+        with pytest.raises(RegularityViolation):
+            apply_geronimus(spec, omega, M)
+    else:
+        assert moments(apply_geronimus(spec, omega, M), 0)[0] == M - S
+
+
 def test_geronimus_at_an_mpf_point_keeps_rational_masses():
     # an mpf omega against a Fraction mass once took the gap from Fraction -
     # mpf (a TypeError), and at the mpf nearest -1/3 the mass at -1/3
@@ -398,30 +445,41 @@ def test_compose_numeric_and_zero_mass():
     assert report0["pass"]
 
 
-@pytest.mark.parametrize("spec, omega, M", [
-    (krawtchouk(N=3, z=HALF), Fraction(-3, 2), 2),
-    (apply_truncation(meixner(), 9), Fraction(-1, 2), Fraction(1, 3)),
+@pytest.mark.parametrize("spec, omega, M, tables", [
+    (krawtchouk(N=3, z=HALF), Fraction(-3, 2), 2, 2),
+    (apply_truncation(meixner(), 9), Fraction(-1, 2), Fraction(1, 3), 2),
     (apply_uvarov(apply_truncation(hahn(N=7), 5), Fraction(-5, 2), Fraction(1, 4)),
-     Fraction(-1, 2), Fraction(2, 5)),
-    (charlier(Fraction(1, 3)), HALF, 2),
+     Fraction(-1, 2), Fraction(2, 5), 2),
+    (charlier(Fraction(1, 3)), HALF, 2, 2),
+    # not canonical: neither law lands verbatim, so each sums its own table
+    (FunctionalSpec(a=[Fraction(3, 2)], b=[HALF], z=HALF), Fraction(-1, 2), 2, 4),
 ])
-def test_compose_check_sums_three_tables(monkeypatch, spec, omega, M):
-    # the base table serves the regularity tests on spec itself, so only
-    # spec, the divided spec and the multiplied-then-divided spec are summed
-    summed = []
+def test_compose_check_sums_two_tables(monkeypatch, spec, omega, M, tables):
+    # the base table serves the regularity tests on spec itself, the divided
+    # spec's nu_0', nu_1' serve both of its tests, and a law that lands
+    # verbatim on its spec reads its table off the base table
+    summed, weights = [], []
+    weight_sums = functional._weight_sums
 
     def counting(spec, K, tol):
-        summed.append(spec)
+        summed.append((spec, K))
         return moments(spec, K, tol)
 
+    def summing(spec, *args, **kwargs):  # every weight sum, S(t) included
+        weights.append(spec)
+        return weight_sums(spec, *args, **kwargs)
+
     monkeypatch.setattr(transforms, "moments", counting)
+    monkeypatch.setattr(functional, "_weight_sums", summing)
     report = compose_check(spec, omega, M, tol=TIGHT)
-    assert len(summed) == 3
     monkeypatch.undo()
+    assert len(summed) == tables and weights == [spec for spec, K in summed]
+    assert summed[:2] == [(spec, 9), (apply_geronimus(spec, omega, M, TIGHT), 1)]
     # the steps the report names, each through its public transform
     gc_spec = apply_geronimus(apply_christoffel(spec, omega, TIGHT), omega, M, TIGHT)
     back = apply_christoffel(apply_geronimus(spec, omega, M, TIGHT), omega, TIGHT)
     assert report["multiply_then_divide"]["spec"] == gc_spec.to_json()
+    assert report["round_trip_exact"] is (tables == 2)
     assert report["round_trip_exact"] is (
         back.to_json() == spec.to_json()
         and gc_spec.to_json() == apply_uvarov(spec, omega, M, TIGHT).to_json()
